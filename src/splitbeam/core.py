@@ -43,6 +43,12 @@ def _check_mask(mask: int, n: int) -> None:
         raise ValueError(f"mask {mask} out of range for universe size {n}")
 
 
+def _check_int64_sum(values: Iterable[int], what: str) -> None:
+    """Every subset sum of ``values`` must fit signed 64-bit arithmetic."""
+    if sum(values) >= 1 << 63:
+        raise ValueError(f"sum of {what} must fit signed 64-bit arithmetic")
+
+
 def complement(mask: SubsetMask, n: int) -> SubsetMask:
     """Complement of a subset within a universe of ``n`` elements."""
     _check_universe(n)
@@ -138,8 +144,7 @@ class SubsetSumInstance:
         for v in self.values:
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"values must be positive integers, got {v!r}")
-        if sum(self.values) >= 1 << 63:
-            raise ValueError("sum of values must fit signed 64-bit arithmetic")
+        _check_int64_sum(self.values, "values")
         if not isinstance(self.target, int) or self.target < 1:
             raise ValueError(f"target must be a positive integer, got {self.target!r}")
 

@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import MAX_UNIVERSE, SubsetMask, SubsetSumInstance, _check_mask, _check_universe
+from .core import (
+    MAX_UNIVERSE,
+    SubsetMask,
+    SubsetSumInstance,
+    _check_int64_sum,
+    _check_mask,
+    _check_universe,
+)
 
 
 class DeviceKind(Enum):
@@ -46,6 +53,7 @@ class DelayDevice:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not 1 <= len(self.layers) <= MAX_UNIVERSE:
             raise ValueError(f"device must have between 1 and {MAX_UNIVERSE} layers")
+        _check_int64_sum(self.take_delays, "take delays")
 
     @property
     def n(self) -> int:

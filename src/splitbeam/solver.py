@@ -6,6 +6,14 @@ blocked set) and a deliberately dumb brute-force oracle that scans all
 masks and checks the raw containment predicate, touching no devices,
 timelines, or moment sets. Equality of the two on small instances is the
 correctness argument for the pipeline. Subset sum gets the same pair.
+
+A subset-sum decision watches a single moment at the destination, so
+``solve_subset_sum`` does not simulate the whole device. It cuts the
+layer chain into a front and a back half, simulates each half, and joins
+the two coalesced half-timelines at the target moment (Horowitz and
+Sahni's meet in the middle). That costs Theta(2**(n/2)) time and memory
+instead of Theta(2**n). Watching the full timeline with
+``detect_subset_sum`` remains the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -24,9 +32,15 @@ from .core import (
     SubsetSumInstance,
     splits_family,
 )
-from .device import build_set_splitting_device, build_subset_sum_device
+from .device import (
+    ArcPair,
+    DelayDevice,
+    DeviceKind,
+    build_set_splitting_device,
+    build_subset_sum_device,
+)
 from .moments import blocked_moments_full
-from .sim import DEFAULT_SIM_CAP, SubsetSumDetection, detect_subset_sum, simulate
+from .sim import DEFAULT_SIM_CAP, SubsetSumDetection, simulate
 
 DEFAULT_ORACLE_CAP = 24
 _ORACLE_BLOCK = 1 << 15
@@ -131,11 +145,54 @@ def oracle_solution_masks(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP)
     return np.flatnonzero(~_blocked_flags(inst.family, masks)).tolist()
 
 
+def _half_chain(layers: tuple[ArcPair, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct core delays of a sub-chain and the smallest mask reaching each.
+
+    The empty chain passes the pulse through once, at delay 0.
+    """
+    if not layers:
+        zero = np.zeros(1, dtype=np.int64)
+        return zero, zero
+    # The caller has applied the instance cap; a half never exceeds it.
+    timeline = simulate(DelayDevice(DeviceKind.SUBSET_SUM, layers), cap=len(layers))
+    return timeline.cores, timeline.witnesses
+
+
 def solve_subset_sum(inst: SubsetSumInstance, *, cap: int = DEFAULT_SIM_CAP) -> SubsetSumDetection:
-    """Decide subset sum through the pipeline: build, simulate, detect."""
+    """Decide subset sum by joining the device's two half-chains at the target.
+
+    The front half is the first ceil(n/2) layers of the device, the back
+    half the rest; each is simulated on its own. A back arrival at core
+    ``c`` completes to the target exactly when the front half has an
+    arrival at ``target - c``. Among those back arrivals the one with the
+    smallest mask wins, because the back layers are the high bits of the
+    full mask; its front partner's smallest mask fills the low bits. The
+    result is the smallest witness the full timeline would report, found
+    in Theta(2**(n/2)) time and memory. Instances with ``n > cap`` are
+    refused, as the full simulation refuses them.
+    """
+    n = inst.n
+    if n > cap:
+        raise EnumerationLimitError(
+            f"instance too large to enumerate: n={n} exceeds the simulation cap {cap}"
+        )
+    moment = ExactMoment(inst.target, n)
     device = build_subset_sum_device(inst)
-    timeline = simulate(device, cap=cap)
-    return detect_subset_sum(timeline, inst.target)
+    # Devices keep the sum of take delays below 2**63, so past this check
+    # target - core fits int64.
+    if inst.target > sum(device.take_delays):
+        return SubsetSumDetection(False, None, moment)
+    front_n = (n + 1) // 2
+    front_cores, front_wits = _half_chain(device.layers[:front_n])
+    back_cores, back_wits = _half_chain(device.layers[front_n:])
+    need = inst.target - back_cores
+    at = np.minimum(np.searchsorted(front_cores, need), len(front_cores) - 1)
+    joins = np.flatnonzero(front_cores[at] == need)
+    if not joins.size:
+        return SubsetSumDetection(False, None, moment)
+    best = joins[np.argmin(back_wits[joins])]
+    witness = (int(back_wits[best]) << front_n) | int(front_wits[at[best]])
+    return SubsetSumDetection(True, witness, moment)
 
 
 def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SubsetSumDetection:

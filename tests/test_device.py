@@ -4,10 +4,12 @@ import pytest
 
 from splitbeam import (
     ArcPair,
+    DelayDevice,
     DeviceKind,
     SubsetSumInstance,
     build_set_splitting_device,
     build_subset_sum_device,
+    simulate,
 )
 
 
@@ -85,3 +87,18 @@ class TestArcPair:
             ArcPair(1, 1)
         with pytest.raises(ValueError):
             ArcPair(-1)
+
+
+class TestDelayDevice:
+    def test_rejects_take_delays_summing_past_int64(self):
+        # the full path would arrive at 2**63, which int64 wraps to -2**63
+        with pytest.raises(ValueError, match="64-bit"):
+            DelayDevice(DeviceKind.SUBSET_SUM, (ArcPair(1 << 62), ArcPair(1 << 62)))
+
+    def test_rejects_take_delay_past_int64(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            DelayDevice(DeviceKind.SUBSET_SUM, (ArcPair(1 << 63),))
+
+    def test_largest_int64_sum_accepted(self):
+        device = DelayDevice(DeviceKind.SUBSET_SUM, (ArcPair(1 << 62), ArcPair((1 << 62) - 1)))
+        assert int(simulate(device).cores[-1]) == device.path_core_delay(0b11) == (1 << 63) - 1

@@ -3,14 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import splitbeam.solver
 from splitbeam import (
     Decision,
     EnumerationLimitError,
     Method,
     SplitInstance,
     SubsetSumInstance,
+    build_subset_sum_device,
+    detect_subset_sum,
     oracle_solution_masks,
+    simulate,
     solve_optical,
     solve_oracle,
     solve_subset_sum,
@@ -32,6 +38,10 @@ def first_split_mask(inst):
         if mask_splits(inst.family, mask, inst.n):
             return mask
     return None
+
+
+def masked_sum(values, mask):
+    return sum(v for i, v in enumerate(values) if (mask >> i) & 1)
 
 
 def random_instance(rng, max_n=12, max_sets=4):
@@ -163,3 +173,72 @@ class TestSubsetSumSolvers:
     def test_oracle_cap(self):
         with pytest.raises(EnumerationLimitError):
             subset_sum_oracle(SubsetSumInstance(tuple([1] * 25), 1))
+
+    def test_targets_out_of_reach(self):
+        values = (3, 5, 9)
+        for target in (sum(values) + 1, 1 << 63, 1 << 64, 1 << 70):
+            detection = solve_subset_sum(SubsetSumInstance(values, target))
+            assert not detection.found and detection.witness is None
+            assert detection.moment.core == target
+
+    def test_cap(self):
+        with pytest.raises(EnumerationLimitError, match="simulation cap"):
+            solve_subset_sum(SubsetSumInstance(tuple([1] * 29), 1))
+
+    def test_planted_n40_joins_halves_of_2_20_paths(self, monkeypatch):
+        rng = random.Random(40)
+        values = tuple(rng.randint(1, 1 << 40) for _ in range(40))
+        mask = rng.randrange(1, 1 << 40)
+        inst = SubsetSumInstance(values, masked_sum(values, mask))
+        paths = []
+
+        def counted(device, **kwargs):
+            timeline = simulate(device, **kwargs)
+            paths.append(timeline.total_paths)
+            return timeline
+
+        monkeypatch.setattr(splitbeam.solver, "simulate", counted)
+        detection = solve_subset_sum(inst, cap=40)
+        assert detection.found and inst.subset_sum(detection.witness) == inst.target
+        assert detection.witness <= mask
+        assert paths == [1 << 20, 1 << 20]
+
+
+def assert_routes_agree(inst, timeline):
+    """Half-chain join, full timeline and oracle: same decision, same smallest witness."""
+    joined = solve_subset_sum(inst)
+    full = detect_subset_sum(timeline, inst.target)
+    direct = subset_sum_oracle(inst)
+    assert (joined.found, joined.witness) == (full.found, full.witness)
+    assert (joined.found, joined.witness) == (direct.found, direct.witness)
+    if joined.found:
+        assert inst.subset_sum(joined.witness) == inst.target
+
+
+# Value lists that stress coalescing (a few repeated values, tiny ranges)
+# as well as wide values whose subset sums are almost all distinct.
+subset_values = st.one_of(
+    st.integers(1, 3).flatmap(lambda hi: st.lists(st.integers(1, hi), min_size=1, max_size=14)),
+    st.lists(st.sampled_from((1, 7, 1 << 20, 1 << 40)), min_size=1, max_size=14),
+    st.lists(st.integers(1, 1 << 40), min_size=1, max_size=14),
+)
+
+
+class TestSubsetSumRoutesAgree:
+    @settings(max_examples=150, deadline=None)
+    @given(values=subset_values, data=st.data())
+    def test_random_targets(self, values, data):
+        planted = data.draw(st.integers(0, (1 << len(values)) - 1))
+        target = data.draw(st.one_of(
+            st.just(max(masked_sum(values, planted), 1)),
+            st.integers(1, sum(values) + 1),
+        ))
+        inst = SubsetSumInstance(tuple(values), target)
+        assert_routes_agree(inst, simulate(build_subset_sum_device(inst)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    def test_every_target_small_n(self, values):
+        timeline = simulate(build_subset_sum_device(SubsetSumInstance(tuple(values), 1)))
+        for target in range(1, sum(values) + 2):
+            assert_routes_agree(SubsetSumInstance(tuple(values), target), timeline)
