@@ -14,6 +14,7 @@ ever off by one due to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,12 +35,28 @@ class PhysicalParams:
     epsilon_length: float | None = None
 
     def __post_init__(self):
+        _check_finite("rise time", self.rise_time)
+        _check_finite("light speed", self.light_speed)
         if self.rise_time <= 0 or self.light_speed <= 0:
             raise ValueError("rise time and light speed must be strictly positive")
+        # the product can overflow to inf or underflow to 0 although both
+        # factors are finite and positive; every threshold divides by it
+        min_cable = self.rise_time * self.light_speed
+        if not 0 < min_cable < math.inf:
+            raise ValueError(
+                f"minimum cable length rise time * light speed = {min_cable!r} m "
+                "must be finite and strictly positive"
+            )
         if self.epsilon_length is None:
-            object.__setattr__(self, "epsilon_length", self.rise_time * self.light_speed)
+            object.__setattr__(self, "epsilon_length", min_cable)
+        _check_finite("epsilon length", self.epsilon_length)
         if self.epsilon_length <= 0:
             raise ValueError("epsilon length must be strictly positive")
+
+
+def _check_finite(label: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,7 @@ def _floor_log2(q: Fraction) -> int:
 
 def max_n_for_total_time(total_time: float, p: PhysicalParams) -> int:
     """Largest n with 2**n * rise_time <= total_time (0 when nothing fits beyond n=0)."""
+    _check_finite("total time", total_time)
     if total_time <= 0:
         raise ValueError("total time must be strictly positive")
     ratio = Fraction(total_time) / Fraction(p.rise_time)
@@ -79,6 +97,7 @@ def max_n_for_total_time(total_time: float, p: PhysicalParams) -> int:
 
 def max_n_for_cable(max_cable: float, p: PhysicalParams) -> int:
     """Largest n whose longest cable 2**(n-1) * min_cable fits in ``max_cable``."""
+    _check_finite("longest available cable", max_cable)
     min_cable = min_cable_length(p)
     if max_cable < min_cable:
         raise ValueError(

@@ -17,6 +17,10 @@ Two variants of the blocked set are deliberately shipped:
   side, matching the actual problem predicate. The solver uses this one;
   the two differ precisely on moments whose complement (but not the
   subset itself) contains a family set.
+
+A ``MomentSet``'s form follows the universe size n alone: for n <= 28 it
+is a packed bitset of 2**n/8 bytes (32 MiB at n = 28) whatever its size,
+above that a sorted tuple of its members.
 """
 
 from __future__ import annotations
@@ -48,10 +52,9 @@ SPARSE_ENUM_CAP = 1 << 24
 class MomentSet:
     """An immutable set of integer moments in [0, 2**n).
 
-    Representation switches between a dense bitset and a sorted tuple at
-    density 1/64: superset unions are dense for small instances, sparse
-    for large constrained ones, and neither representation is affordable
-    across the whole range.
+    The representation follows n alone: for n <= BITSET_MAX_N the set is a
+    packed 2**n-bit int costing 2**n/8 bytes whatever its size, above it a
+    sorted tuple of its members, the only form affordable there.
     """
 
     __slots__ = ("n", "_bits", "_members")
@@ -68,37 +71,32 @@ class MomentSet:
         members = sorted(set(moments))
         if members and (members[0] < 0 or members[-1] >= (1 << n)):
             raise ValueError(f"moments must lie in [0, 2**{n})")
-        if cls._dense_enough(n, len(members)):
-            arr = np.zeros(1 << n, dtype=np.uint8)
-            arr[members] = 1
-            bits = int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
-            return cls(n, _bits=bits)
-        return cls(n, _members=tuple(members))
-
-    @classmethod
-    def _from_bits(cls, n: int, bits: int) -> "MomentSet":
-        if cls._dense_enough(n, bits.bit_count()):
-            return cls(n, _bits=bits)
-        return cls(n, _members=tuple(_bit_positions(bits, n)))
-
-    @staticmethod
-    def _dense_enough(n: int, size: int) -> bool:
-        return n <= BITSET_MAX_N and size * 64 >= (1 << n)
+        if n > BITSET_MAX_N:
+            return cls(n, _members=tuple(members))
+        # set bits straight into a 2**n/8-byte buffer: a byte per moment
+        # would cost 256 MiB at n = 28 however few the members. Dropping
+        # the buffer before the int is built keeps two copies alive, not three.
+        packed = np.zeros(((1 << n) + 7) >> 3, dtype=np.uint8)
+        ks = np.array(members, dtype=np.int64)
+        np.bitwise_or.at(packed, ks >> 3, (1 << (ks & 7)).astype(np.uint8))
+        data = packed.tobytes()
+        del packed
+        return cls(n, _bits=int.from_bytes(data, "little"))
 
     def __len__(self) -> int:
-        if self._bits is not None:
+        if self.n <= BITSET_MAX_N:
             return self._bits.bit_count()
         return len(self._members)
 
     def __contains__(self, k: int) -> bool:
         if not 0 <= k < (1 << self.n):
             return False
-        if self._bits is not None:
+        if self.n <= BITSET_MAX_N:
             return (self._bits >> k) & 1 == 1
         return _tuple_contains(self._members, k)
 
     def __iter__(self) -> Iterator[int]:
-        if self._bits is not None:
+        if self.n <= BITSET_MAX_N:
             yield from _bit_positions(self._bits, self.n)
         else:
             yield from self._members
@@ -112,24 +110,15 @@ class MomentSet:
         if self.n != other.n:
             raise ValueError("cannot union moment sets over different universes")
         if self.n <= BITSET_MAX_N:
-            return MomentSet._from_bits(self.n, self._as_bits() | other._as_bits())
-        return MomentSet.from_iterable(self.n, list(self._members) + list(other._members))
-
-    def _as_bits(self) -> int:
-        if self._bits is not None:
-            return self._bits
-        bits = 0
-        for k in self._members:
-            bits |= 1 << k
-        return bits
+            return MomentSet(self.n, _bits=self._bits | other._bits)
+        return MomentSet.from_iterable(self.n, self._members + other._members)
 
     def complement_set(self) -> "MomentSet":
         """Moments of [0, 2**n) not in this set."""
         total = 1 << self.n
-        missing = total - len(self)
         if self.n <= BITSET_MAX_N:
-            full = (1 << total) - 1
-            return MomentSet._from_bits(self.n, full & ~self._as_bits())
+            return MomentSet(self.n, _bits=((1 << total) - 1) ^ self._bits)
+        missing = total - len(self._members)
         if missing > SPARSE_ENUM_CAP:
             raise EnumerationLimitError(
                 f"complement too large to enumerate: {missing} moments exceed the cap {SPARSE_ENUM_CAP}"
@@ -146,12 +135,11 @@ class MomentSet:
 
     def first_absent(self) -> int | None:
         """Smallest moment of [0, 2**n) not in the set, or None if it covers all."""
-        if self._bits is not None:
-            total = 1 << self.n
-            free = ~self._bits & ((1 << total) - 1)
-            if free == 0:
-                return None
-            return (free & -free).bit_length() - 1
+        if self.n <= BITSET_MAX_N:
+            # b ^ (b + 1) sets exactly the bits up to the lowest clear bit of
+            # b; it stays on non-negative ints, which CPython handles fastest
+            k = (self._bits ^ (self._bits + 1)).bit_length() - 1
+            return k if k < (1 << self.n) else None
         expected = 0
         for k in self._members:
             if k != expected:
@@ -162,7 +150,8 @@ class MomentSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MomentSet):
             return NotImplemented
-        # identical contents always normalize to the identical representation
+        # n fixes the representation and each form is canonical, so equal
+        # contents always have identical fields
         return (self.n, self._bits, self._members) == (other.n, other._bits, other._members)
 
     def __hash__(self) -> int:
@@ -175,11 +164,12 @@ class MomentSet:
 
 
 def _bit_positions(bits: int, n: int) -> list[int]:
-    if bits == 0:
-        return []
-    buf = bits.to_bytes(((1 << n) + 7) >> 3, "little")
-    flags = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-    return np.flatnonzero(flags).tolist()
+    # unpack only the nonzero bytes, so a small set at n = 28 never
+    # expands to a byte per moment
+    packed = np.frombuffer(bits.to_bytes(((1 << n) + 7) >> 3, "little"), dtype=np.uint8)
+    nonzero = np.flatnonzero(packed)
+    flags = np.unpackbits(packed[nonzero, None], axis=1, bitorder="little")
+    return (nonzero[:, None] * 8 + np.arange(8))[flags == 1].tolist()
 
 
 def _tuple_contains(members: tuple[int, ...], k: int) -> bool:
@@ -256,7 +246,7 @@ def superset_moments(f: SubsetMask, n: int, *, cap: int = SPARSE_ENUM_CAP) -> Mo
         raise ValueError(f"mask {f} out of range for universe size {n}")
     free = complement(f, n)
     if n <= BITSET_MAX_N:
-        return MomentSet._from_bits(n, _spread(1 << f, free))
+        return MomentSet(n, _bits=_spread(1 << f, free))
     count = 1 << (n - f.bit_count())
     if count > cap:
         raise EnumerationLimitError(
@@ -273,12 +263,7 @@ def blocked_moments_literal(inst: SplitInstance, *, cap: int = SPARSE_ENUM_CAP) 
     exact reproduction of the one-sided construction; decisions should use
     :func:`blocked_moments_full`.
     """
-    if inst.n <= BITSET_MAX_N:
-        bits = 0
-        for f in inst.family:
-            bits |= _spread(1 << f, complement(f, inst.n))
-        return MomentSet._from_bits(inst.n, bits)
-    return _sparse_union(inst, cap, two_sided=False)
+    return _blocked_moments(inst, cap, two_sided=False)
 
 
 def blocked_moments_full(inst: SplitInstance, *, cap: int = SPARSE_ENUM_CAP) -> MomentSet:
@@ -288,14 +273,18 @@ def blocked_moments_full(inst: SplitInstance, *, cap: int = SPARSE_ENUM_CAP) -> 
     because the complement of the subset decoding k is the subset decoding
     the reflected moment.
     """
-    if inst.n <= BITSET_MAX_N:
-        bits = 0
-        for f in inst.family:
-            # one spread covers both sides: seed with the superset base (f)
-            # and the disjoint base (0), then range over the free elements
-            bits |= _spread((1 << f) | 1, complement(f, inst.n))
-        return MomentSet._from_bits(inst.n, bits)
-    return _sparse_union(inst, cap, two_sided=True)
+    return _blocked_moments(inst, cap, two_sided=True)
+
+
+def _blocked_moments(inst: SplitInstance, cap: int, *, two_sided: bool) -> MomentSet:
+    if inst.n > BITSET_MAX_N:
+        return _sparse_union(inst, cap, two_sided=two_sided)
+    bits = 0
+    for f in inst.family:
+        # the superset base f; two-sided also seeds the disjoint base 0, so
+        # one spread over the free elements covers both sides
+        bits |= _spread((1 << f) | int(two_sided), complement(f, inst.n))
+    return MomentSet(inst.n, _bits=bits)
 
 
 def _sparse_union(inst: SplitInstance, cap: int, *, two_sided: bool) -> MomentSet:

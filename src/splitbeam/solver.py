@@ -43,6 +43,9 @@ from .moments import blocked_moments_full
 from .sim import DEFAULT_SIM_CAP, SubsetSumDetection, simulate
 
 DEFAULT_ORACLE_CAP = 24
+# Blocks grow from the first size to the full one, so an early solution
+# costs a small block and a full scan still runs in large ones.
+_ORACLE_FIRST_BLOCK = 1 << 10
 _ORACLE_BLOCK = 1 << 15
 
 
@@ -122,15 +125,17 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
         raise EnumerationLimitError(
             f"instance too large to enumerate: n={n} exceeds the oracle cap {cap}"
         )
-    total = 1 << n
-    for lo in range(0, total, _ORACLE_BLOCK):
-        masks = np.arange(lo, min(lo + _ORACLE_BLOCK, total), dtype=np.int64)
+    total, lo, block = 1 << n, 0, _ORACLE_FIRST_BLOCK
+    while lo < total:
+        masks = np.arange(lo, min(lo + block, total), dtype=np.int64)
         free = np.flatnonzero(~_blocked_flags(inst.family, masks))
         if free.size:
             m = lo + int(free[0])
             return SplitAnswer(
                 Decision.SOLVABLE, Partition.from_mask(m, n), m, Method.ORACLE
             )
+        lo += block
+        block = min(2 * block, _ORACLE_BLOCK)
     return SplitAnswer(Decision.UNSOLVABLE, None, None, Method.ORACLE)
 
 

@@ -187,6 +187,28 @@ class TestFeasibilityCommand:
         assert main(["feasibility", "--n", "64"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--total-time", "inf"],
+            ["--total-time", "nan"],
+            ["--max-cable", "inf"],
+            ["--max-cable", "nan"],
+            ["--rise-time", "inf", "--n", "3"],
+            ["--rise-time", "nan", "--n", "3"],
+            ["--light-speed", "nan", "--n", "3"],
+            ["--epsilon-length", "inf", "--n", "3"],
+            ["--rise-time", "1e-200", "--light-speed", "1e-200", "--epsilon-length", "1", "--max-cable", "1"],
+        ],
+    )
+    def test_non_finite_inputs_fail_cleanly(self, args, capsys):
+        # an exception escaping main would be the traceback
+        assert main(["feasibility", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestGenCommand:
     def test_deterministic_bytes(self, capsys):

@@ -1,5 +1,7 @@
 """Physical-envelope arithmetic: cable lengths, instance-size bounds, reports."""
 
+import math
+
 import pytest
 
 from splitbeam import (
@@ -28,6 +30,18 @@ class TestPhysicalParams:
             PhysicalParams(light_speed=-1)
         with pytest.raises(ValueError):
             PhysicalParams(epsilon_length=0.0)
+
+    @pytest.mark.parametrize("field", ["rise_time", "light_speed", "epsilon_length"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            PhysicalParams(**{field: value})
+
+    @pytest.mark.parametrize("rise_time, light_speed", [(1e200, 1e200), (1e-200, 1e-200)])
+    def test_rejects_min_cable_overflow_and_underflow(self, rise_time, light_speed):
+        # finite, positive factors whose product is inf or 0.0
+        with pytest.raises(ValueError, match="minimum cable length"):
+            PhysicalParams(rise_time=rise_time, light_speed=light_speed, epsilon_length=1.0)
 
 
 class TestMinCableLength:
@@ -73,6 +87,11 @@ class TestMaxNForTotalTime:
         with pytest.raises(ValueError):
             max_n_for_total_time(0.0, DEFAULTS)
 
+    @pytest.mark.parametrize("budget", [math.inf, math.nan])
+    def test_rejects_non_finite_budget(self, budget):
+        with pytest.raises(ValueError, match="total time must be finite"):
+            max_n_for_total_time(budget, DEFAULTS)
+
 
 class TestMaxNForCable:
     def test_300_km(self):
@@ -92,6 +111,11 @@ class TestMaxNForCable:
     def test_rejects_below_minimum(self):
         with pytest.raises(ValueError, match="below one minimum cable"):
             max_n_for_cable(1e-4, DEFAULTS)
+
+    @pytest.mark.parametrize("budget", [math.inf, math.nan])
+    def test_rejects_non_finite_budget(self, budget):
+        with pytest.raises(ValueError, match="cable must be finite"):
+            max_n_for_cable(budget, DEFAULTS)
 
 
 class TestReport:

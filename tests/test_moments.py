@@ -1,8 +1,12 @@
 """Moment decoding, superset enumeration, blocked sets, watch strategy."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitbeam import (
     EnumerationLimitError,
@@ -208,17 +212,30 @@ class TestIsSolutionMoment:
 
 
 class TestMomentSet:
-    def test_density_switch(self):
-        dense = MomentSet.from_iterable(10, range(512))
-        assert dense._bits is not None
-        sparse = MomentSet.from_iterable(10, [1, 5])
-        assert sparse._members is not None
+    @staticmethod
+    def check_small_and_large_contents(n, large):
+        top = (1 << n) - 1
+        small = MomentSet.from_iterable(n, [top, 5, 1, 5])
+        assert len(small) == 3
+        assert small.to_list() == [1, 5, top]
+        assert 1 in small and 5 in small and top in small
+        for k in (-1, 0, 2, 1 << (n - 1), top - 1, 1 << n):
+            assert k not in small
+        big = MomentSet.from_iterable(n, reversed(large))
+        assert len(big) == len(large)
+        assert big.to_list() == large
+        assert all(k in big for k in large)
+        assert 1 not in big and top not in big
+        union = small | big
+        assert union == big | small
+        assert union.to_list() == sorted({1, 5, top} | set(large))
+        assert len(union) == len(large) + 3
 
-    def test_huge_universe_stays_sparse(self):
-        ms = MomentSet.from_iterable(40, [0, 1, (1 << 40) - 1])
-        assert ms._members is not None
-        assert (1 << 40) - 1 in ms
-        assert (1 << 39) not in ms
+    def test_small_and_large_contents_small_universe(self):
+        self.check_small_and_large_contents(10, list(range(0, 1 << 10, 2)))
+
+    def test_small_and_large_contents_huge_universe(self):
+        self.check_small_and_large_contents(40, list(range(0, 1 << 13, 2)))
 
     def test_union_across_representations(self):
         a = MomentSet.from_iterable(8, range(0, 256, 2))
@@ -260,3 +277,106 @@ class TestMomentSet:
         ms = MomentSet.from_iterable(5, [4, 1, 4, 30])
         assert ms.to_list() == [1, 4, 30]
         assert 4 in ms and 2 not in ms and 32 not in ms
+
+
+def model_subsets(mask):
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    return {sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r)}
+
+
+# Bitset universes and tuple universes; above 28 only small sets are affordable.
+universes = st.one_of(st.integers(1, 12), st.integers(29, 40))
+
+
+@st.composite
+def universe_and_sets(draw):
+    n = draw(universes)
+    members = st.sets(st.integers(0, (1 << n) - 1), max_size=40)
+    return n, draw(members), draw(members)
+
+
+@st.composite
+def instance_with_few_free(draw):
+    # at most 4 free elements per set above 28 keeps every family set
+    # within the sparse enumeration cap
+    n = draw(universes)
+    top = (1 << n) - 1
+    free_max = n - 1 if n <= 12 else 4
+    free_sets = draw(
+        st.lists(st.sets(st.integers(0, n - 1), max_size=free_max), max_size=4)
+    )
+    family = tuple(top ^ sum(1 << p for p in free) for free in free_sets)
+    return SplitInstance(n, family)
+
+
+class TestMomentSetModel:
+    """MomentSet against a Python set, on both representations."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(universe_and_sets())
+    def test_matches_python_set(self, case):
+        n, a, b = case
+        top = (1 << n) - 1
+        ma, mb = MomentSet.from_iterable(n, a), MomentSet.from_iterable(n, b)
+        assert len(ma) == len(a)
+        assert list(ma) == ma.to_list() == sorted(a)
+        for k in a | b | {-1, 0, 1, top, 1 << n}:
+            assert (k in ma) == (k in a)
+        assert (ma | mb).to_list() == sorted(a | b)
+        assert ma.reflect().to_list() == sorted(top - k for k in a)
+        gap = next(k for k in range(len(a) + 1) if k not in a)
+        assert ma.first_absent() == (gap if gap <= top else None)
+        assert ma.covers_all() == (len(a) == 1 << n)
+        if n <= 28:
+            assert ma.complement_set().to_list() == sorted(set(range(1 << n)) - a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance_with_few_free(), st.randoms(use_true_random=False))
+    def test_equal_contents_by_every_route_compare_and_hash_equal(self, inst, rng):
+        n, top = inst.n, (1 << inst.n) - 1
+        literal = set()
+        for f in inst.family:
+            literal |= {f | s for s in model_subsets(top ^ f)}
+        full = literal | {top - k for k in literal}
+        assert blocked_moments_literal(inst).to_list() == sorted(literal)
+        members = list(full)
+        rng.shuffle(members)
+        cut = rng.randint(0, len(members))
+        routes = [
+            MomentSet.from_iterable(n, members + members[:cut]),
+            MomentSet.from_iterable(n, members[:cut]) | MomentSet.from_iterable(n, members[cut:]),
+            blocked_moments_full(inst),
+        ]
+        if n <= 28:
+            routes.append(MomentSet.from_iterable(n, members).complement_set().complement_set())
+        for route in routes:
+            assert route.to_list() == sorted(full)
+            assert route == routes[0]
+            assert hash(route) == hash(routes[0])
+
+
+class TestPackedBuildMemory:
+    """At n = 28 a set is a 32 MiB bitset whatever its size; no build of
+    one may expand to a byte per moment (256 MiB)."""
+
+    LIMIT = 128 << 20  # 4x the bitset
+
+    @staticmethod
+    def peak_bytes(build):
+        tracemalloc.start()
+        try:
+            result = build()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_from_iterable_small_set(self):
+        ms, peak = self.peak_bytes(lambda: MomentSet.from_iterable(28, [7, 1 << 27]))
+        assert ms.to_list() == [7, 1 << 27]
+        assert peak < self.LIMIT
+
+    def test_superset_moments_small_set(self):
+        f = (1 << 28) - 2
+        ms, peak = self.peak_bytes(lambda: superset_moments(f, 28))
+        assert ms.to_list() == [f, f | 1]
+        assert peak < self.LIMIT

@@ -99,6 +99,17 @@ class TestSolveOracle:
         with pytest.raises(EnumerationLimitError, match="oracle cap"):
             solve_oracle(SplitInstance(25, (0b11,)))
 
+    def test_first_solution_past_the_first_blocks(self):
+        # pairs {b, j} for every b < j force element j apart from all lower
+        # ones, so the smallest split is 2**j - 1; adding the set of all
+        # lower elements leaves none, and the scan runs to the end
+        for j in range(9, 18):
+            pairs = tuple((1 << b) | (1 << j) for b in range(j))
+            inst = SplitInstance(j + 1, pairs)
+            assert solve_oracle(inst).solution_moment == (1 << j) - 1
+            assert oracle_solution_masks(inst)[0] == (1 << j) - 1
+            assert not solve_oracle(inst.with_set((1 << j) - 1)).solvable
+
 
 class TestOracleEquivalence:
     def test_exhaustive_single_set_families(self):
