@@ -19,8 +19,11 @@ Two variants of the blocked set are deliberately shipped:
   subset itself) contains a family set.
 
 A ``MomentSet``'s form follows the universe size n alone: for n <= 28 it
-is a packed bitset of 2**n/8 bytes (32 MiB at n = 28) whatever its size,
-above that a sorted tuple of its members.
+is a packed bitset of 2**(n-6) little-endian uint64 words (32 MiB at
+n = 28) whatever its size, above that a sorted tuple of its members. Both
+blocked sets and the superset moments are built word-parallel: each
+family set ORs one 64-bit in-word pattern into a strided slice of the
+words (see ``_packed_union``).
 """
 
 from __future__ import annotations
@@ -42,27 +45,36 @@ from .core import (
     splits_family,
 )
 
-# A 2**n-bit Python int is used as a bitset while it stays affordable
-# (n <= 28 means at most 32 MiB); beyond that only the sorted sparse
-# representation is possible, and enumeration is capped.
+# A packed bitset is used while it stays affordable (n <= 28 means at most
+# 32 MiB); beyond that only the sorted sparse representation is possible,
+# and enumeration is capped.
 BITSET_MAX_N = 28
 SPARSE_ENUM_CAP = 1 << 24
+
+# Bit j of word w is moment 64*w + j; little-endian words make the byte
+# view of the array the same little-endian bitset on every host.
+_WORD = np.dtype("<u8")
 
 
 class MomentSet:
     """An immutable set of integer moments in [0, 2**n).
 
     The representation follows n alone: for n <= BITSET_MAX_N the set is a
-    packed 2**n-bit int costing 2**n/8 bytes whatever its size, above it a
-    sorted tuple of its members, the only form affordable there.
+    read-only array of max(2**(n-6), 1) little-endian uint64 words, bit j
+    of word w standing for moment 64*w + j, costing 2**n/8 bytes whatever
+    its size; for n < 6 the single word keeps every bit past 2**n clear.
+    Above BITSET_MAX_N it is a sorted tuple of its members, the only form
+    affordable there.
     """
 
-    __slots__ = ("n", "_bits", "_members")
+    __slots__ = ("n", "_words", "_members")
 
-    def __init__(self, n: int, *, _bits: int | None = None, _members: tuple[int, ...] | None = None):
+    def __init__(self, n: int, *, _words: np.ndarray | None = None, _members: tuple[int, ...] | None = None):
         _check_universe(n)
         self.n = n
-        self._bits = _bits
+        if _words is not None:
+            _words.setflags(write=False)
+        self._words = _words
         self._members = _members
 
     @classmethod
@@ -73,31 +85,26 @@ class MomentSet:
             raise ValueError(f"moments must lie in [0, 2**{n})")
         if n > BITSET_MAX_N:
             return cls(n, _members=tuple(members))
-        # set bits straight into a 2**n/8-byte buffer: a byte per moment
-        # would cost 256 MiB at n = 28 however few the members. Dropping
-        # the buffer before the int is built keeps two copies alive, not three.
-        packed = np.zeros(((1 << n) + 7) >> 3, dtype=np.uint8)
-        ks = np.array(members, dtype=np.int64)
-        np.bitwise_or.at(packed, ks >> 3, (1 << (ks & 7)).astype(np.uint8))
-        data = packed.tobytes()
-        del packed
-        return cls(n, _bits=int.from_bytes(data, "little"))
+        words = _empty_words(n)
+        ks = np.array(members, dtype=np.uint64)
+        np.bitwise_or.at(words, ks >> 6, np.uint64(1) << (ks & 63))
+        return cls(n, _words=words)
 
     def __len__(self) -> int:
         if self.n <= BITSET_MAX_N:
-            return self._bits.bit_count()
+            return int(np.bitwise_count(self._words).sum())
         return len(self._members)
 
     def __contains__(self, k: int) -> bool:
         if not 0 <= k < (1 << self.n):
             return False
         if self.n <= BITSET_MAX_N:
-            return (self._bits >> k) & 1 == 1
+            return int(self._words[k >> 6]) >> (k & 63) & 1 == 1
         return _tuple_contains(self._members, k)
 
     def __iter__(self) -> Iterator[int]:
         if self.n <= BITSET_MAX_N:
-            yield from _bit_positions(self._bits, self.n)
+            yield from _bit_positions(self._words)
         else:
             yield from self._members
 
@@ -110,14 +117,14 @@ class MomentSet:
         if self.n != other.n:
             raise ValueError("cannot union moment sets over different universes")
         if self.n <= BITSET_MAX_N:
-            return MomentSet(self.n, _bits=self._bits | other._bits)
+            return MomentSet(self.n, _words=self._words | other._words)
         return MomentSet.from_iterable(self.n, self._members + other._members)
 
     def complement_set(self) -> "MomentSet":
         """Moments of [0, 2**n) not in this set."""
         total = 1 << self.n
         if self.n <= BITSET_MAX_N:
-            return MomentSet(self.n, _bits=((1 << total) - 1) ^ self._bits)
+            return MomentSet(self.n, _words=self._words ^ _full_word(self.n))
         missing = total - len(self._members)
         if missing > SPARSE_ENUM_CAP:
             raise EnumerationLimitError(
@@ -127,8 +134,21 @@ class MomentSet:
 
     def reflect(self) -> "MomentSet":
         """The set {2**n - 1 - k} of complement-side images."""
-        top = (1 << self.n) - 1
-        return MomentSet.from_iterable(self.n, (top - k for k in self))
+        if self.n > BITSET_MAX_N:
+            top = (1 << self.n) - 1
+            return MomentSet.from_iterable(self.n, (top - k for k in self))
+        # 2**n - 1 - (64*w + j) = 64*(last - w) + (63 - j): reverse the word
+        # order and the bits of each word, which is reversing the byte order
+        # and the bits of each byte
+        byte_reversed = np.packbits(
+            np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"),
+            axis=1,
+        ).ravel()
+        words = byte_reversed[self._words.view(np.uint8)[::-1]].view(_WORD)
+        if self.n < 6:
+            # a lone word held moments in bits [0, 2**n), now in [64 - 2**n, 64)
+            words >>= np.uint64(64 - (1 << self.n))
+        return MomentSet(self.n, _words=words)
 
     def covers_all(self) -> bool:
         return len(self) == (1 << self.n)
@@ -136,10 +156,13 @@ class MomentSet:
     def first_absent(self) -> int | None:
         """Smallest moment of [0, 2**n) not in the set, or None if it covers all."""
         if self.n <= BITSET_MAX_N:
-            # b ^ (b + 1) sets exactly the bits up to the lowest clear bit of
-            # b; it stays on non-negative ints, which CPython handles fastest
-            k = (self._bits ^ (self._bits + 1)).bit_length() - 1
-            return k if k < (1 << self.n) else None
+            full = _full_word(self.n)
+            w = (self._words != np.uint64(full)).argmax()
+            word = self._words.item(w)
+            if word == full:
+                return None
+            # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
+            return 64 * int(w) + (word ^ (word + 1)).bit_length() - 1
         expected = 0
         for k in self._members:
             if k != expected:
@@ -152,10 +175,16 @@ class MomentSet:
             return NotImplemented
         # n fixes the representation and each form is canonical, so equal
         # contents always have identical fields
-        return (self.n, self._bits, self._members) == (other.n, other._bits, other._members)
+        if self.n != other.n:
+            return False
+        if self.n <= BITSET_MAX_N:
+            return np.array_equal(self._words, other._words)
+        return self._members == other._members
 
     def __hash__(self) -> int:
-        return hash((self.n, self._bits, self._members))
+        if self.n <= BITSET_MAX_N:
+            return hash((self.n, self._words.tobytes()))
+        return hash((self.n, self._members))
 
     def __repr__(self) -> str:
         shown = ",".join(str(k) for k in list(self)[:16])
@@ -163,10 +192,19 @@ class MomentSet:
         return f"MomentSet(n={self.n}, size={len(self)}, {{{shown}{suffix}}})"
 
 
-def _bit_positions(bits: int, n: int) -> list[int]:
+def _empty_words(n: int) -> np.ndarray:
+    return np.zeros(1 << max(n - 6, 0), dtype=_WORD)
+
+
+def _full_word(n: int) -> int:
+    # every moment a word can hold: all 64 bits, or 2**n of them for n < 6
+    return (1 << (1 << min(n, 6))) - 1
+
+
+def _bit_positions(words: np.ndarray) -> list[int]:
     # unpack only the nonzero bytes, so a small set at n = 28 never
     # expands to a byte per moment
-    packed = np.frombuffer(bits.to_bytes(((1 << n) + 7) >> 3, "little"), dtype=np.uint8)
+    packed = words.view(np.uint8)
     nonzero = np.flatnonzero(packed)
     flags = np.unpackbits(packed[nonzero, None], axis=1, bitorder="little")
     return (nonzero[:, None] * 8 + np.arange(8))[flags == 1].tolist()
@@ -233,20 +271,57 @@ def _spread(bits: int, free: SubsetMask) -> int:
     return bits
 
 
+def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> MomentSet:
+    """The moments k with k & f == f for some f in ``family``, and with
+    two_sided also those with k & f == 0, as a packed set.
+
+    Moment k = 64*w + j splits f at the word boundary: k contains f iff
+    w contains f_hi = f >> 6 and j contains f_lo = f & 63, and k misses f
+    iff w and j miss them. Seen as a (2,)*(n-6) cube, the words whose
+    index contains (misses) f_hi are the slice with f_hi's axes fixed to
+    1 (0), 2**(n-6-|f_hi|) words; each takes one 64-bit pattern, the
+    in-word moments containing (missing) f_lo.
+    """
+    low = (1 << min(n, 6)) - 1
+    # one pattern per slice: family sets sharing f_hi (all of them for
+    # n <= 6) share their slices, so each slice takes a single OR
+    patterns: dict[tuple[int, int], int] = {}
+    for f in family:
+        f_lo, f_hi = f & 63, f >> 6
+        missing = _spread(1, ~f & low)
+        # f_lo shares no bit with the free elements, so shifting by it
+        # ORs it into every in-word moment that misses f_lo
+        patterns[f_hi, 1] = patterns.get((f_hi, 1), 0) | missing << f_lo
+        if two_sided:
+            # with f_hi = 0 both slices are every word
+            side = (f_hi, 0 if f_hi else 1)
+            patterns[side] = patterns.get(side, 0) | missing
+    words = _empty_words(n)
+    # reversed C order, so axis b is bit b of the word index
+    cube = words.reshape((2,) * max(n - 6, 0)).T
+    for (f_hi, fixed), pattern in patterns.items():
+        index = tuple(fixed if f_hi >> b & 1 else slice(None) for b in range(cube.ndim))
+        # the trailing Ellipsis keeps a fully fixed index a view, not a scalar
+        view = cube[index + (Ellipsis,)]
+        view |= np.uint64(pattern)
+    return MomentSet(n, _words=words)
+
+
 def superset_moments(f: SubsetMask, n: int, *, cap: int = SPARSE_ENUM_CAP) -> MomentSet:
     """Moments whose decoded subset includes ``f``.
 
-    Exactly the 2**(n - popcount(f)) integers k with k & f == f, built by
-    ranging over the subsets of the complement of f and OR-ing f in.
+    Exactly the 2**(n - popcount(f)) integers k with k & f == f: one
+    pattern OR into a slice of the packed words, or for n > 28 the subsets
+    of the complement of f with f OR-ed in.
     """
     _check_universe(n)
     if f == 0:
         raise ValueError("family sets must be nonempty: every moment is a superset of the empty set")
     if not 0 < f < (1 << n):
         raise ValueError(f"mask {f} out of range for universe size {n}")
-    free = complement(f, n)
     if n <= BITSET_MAX_N:
-        return MomentSet(n, _bits=_spread(1 << f, free))
+        return _packed_union(n, (f,), two_sided=False)
+    free = complement(f, n)
     count = 1 << (n - f.bit_count())
     if count > cap:
         raise EnumerationLimitError(
@@ -279,12 +354,7 @@ def blocked_moments_full(inst: SplitInstance, *, cap: int = SPARSE_ENUM_CAP) -> 
 def _blocked_moments(inst: SplitInstance, cap: int, *, two_sided: bool) -> MomentSet:
     if inst.n > BITSET_MAX_N:
         return _sparse_union(inst, cap, two_sided=two_sided)
-    bits = 0
-    for f in inst.family:
-        # the superset base f; two-sided also seeds the disjoint base 0, so
-        # one spread over the free elements covers both sides
-        bits |= _spread((1 << f) | int(two_sided), complement(f, inst.n))
-    return MomentSet(inst.n, _bits=bits)
+    return _packed_union(inst.n, inst.family, two_sided=two_sided)
 
 
 def _sparse_union(inst: SplitInstance, cap: int, *, two_sided: bool) -> MomentSet:

@@ -258,7 +258,7 @@ def simulate(
     else:
         parts = [job(i) for i in range(partitions)]
 
-    cores, counts, wits = _merge_chunks(parts)
+    cores, counts, wits = parts[0] if len(parts) == 1 else _merge_chunks(parts)
     return ArrivalTimeline(n, device.kind, cores, counts, wits)
 
 

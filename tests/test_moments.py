@@ -380,3 +380,66 @@ class TestPackedBuildMemory:
         ms, peak = self.peak_bytes(lambda: superset_moments(f, 28))
         assert ms.to_list() == [f, f | 1]
         assert peak < self.LIMIT
+
+    def test_contains_reads_one_word(self):
+        f = (1 << 28) - 2
+        ms = superset_moments(f, 28)
+        probes = [f, f | 1] + [i << 20 for i in range(98)]
+        tracemalloc.start()
+        try:
+            hits = sum(k in ms for k in probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits == 2
+        assert peak < 1 << 20
+
+    def test_reflect_dense_set_in_place_of_a_member_list(self):
+        # 2**23 members: listing them as Python ints would cost far more
+        ms = superset_moments(0b1, 24)
+        reflected, peak = self.peak_bytes(ms.reflect)
+        assert peak < 8 << 20
+        assert reflected == MomentSet.from_iterable(24, range(0, 1 << 24, 2))
+
+
+def family_set_in(n, region):
+    """A nonempty family set drawn from the low six bits (one in-word
+    pattern), the bits above them (one word slice) or both."""
+    low = st.sets(st.integers(0, min(n, 6) - 1), min_size=1)
+    high = st.sets(st.integers(6, n - 1), min_size=1) if n > 6 else low
+    parts = {"low": [low], "high": [high], "straddle": [low, high]}[region]
+    return st.tuples(*parts).map(lambda sets: sum(1 << p for p in set().union(*sets)))
+
+
+@st.composite
+def word_kernel_instance(draw):
+    n = draw(st.integers(1, 14))
+    regions = st.sampled_from(["low", "high", "straddle"])
+    family = draw(st.lists(regions.flatmap(lambda r: family_set_in(n, r)), max_size=4))
+    return SplitInstance(n, tuple(family))
+
+
+class TestWordKernel:
+    """The packed word builder against brute force, across the 6-bit word
+    boundary and the single-word universes n < 6."""
+
+    @staticmethod
+    def check_words(ms):
+        assert not ms._words.flags.writeable
+        if ms.n < 6:
+            assert int(ms._words[0]) >> (1 << ms.n) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(word_kernel_instance())
+    def test_matches_brute_force(self, inst):
+        literal = blocked_moments_literal(inst)
+        full = blocked_moments_full(inst)
+        assert literal.to_list() == brute_literal(inst)
+        assert full.to_list() == brute_full(inst)
+        built = [literal, full, full.complement_set(), full.reflect(), literal | full]
+        for f in inst.family:
+            supersets = superset_moments(f, inst.n)
+            assert supersets.to_list() == brute_supersets(f, inst.n)
+            built.append(supersets)
+        for ms in built:
+            self.check_words(ms)

@@ -114,6 +114,24 @@ class TestPartitionedSimulation:
                     chunked = simulate(device, partitions=partitions, workers=workers)
                     assert chunked == sequential
 
+    def test_single_chunk_is_byte_identical_to_merged_chunks(self):
+        # one partition skips the merge: np.unique already sorts and
+        # coalesces, so the arrays must match the merged route byte for byte
+        rng = random.Random(6)
+        for n in range(1, 17):
+            values = tuple(rng.randint(1, 1 << rng.randint(1, 20)) for _ in range(n))
+            devices = [build_subset_sum_device(SubsetSumInstance(values, 1)), build_set_splitting_device(n)]
+            for device in devices:
+                single = simulate(device, partitions=1)
+                merged = simulate(device, partitions=min(4, 1 << n))
+                for a, b in [
+                    (single.cores, merged.cores),
+                    (single.counts, merged.counts),
+                    (single.witnesses, merged.witnesses),
+                ]:
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+
     def test_partition_validation(self):
         device = build_set_splitting_device(3)
         with pytest.raises(ValueError, match="power of two"):
