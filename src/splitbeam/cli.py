@@ -12,6 +12,7 @@ import argparse
 import math
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .core import (
@@ -115,8 +116,15 @@ def _cmd_moments(args) -> int:
         label, blocked = "literal", blocked_moments_literal(inst)
     else:
         label, blocked = "full", blocked_moments_full(inst)
-    body = ",".join(str(k) for k in blocked)
-    print(f"{label}: {body}" if body else f"{label}:")
+    # write the members a slice at a time: the whole line of a dense set
+    # at large n would not fit in memory
+    members = iter(blocked)
+    sys.stdout.write(f"{label}:")
+    sep = " "
+    while chunk := list(islice(members, 4096)):
+        sys.stdout.write(sep + ",".join(map(str, chunk)))
+        sep = ","
+    sys.stdout.write("\n")
     return 0
 
 

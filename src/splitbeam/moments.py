@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -54,6 +55,12 @@ SPARSE_ENUM_CAP = 1 << 24
 # Bit j of word w is moment 64*w + j; little-endian words make the byte
 # view of the array the same little-endian bitset on every host.
 _WORD = np.dtype("<u8")
+
+# Iteration scans the packed bytes in blocks of _SCAN_BYTES and decodes at
+# most _DECODE_BYTES nonzero bytes (4096 members) at a time, so listing a
+# set of any size or density holds well under 1 MiB.
+_SCAN_BYTES = 1 << 14
+_DECODE_BYTES = 1 << 9
 
 
 class MomentSet:
@@ -187,7 +194,7 @@ class MomentSet:
         return hash((self.n, self._members))
 
     def __repr__(self) -> str:
-        shown = ",".join(str(k) for k in list(self)[:16])
+        shown = ",".join(str(k) for k in islice(self, 16))
         suffix = ",..." if len(self) > 16 else ""
         return f"MomentSet(n={self.n}, size={len(self)}, {{{shown}{suffix}}})"
 
@@ -201,13 +208,18 @@ def _full_word(n: int) -> int:
     return (1 << (1 << min(n, 6))) - 1
 
 
-def _bit_positions(words: np.ndarray) -> list[int]:
+def _bit_positions(words: np.ndarray) -> Iterator[int]:
     # unpack only the nonzero bytes, so a small set at n = 28 never
-    # expands to a byte per moment
+    # expands to a byte per moment, and only a slice of them at a time,
+    # so a dense set never becomes one list of every member
     packed = words.view(np.uint8)
-    nonzero = np.flatnonzero(packed)
-    flags = np.unpackbits(packed[nonzero, None], axis=1, bitorder="little")
-    return (nonzero[:, None] * 8 + np.arange(8))[flags == 1].tolist()
+    bit = np.arange(8)
+    for lo in range(0, len(packed), _SCAN_BYTES):
+        nonzero = np.flatnonzero(packed[lo : lo + _SCAN_BYTES])
+        for i in range(0, len(nonzero), _DECODE_BYTES):
+            at = nonzero[i : i + _DECODE_BYTES] + lo
+            flags = np.unpackbits(packed[at, None], axis=1, bitorder="little")
+            yield from (at[:, None] * 8 + bit)[flags == 1].tolist()
 
 
 def _tuple_contains(members: tuple[int, ...], k: int) -> bool:

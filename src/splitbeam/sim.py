@@ -3,9 +3,10 @@
 Enumerates all 2**n source-to-destination paths of a device, coalesces
 simultaneous arrivals (same core delay) by summing their exact dyadic
 intensities, and can render the result as an oscilloscope-style sampled
-trace. Enumeration cost is Theta(2**n) in time and memory, which is the
-whole point of the device being simulated; a configurable cap refuses
-instances that would not terminate at desk scale.
+trace. Enumeration is one pass in one thread and costs Theta(2**n) in
+time and memory, which is the whole point of the device being simulated;
+a configurable cap refuses instances that would not terminate at desk
+scale.
 
 Set-splitting devices force a fully predictable timeline (every moment in
 [0, 2**n) arrives exactly once), so above an enumeration threshold the
@@ -15,8 +16,8 @@ enumerated so tests exercise the model rather than the formula.
 
 from __future__ import annotations
 
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ from .device import DelayDevice, DeviceKind
 
 DEFAULT_SIM_CAP = 28
 DEFAULT_ANALYTIC_THRESHOLD = 17
+# 32 MiB per float64 array, and a trace holds three
+TRACE_MAX_SAMPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -113,28 +116,31 @@ class ArrivalTimeline:
             return 1 << self.n
         return int(self._counts.sum())
 
-    def contains_core(self, core: int) -> bool:
+    def _index(self, core: int) -> int | None:
+        """Array position of the event at ``core``, or None if no beam arrives then."""
         if self._cores is None:
-            return 0 <= core < (1 << self.n)
-        i = np.searchsorted(self._cores, core)
-        return i < len(self._cores) and int(self._cores[i]) == core
+            # analytic: event k sits at position k, arrays stay implicit
+            return core if 0 <= core < (1 << self.n) else None
+        i = int(np.searchsorted(self._cores, core))
+        if i < len(self._cores) and int(self._cores[i]) == core:
+            return i
+        return None
+
+    def contains_core(self, core: int) -> bool:
+        return self._index(core) is not None
 
     def multiplicity(self, core: int) -> int:
-        if self._cores is None:
-            return 1 if 0 <= core < (1 << self.n) else 0
-        i = np.searchsorted(self._cores, core)
-        if i < len(self._cores) and int(self._cores[i]) == core:
-            return int(self._counts[i])
-        return 0
+        i = self._index(core)
+        if i is None:
+            return 0
+        return 1 if self._counts is None else int(self._counts[i])
 
     def witness_for(self, core: int) -> SubsetMask | None:
         """Smallest mask among the paths arriving at ``core``, or None."""
-        if self._cores is None:
-            return core if 0 <= core < (1 << self.n) else None
-        i = np.searchsorted(self._cores, core)
-        if i < len(self._cores) and int(self._cores[i]) == core:
-            return int(self._witnesses[i])
-        return None
+        i = self._index(core)
+        if i is None or self._witnesses is None:
+            return i
+        return int(self._witnesses[i])
 
     def iter_events(self):
         if self._cores is None:
@@ -181,41 +187,19 @@ class ArrivalTimeline:
         )
 
 
-def _enumerate_chunk(base: np.ndarray, offset: int, lo: int):
-    sums = base + offset if offset else base
-    cores, first, counts = np.unique(sums, return_index=True, return_counts=True)
-    # first occurrence in mask order is the smallest witness mask
-    return cores, counts, first.astype(np.int64) + lo
-
-
-def _merge_chunks(parts):
-    cores = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
-    wits = np.concatenate([p[2] for p in parts])
-    order = np.argsort(cores, kind="stable")
-    cores, counts, wits = cores[order], counts[order], wits[order]
-    starts = np.flatnonzero(np.concatenate(([True], cores[1:] != cores[:-1])))
-    return (
-        cores[starts],
-        np.add.reduceat(counts, starts),
-        np.minimum.reduceat(wits, starts),
-    )
-
-
 def simulate(
     device: DelayDevice,
     *,
     cap: int = DEFAULT_SIM_CAP,
-    analytic_threshold: int = DEFAULT_ANALYTIC_THRESHOLD,
     partitions: int = 1,
     workers: int | None = None,
 ) -> ArrivalTimeline:
     """Propagate one source pulse through every path of the device.
 
-    ``partitions`` splits the mask range [0, 2**n) into that many equal
-    power-of-two chunks which may be evaluated concurrently (``workers``
-    threads); the merge is an exact commutative reduction, so the result
-    is identical to the sequential run regardless of schedule.
+    Evaluation is one pass in one thread: the delays of all 2**n paths,
+    coalesced by one sort. ``partitions`` (a power of two no larger than
+    the path count) and ``workers`` are accepted and change nothing: the
+    result is the same for every partition count.
     """
     n = device.n
     if n > cap:
@@ -232,34 +216,16 @@ def simulate(
     if partitions > (1 << n):
         raise ValueError(f"partitions={partitions} exceeds the 2**{n} path count")
 
-    if device.kind is DeviceKind.SET_SPLITTING and n >= analytic_threshold:
+    if device.kind is DeviceKind.SET_SPLITTING and n >= DEFAULT_ANALYTIC_THRESHOLD:
         return ArrivalTimeline.analytic_splitting(n)
 
-    take = device.take_delays
-    top_bits = partitions.bit_length() - 1
-    low_n = n - top_bits
-    base = np.zeros(1, dtype=np.int64)
-    for d in take[:low_n]:
-        base = np.concatenate([base, base + d])
-    high = take[low_n:]
-
-    def job(i: int):
-        offset = 0
-        sel = i
-        while sel:
-            low = sel & -sel
-            offset += high[low.bit_length() - 1]
-            sel ^= low
-        return _enumerate_chunk(base, offset, i << low_n)
-
-    if workers and workers > 1 and partitions > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(partitions)))
-    else:
-        parts = [job(i) for i in range(partitions)]
-
-    cores, counts, wits = parts[0] if len(parts) == 1 else _merge_chunks(parts)
-    return ArrivalTimeline(n, device.kind, cores, counts, wits)
+    # sums[mask] is the core delay of the path taking the masked layers
+    sums = np.zeros(1, dtype=np.int64)
+    for d in device.take_delays:
+        sums = np.concatenate([sums, sums + d])
+    cores, first, counts = np.unique(sums, return_index=True, return_counts=True)
+    # first occurrence in mask order is the smallest witness mask
+    return ArrivalTimeline(n, device.kind, cores, counts, first.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -320,18 +286,31 @@ def synthesize_trace(
     series spans [0, t_last + 2*rise_time]. Rectangles are the simplest
     shape that keeps a fluctuation at a given moment detectable at the
     stated resolution; no detector physics beyond that is modeled.
+
+    A grid of more than ``TRACE_MAX_SAMPLES`` samples is refused with
+    ``EnumerationLimitError`` before anything is allocated.
     """
-    if unit_delay <= 0 or epsilon <= 0 or rise_time <= 0:
-        raise ValueError("physical parameters must be strictly positive")
-    if samples_per_rise < 1:
-        raise ValueError("samples_per_rise must be at least 1")
+    for name, value in (("unit_delay", unit_delay), ("epsilon", epsilon), ("rise_time", rise_time)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+    # a trace spans two rise times or more, so no larger value fits the cap
+    if not 1 <= samples_per_rise <= TRACE_MAX_SAMPLES:
+        raise ValueError(f"samples_per_rise must be in [1, {TRACE_MAX_SAMPLES}]")
+
+    # size the grid before allocating; an analytic timeline's arrays stay
+    # implicit, and its last arrival is at 2**n - 1
+    last = (1 << timeline.n) - 1 if timeline.is_analytic else int(timeline.cores[-1])
+    step = rise_time / samples_per_rise
+    t_end = last * unit_delay + timeline.n * epsilon + 2.0 * rise_time
+    samples = t_end / step if step > 0 else math.inf
+    if not samples < TRACE_MAX_SAMPLES:
+        raise EnumerationLimitError(
+            f"trace too large to synthesize: {samples:.3g} samples exceed the cap {TRACE_MAX_SAMPLES}"
+        )
+    count = int(np.floor(samples)) + 1
 
     arrive = timeline.cores.astype(np.float64) * unit_delay + timeline.n * epsilon
     heights = timeline.counts.astype(np.float64) / float(2**timeline.n)
-
-    step = rise_time / samples_per_rise
-    t_end = float(arrive.max()) + 2.0 * rise_time
-    count = int(np.floor(t_end / step)) + 1
     times = np.arange(count) * step
 
     delta = np.zeros(count + 1)

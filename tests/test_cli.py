@@ -1,5 +1,9 @@
 """Command-line behaviour: output contracts, exit codes, generation."""
 
+import hashlib
+import sys
+import tracemalloc
+
 import pytest
 
 from splitbeam import parse_split_instance
@@ -60,6 +64,45 @@ class TestMomentsCommand:
         path.write_text("n 3\n")
         assert main(["moments", str(path)]) == 0
         assert capsys.readouterr().out == "full:\n"
+
+
+    def test_large_set_is_written_without_holding_the_line(self, tmp_path, monkeypatch):
+        # {1..5} at n = 22 blocks the 2**18 moments whose low five bits are
+        # all set or all clear: a 2 MB line, which as one list of members
+        # and their strings would take tens of MiB
+        path = tmp_path / "five.txt"
+        path.write_text("n 22\nf 1 2 3 4 5\n")
+        sink = HashingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["moments", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        members = [k for hi in range(0, 1 << 22, 32) for k in (hi, hi + 31)]
+        expected = ("full: " + ",".join(map(str, members)) + "\n").encode()
+        assert sink.bytes == len(expected)
+        assert sink.digest.hexdigest() == hashlib.sha256(expected).hexdigest()
+        assert peak < 4 << 20
+
+
+class HashingSink:
+    """A stdout stand-in that keeps only the size and the hash of its output."""
+
+    def __init__(self):
+        self.bytes = 0
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode()
+        self.bytes += len(data)
+        self.digest.update(data)
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 class TestSimulateCommand:
@@ -147,6 +190,41 @@ class TestTraceCommand:
             ]
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "n, args",
+        [
+            (2, ["--unit-delay", "1e300", "--rise-time", "1e-300", "--epsilon", "1e-12"]),
+            (2, ["--unit-delay", "inf", "--rise-time", "1e-12", "--epsilon", "1e-12"]),
+            (2, ["--unit-delay", "nan", "--rise-time", "1e-12", "--epsilon", "1e-12"]),
+            (2, ["--unit-delay", "1e-9", "--rise-time", "1e-12", "--epsilon", "nan"]),
+            (2, ["--unit-delay", "1e-9", "--rise-time", "inf", "--epsilon", "1e-12"]),
+            (2, ["--unit-delay", "1e-9", "--rise-time", "5e-324", "--epsilon", "1e-12"]),
+            (2, ["--unit-delay", "1e-9", "--rise-time", "1e-12", "--epsilon", "1e-12", "--samples-per-rise", "1" + "0" * 400]),
+            (16, ["--unit-delay", "1e-9", "--rise-time", "1e-12", "--epsilon", "1e-12", "--samples-per-rise", "8"]),
+        ],
+    )
+    def test_bad_or_oversized_inputs_fail_cleanly(self, tmp_path, capsys, n, args):
+        # the last case asks for ~5e8 samples, about 12 GiB over the three
+        # sample arrays; the n = 16 timeline itself is a few MiB
+        instance = tmp_path / "inst.txt"
+        instance.write_text(f"n {n}\n")
+        out_csv = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            # an exception escaping main would be the traceback
+            code = main(["trace", str(instance), *args, "--out", str(out_csv)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not out_csv.exists()
+        assert peak < 8 << 20
 
 
 class TestFeasibilityCommand:

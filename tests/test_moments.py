@@ -401,6 +401,23 @@ class TestPackedBuildMemory:
         assert peak < 8 << 20
         assert reflected == MomentSet.from_iterable(24, range(0, 1 << 24, 2))
 
+    def test_repr_decodes_only_what_it_shows(self):
+        # every one of the 2**22 moments is blocked; listing them all to
+        # show 16 would cost hundreds of MiB
+        ms = blocked_moments_full(SplitInstance(22, (0b1,)))
+        text, peak = self.peak_bytes(lambda: repr(ms))
+        shown = ",".join(map(str, range(16)))
+        assert text == f"MomentSet(n=22, size={1 << 22}, {{{shown},...}})"
+        assert peak < 1 << 20
+
+    def test_iteration_crosses_decode_slices_and_scan_blocks(self):
+        # a dense run over the first 2**17 + 100 moments, then every 997th:
+        # both the in-block slicing and the block boundaries are crossed
+        n = 19
+        members = list(range((1 << 17) + 100)) + list(range((1 << 17) + 100, 1 << n, 997))
+        ms = MomentSet.from_iterable(n, members)
+        assert list(ms) == members
+
 
 def family_set_in(n, region):
     """A nonempty family set drawn from the low six bits (one in-word

@@ -53,13 +53,19 @@ class TestSimulateSetSplitting:
         for n in (1, 3, 6, 10):
             device = build_set_splitting_device(n)
             enumerated = simulate(device)
-            analytic = simulate(device, analytic_threshold=0)
+            analytic = ArrivalTimeline.analytic_splitting(n)
             assert not enumerated.is_analytic
-            assert analytic.is_analytic
-            assert analytic == enumerated
             assert analytic.witness_for(n) == n
             assert analytic.multiplicity(0) == 1
             assert not analytic.contains_core(1 << n)
+            for k in range(-1, (1 << n) + 1):
+                assert analytic.contains_core(k) == enumerated.contains_core(k)
+                assert analytic.multiplicity(k) == enumerated.multiplicity(k)
+                assert analytic.witness_for(k) == enumerated.witness_for(k)
+            assert analytic.events == enumerated.events
+            # neither the lookups nor the events materialise the arrays
+            assert analytic.is_analytic
+            assert analytic == enumerated
 
     def test_default_threshold_switches(self):
         assert not simulate(build_set_splitting_device(10)).is_analytic
@@ -115,8 +121,8 @@ class TestPartitionedSimulation:
                     assert chunked == sequential
 
     def test_single_chunk_is_byte_identical_to_merged_chunks(self):
-        # one partition skips the merge: np.unique already sorts and
-        # coalesces, so the arrays must match the merged route byte for byte
+        # every partition count runs the same single pass: np.unique sorts
+        # and coalesces, so the arrays must match byte for byte
         rng = random.Random(6)
         for n in range(1, 17):
             values = tuple(rng.randint(1, 1 << rng.randint(1, 20)) for _ in range(n))
