@@ -21,9 +21,15 @@ Two variants of the blocked set are deliberately shipped:
 A ``MomentSet``'s form follows the universe size n alone: for n <= 28 it
 is a packed bitset of 2**(n-6) little-endian uint64 words (32 MiB at
 n = 28) whatever its size, above that a sorted tuple of its members. Both
-blocked sets and the superset moments are built word-parallel: each
-family set ORs one 64-bit in-word pattern into a strided slice of the
-words (see ``_packed_union``).
+blocked sets and the superset moments are word patterns: each family set
+contributes one 64-bit in-word pattern for a strided slice of the words
+(see ``_packed_union``). One kernel, ``_or_block``, ORs the patterns
+into any aligned block of words. A set made from patterns builds its
+words on first use, with one call over the whole array, except for
+``first_absent`` and ``covers_all``, which build one block at a time in a
+reused buffer and stop at the first block with a clear bit, and ``in``,
+which builds the one word it reads. So a decision whose first solution
+lies early never builds the set.
 """
 
 from __future__ import annotations
@@ -62,6 +68,14 @@ _WORD = np.dtype("<u8")
 _SCAN_BYTES = 1 << 14
 _DECODE_BYTES = 1 << 9
 
+# first_absent looks at a prefix of _PREFIX_WORDS first, where the first
+# solution of most solvable instances lies, then at aligned blocks of
+# _BLOCK_WORDS words (512 KiB). Smaller blocks make a full scan pay the
+# per-slice set-up of _or_block more often: with 2**12-word blocks an
+# unsolvable n = 22 decision took 2.4x as long.
+_PREFIX_WORDS = 1 << 6
+_BLOCK_WORDS = 1 << 16
+
 
 class MomentSet:
     """An immutable set of integer moments in [0, 2**n).
@@ -72,17 +86,51 @@ class MomentSet:
     its size; for n < 6 the single word keeps every bit past 2**n clear.
     Above BITSET_MAX_N it is a sorted tuple of its members, the only form
     affordable there.
+
+    A packed set given as word patterns (the blocked sets and superset
+    moments) builds its words on first use and keeps them.
+    ``first_absent`` and ``covers_all`` do not build them: they OR the
+    patterns into one block of words at a time and stop at the first
+    block with a clear bit. ``in`` ORs only the word it reads.
     """
 
-    __slots__ = ("n", "_words", "_members")
+    __slots__ = ("n", "_packed", "_patterns", "_members")
 
-    def __init__(self, n: int, *, _words: np.ndarray | None = None, _members: tuple[int, ...] | None = None):
+    def __init__(
+        self,
+        n: int,
+        *,
+        _words: np.ndarray | None = None,
+        _patterns: dict[tuple[int, int], int] | None = None,
+        _members: tuple[int, ...] | None = None,
+    ):
         _check_universe(n)
         self.n = n
         if _words is not None:
             _words.setflags(write=False)
-        self._words = _words
+        self._packed = _words
+        self._patterns = _patterns
         self._members = _members
+
+    @property
+    def _words(self) -> np.ndarray:
+        """The read-only word array, built from the patterns on first use."""
+        if self._packed is None:
+            words = _empty_words(self.n)
+            _or_block(self._patterns, 0, words)
+            words.setflags(write=False)
+            self._packed, self._patterns = words, None
+        return self._packed
+
+    def _block(self, lo: int, size: int, buffer: np.ndarray | None) -> np.ndarray:
+        """Words [lo, lo + size): a slice of the built words if there are
+        any, else ORed from the patterns into the front of ``buffer``."""
+        if self._packed is not None:
+            return self._packed[lo : lo + size]
+        out = buffer[:size]
+        out.fill(0)
+        _or_block(self._patterns, lo, out)
+        return out
 
     @classmethod
     def from_iterable(cls, n: int, moments: Iterable[int]) -> "MomentSet":
@@ -106,7 +154,8 @@ class MomentSet:
         if not 0 <= k < (1 << self.n):
             return False
         if self.n <= BITSET_MAX_N:
-            return int(self._words[k >> 6]) >> (k & 63) & 1 == 1
+            word = self._block(k >> 6, 1, np.empty(1, dtype=_WORD)).item(0)
+            return word >> (k & 63) & 1 == 1
         return _tuple_contains(self._members, k)
 
     def __iter__(self) -> Iterator[int]:
@@ -158,18 +207,29 @@ class MomentSet:
         return MomentSet(self.n, _words=words)
 
     def covers_all(self) -> bool:
-        return len(self) == (1 << self.n)
+        return self.first_absent() is None
 
     def first_absent(self) -> int | None:
-        """Smallest moment of [0, 2**n) not in the set, or None if it covers all."""
+        """Smallest moment of [0, 2**n) not in the set, or None if it covers all.
+
+        A packed set is scanned block by block (``_scan_blocks``) up to the
+        first block with a clear bit. Words not built yet are ORed from the
+        patterns one block at a time into a single reused buffer, so the
+        scan holds at most 512 KiB and never builds the set.
+        """
         if self.n <= BITSET_MAX_N:
             full = _full_word(self.n)
-            w = (self._words != np.uint64(full)).argmax()
-            word = self._words.item(w)
-            if word == full:
-                return None
-            # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
-            return 64 * int(w) + (word ^ (word + 1)).bit_length() - 1
+            buffer = None
+            if self._packed is None:
+                buffer = np.empty(min(1 << max(self.n - 6, 0), _BLOCK_WORDS), dtype=_WORD)
+            for lo, size in _scan_blocks(self.n):
+                block = self._block(lo, size, buffer)
+                w = int((block != np.uint64(full)).argmax())
+                word = block.item(w)
+                if word != full:
+                    # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
+                    return 64 * (lo + w) + (word ^ (word + 1)).bit_length() - 1
+            return None
         expected = 0
         for k in self._members:
             if k != expected:
@@ -206,6 +266,17 @@ def _empty_words(n: int) -> np.ndarray:
 def _full_word(n: int) -> int:
     # every moment a word can hold: all 64 bits, or 2**n of them for n < 6
     return (1 << (1 << min(n, 6))) - 1
+
+
+def _scan_blocks(n: int) -> Iterator[tuple[int, int]]:
+    # (first word, word count) of each block first_absent scans, in order;
+    # the first full-size block repeats the prefix, 64 words of 2**16
+    total = 1 << max(n - 6, 0)
+    yield 0, min(total, _PREFIX_WORDS)
+    if total > _PREFIX_WORDS:
+        size = min(total, _BLOCK_WORDS)
+        for lo in range(0, total, size):
+            yield lo, size
 
 
 def _bit_positions(words: np.ndarray) -> Iterator[int]:
@@ -285,14 +356,14 @@ def _spread(bits: int, free: SubsetMask) -> int:
 
 def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> MomentSet:
     """The moments k with k & f == f for some f in ``family``, and with
-    two_sided also those with k & f == 0, as a packed set.
+    two_sided also those with k & f == 0, as a packed set of word patterns.
 
     Moment k = 64*w + j splits f at the word boundary: k contains f iff
     w contains f_hi = f >> 6 and j contains f_lo = f & 63, and k misses f
-    iff w and j miss them. Seen as a (2,)*(n-6) cube, the words whose
-    index contains (misses) f_hi are the slice with f_hi's axes fixed to
-    1 (0), 2**(n-6-|f_hi|) words; each takes one 64-bit pattern, the
-    in-word moments containing (missing) f_lo.
+    iff w and j miss them. So the words whose index contains (misses)
+    f_hi, 2**(n-6-|f_hi|) of them, each take one 64-bit pattern: the
+    in-word moments containing (missing) f_lo. The pattern is keyed
+    (f_hi, 1) for the containing words and (f_hi, 0) for the missing ones.
     """
     low = (1 << min(n, 6)) - 1
     # one pattern per slice: family sets sharing f_hi (all of them for
@@ -308,15 +379,38 @@ def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> M
             # with f_hi = 0 both slices are every word
             side = (f_hi, 0 if f_hi else 1)
             patterns[side] = patterns.get(side, 0) | missing
-    words = _empty_words(n)
-    # reversed C order, so axis b is bit b of the word index
-    cube = words.reshape((2,) * max(n - 6, 0)).T
+    return MomentSet(n, _patterns=patterns)
+
+
+def _or_block(patterns: dict[tuple[int, int], int], lo: int, out: np.ndarray) -> None:
+    """OR every pattern into its words among words [lo, lo + len(out)), held in ``out``.
+
+    Pattern (f_hi, fixed) belongs to the words w with w & f_hi equal to
+    f_hi (fixed 1) or to 0 (fixed 0). len(out) is a power of two and lo a
+    multiple of it, so the block fixes every index bit above the low
+    log2(len(out)) to lo's: a pattern whose fixed bits disagree there
+    misses the block. Otherwise its words in the block are its fixed low
+    bits plus every combination of the free ones, and each run of
+    consecutive free bits is one axis of a strided view of ``out``.
+    """
+    low = len(out) - 1
     for (f_hi, fixed), pattern in patterns.items():
-        index = tuple(fixed if f_hi >> b & 1 else slice(None) for b in range(cube.ndim))
-        # the trailing Ellipsis keeps a fully fixed index a view, not a scalar
-        view = cube[index + (Ellipsis,)]
-        view |= np.uint64(pattern)
-    return MomentSet(n, _words=words)
+        want = f_hi if fixed else 0
+        if (lo ^ want) & f_hi & ~low:
+            continue
+        shape, strides = [], []
+        free = low & ~f_hi
+        while free:
+            start = free & -free
+            # adding start carries through the run to the bit just above it
+            stop = (free + start) & ~free
+            shape.append(stop // start)
+            strides.append(start * _WORD.itemsize)
+            free ^= stop - start
+        view = np.ndarray(
+            tuple(reversed(shape)), _WORD, out, (want & low) * _WORD.itemsize, tuple(reversed(strides))
+        )
+        view |= pattern
 
 
 def superset_moments(f: SubsetMask, n: int, *, cap: int = SPARSE_ENUM_CAP) -> MomentSet:

@@ -287,7 +287,8 @@ def synthesize_trace(
     shape that keeps a fluctuation at a given moment detectable at the
     stated resolution; no detector physics beyond that is modeled.
 
-    A grid of more than ``TRACE_MAX_SAMPLES`` samples is refused with
+    A grid of more than ``TRACE_MAX_SAMPLES`` samples, or a timeline of
+    more than ``TRACE_MAX_SAMPLES`` arrival events, is refused with
     ``EnumerationLimitError`` before anything is allocated.
     """
     for name, value in (("unit_delay", unit_delay), ("epsilon", epsilon), ("rise_time", rise_time)):
@@ -297,6 +298,13 @@ def synthesize_trace(
     if not 1 <= samples_per_rise <= TRACE_MAX_SAMPLES:
         raise ValueError(f"samples_per_rise must be in [1, {TRACE_MAX_SAMPLES}]")
 
+    # every event gets its own arrival time, height and two grid indices,
+    # so a tiny grid does not bound the work; an analytic timeline counts
+    # its events without building its arrays
+    if timeline.event_count > TRACE_MAX_SAMPLES:
+        raise EnumerationLimitError(
+            f"trace too large to synthesize: {timeline.event_count} arrival events exceed the cap {TRACE_MAX_SAMPLES}"
+        )
     # size the grid before allocating; an analytic timeline's arrays stay
     # implicit, and its last arrival is at 2**n - 1
     last = (1 << timeline.n) - 1 if timeline.is_analytic else int(timeline.cores[-1])

@@ -88,7 +88,10 @@ def solve_optical(inst: SplitInstance, *, cap: int = DEFAULT_SIM_CAP) -> SplitAn
     Builds the device, simulates all arrivals, computes the two-sided
     blocked set, and reports the smallest arrival moment outside it. A
     set-splitting timeline arrives at every moment of [0, 2**n), so the
-    smallest unblocked moment is the smallest solution arrival.
+    smallest unblocked moment is the smallest solution arrival. The
+    blocked set is never built whole here: ``first_absent`` fills it one
+    block of words at a time and stops at the first block with a hole,
+    holding at most 512 KiB.
     """
     device = build_set_splitting_device(inst.n)
     timeline = simulate(device, cap=cap)

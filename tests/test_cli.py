@@ -5,6 +5,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from splitbeam import parse_split_instance
 from splitbeam.cli import generate_split_instance_text, main
@@ -203,11 +205,14 @@ class TestTraceCommand:
             (2, ["--unit-delay", "1e-9", "--rise-time", "5e-324", "--epsilon", "1e-12"]),
             (2, ["--unit-delay", "1e-9", "--rise-time", "1e-12", "--epsilon", "1e-12", "--samples-per-rise", "1" + "0" * 400]),
             (16, ["--unit-delay", "1e-9", "--rise-time", "1e-12", "--epsilon", "1e-12", "--samples-per-rise", "8"]),
+            (23, ["--unit-delay", "1e-18", "--rise-time", "1e-12", "--epsilon", "1e-18"]),
         ],
     )
     def test_bad_or_oversized_inputs_fail_cleanly(self, tmp_path, capsys, n, args):
-        # the last case asks for ~5e8 samples, about 12 GiB over the three
-        # sample arrays; the n = 16 timeline itself is a few MiB
+        # the n = 16 case asks for ~5e8 samples, about 12 GiB over the three
+        # sample arrays; the n = 16 timeline itself is a few MiB. The n = 23
+        # grid has a few hundred samples, but the 2**23 arrival events would
+        # take hundreds of MiB of per-event arrays
         instance = tmp_path / "inst.txt"
         instance.write_text(f"n {n}\n")
         out_csv = tmp_path / "trace.csv"
@@ -321,6 +326,35 @@ class TestGenCommand:
         assert main(["gen", "--n", "4", "--m", "1", "--max-set-size", "0", "--seed", "1"]) == 2
 
 
+# Numbers an instance line may carry: small universes and indices, and
+# tokens that are out of range, huge, or not integers. Universes stay at
+# most 15, so that no command lists or scans more than 2**15 moments.
+_NUMBER_TOKENS = st.one_of(
+    st.integers(-2, 15).map(str),
+    st.sampled_from(
+        ["0", "64", "65", str(2**63), str(10**30), "1" * 5000, "1.5", "1e3", "0x1", "+3", "nan", "inf", "\u0663", "\uff11"]
+    ),
+)
+
+
+@st.composite
+def instance_bytes(draw):
+    """A well-formed instance with malformed, huge or out-of-range lines
+    inserted anywhere, its 'n' line possibly dropped, and trailing bytes
+    that may not decode."""
+    n = draw(st.integers(1, 12))
+    family = draw(st.lists(st.sets(st.integers(1, n), min_size=1, max_size=4), max_size=6))
+    lines = [f"n {n}"] + ["f " + " ".join(map(str, sorted(f))) for f in family]
+    if draw(st.integers(0, 3)) == 0:
+        del lines[0]
+    tags = st.sampled_from(["n", "f", "values", "target", "#", "x", "N"])
+    bad_line = st.tuples(tags, st.lists(_NUMBER_TOKENS, max_size=5)).map(lambda t: " ".join([t[0], *t[1]]))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad_line))
+    text = draw(st.sampled_from(["\n", "\r\n", "\n\n# comment\n"])).join(lines)
+    return text.encode("utf-8") + draw(st.sampled_from([b"", b"", b"\n", b"\xff", b"\xc3", b"\x00"]))
+
+
 class TestExitCodeContract:
     def test_corpus(self, tmp_path, capsys):
         # exit 0 <=> solvable, 1 <=> unsolvable, identical across methods
@@ -337,3 +371,35 @@ class TestExitCodeContract:
             assert optical == oracle
             assert optical_out == oracle_out
             assert (optical == 0) == optical_out.startswith("SPLIT")
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(instance_bytes())
+    def test_fuzzed_instance_text(self, tmp_path, capsys, data):
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes(data)
+        codes = []
+        for argv in (
+            ["solve", str(path), "--method", "optical"],
+            ["solve", str(path), "--method", "oracle"],
+            ["moments", str(path)],
+        ):
+            # an exception escaping main would be the traceback
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert captured.out == ""
+                assert captured.err.startswith("error: ")
+                assert captured.err.count("\n") == 1
+            else:
+                assert captured.err == ""
+            codes.append(code)
+        # every universe drawn here is small enough for both routes, so
+        # input errors are the only refusals and the routes agree
+        optical, oracle, moments = codes
+        assert optical == oracle
+        assert (moments == 2) == (optical == 2)

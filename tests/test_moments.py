@@ -3,9 +3,11 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitbeam import (
@@ -20,8 +22,10 @@ from splitbeam import (
     decode_moment,
     encode_moment,
     is_solution_moment,
+    solve_optical,
     superset_moments,
 )
+from splitbeam import moments
 
 
 def brute_supersets(f, n):
@@ -410,6 +414,22 @@ class TestPackedBuildMemory:
         assert text == f"MomentSet(n=22, size={1 << 22}, {{{shown},...}})"
         assert peak < 1 << 20
 
+    def test_solvable_decision_at_28_builds_no_set(self):
+        # the first solution lies in the first words, so the scan stops
+        # after the 64-word prefix instead of building 32 MiB
+        rng = random.Random(3)
+        inst = SplitInstance(28, tuple(sum(1 << p for p in rng.sample(range(28), 8)) for _ in range(6)))
+        answer, peak = self.peak_bytes(lambda: solve_optical(inst))
+        assert answer.solvable and answer.validate_against(inst)
+        assert peak < 1 << 20
+
+    def test_unsolvable_decision_at_28_scans_in_one_buffer(self):
+        # {a1} blocks every moment: all 64 blocks of 2**16 words are scanned
+        inst = SplitInstance(28, (0b1,))
+        answer, peak = self.peak_bytes(lambda: solve_optical(inst))
+        assert not answer.solvable
+        assert peak < 1 << 20
+
     def test_iteration_crosses_decode_slices_and_scan_blocks(self):
         # a dense run over the first 2**17 + 100 moments, then every 997th:
         # both the in-block slicing and the block boundaries are crossed
@@ -460,3 +480,50 @@ class TestWordKernel:
             built.append(supersets)
         for ms in built:
             self.check_words(ms)
+
+    @settings(max_examples=150, deadline=None)
+    @given(word_kernel_instance(), st.booleans())
+    @example(SplitInstance(14, (1 << 7,)), True)
+    @example(SplitInstance(14, (1 << 7 | 1 << 9,)), True)
+    @example(SplitInstance(14, (1 << 7 | 1 << 9,)), False)
+    def test_every_aligned_block_matches_the_built_words(self, inst, two_sided):
+        ms = moments._packed_union(inst.n, inst.family, two_sided=two_sided)
+        patterns = dict(ms._patterns)
+        words = ms._words
+        total = len(words)
+        size = 1
+        while size <= total:
+            for lo in range(0, total, size):
+                out = np.zeros(size, dtype=words.dtype)
+                moments._or_block(patterns, lo, out)
+                assert np.array_equal(out, words[lo : lo + size])
+            size *= 2
+
+    @pytest.mark.parametrize("prefix, block", [(64, 1 << 16), (1, 2), (2, 8)])
+    @settings(max_examples=100, deadline=None)
+    @given(inst=word_kernel_instance())
+    def test_streamed_first_absent_matches_built_scan_and_brute_force(self, prefix, block, inst):
+        # small block sizes put every block boundary of the scan within reach
+        blocked = set(brute_full(inst))
+        gap = next((k for k in range(1 << inst.n) if k not in blocked), None)
+        with mock.patch.multiple(moments, _PREFIX_WORDS=prefix, _BLOCK_WORDS=block):
+            streamed = blocked_moments_full(inst)
+            assert streamed.first_absent() == gap
+            assert streamed.covers_all() == (gap is None)
+            assert streamed._patterns is not None  # nothing was built
+            built = blocked_moments_full(inst)
+            built._words  # build the words
+            assert built.first_absent() == gap
+
+    def test_first_solution_in_a_later_block(self):
+        # {a23, a24} blocks every moment below 2**22 (its complement holds
+        # both), {a1, a2} and {a7, a8} move the first solution to word
+        # 2**16 + 1, bit 1: the second of four 2**16-word blocks at n = 24
+        inst = SplitInstance(24, (3 << 22, 0b11, 0b11 << 6))
+        expected = 1 << 22 | 1 << 6 | 1
+        assert blocked_moments_full(inst).first_absent() == expected
+        built = blocked_moments_full(inst)
+        built._words  # build the words
+        assert expected not in built and expected - 1 in built
+        assert built.first_absent() == expected
+        assert solve_optical(inst).solution_moment == expected
