@@ -3,10 +3,12 @@
 Enumerates all 2**n source-to-destination paths of a device, coalesces
 simultaneous arrivals (same core delay) by summing their exact dyadic
 intensities, and can render the result as an oscilloscope-style sampled
-trace. Enumeration is one pass in one thread and costs Theta(2**n) in
-time and memory, which is the whole point of the device being simulated;
-a configurable cap refuses instances that would not terminate at desk
-scale.
+trace. Enumeration is one pass in one thread into one buffer and costs
+Theta(2**n) in time and memory, which is the whole point of the device
+being simulated; a configurable cap refuses instances that would not
+terminate at desk scale. When the path delays come out distinct and in
+mask order, as the take delays 1, 2, 4, ... of set splitting make them,
+the buffer is the timeline and no sort is needed.
 
 Set-splitting devices force a fully predictable timeline (every moment in
 [0, 2**n) arrives exactly once), so above an enumeration threshold the
@@ -51,10 +53,12 @@ class ArrivalTimeline:
     """Coalesced arrival events of one simulation, sorted by core delay.
 
     Backed by three parallel arrays (distinct core delays, path
-    multiplicities, smallest originating mask per delay). Set-splitting
-    timelines built analytically keep the arrays implicit until someone
-    asks for them: the moments are exactly 0..2**n-1, each from a single
-    path whose mask equals the moment.
+    multiplicities, smallest originating mask per delay), any of which
+    may stay implicit until someone asks for it. No counts means one path
+    per event, whose mask is the event's position: ``simulate`` keeps
+    that form whenever the enumerated sums come out distinct and in mask
+    order. No cores as well means the moments are exactly 0..2**n-1, the
+    form a set-splitting timeline built analytically has.
     """
 
     __slots__ = ("n", "kind", "_cores", "_counts", "_witnesses", "_events")
@@ -82,27 +86,32 @@ class ArrivalTimeline:
     def is_analytic(self) -> bool:
         return self._cores is None
 
-    def _ensure_arrays(self) -> None:
-        if self._cores is None:
-            total = 1 << self.n
-            self._cores = np.arange(total, dtype=np.int64)
-            self._counts = np.ones(total, dtype=np.int64)
-            self._witnesses = self._cores
+    def _array(self, slot: str) -> np.ndarray:
+        """The array held in ``slot``, or a new one with the value it stands for."""
+        held = getattr(self, slot)
+        if held is not None:
+            return held
+        if slot == "_counts":
+            return np.ones(self.event_count, dtype=np.int64)
+        # implicit cores and witnesses are both the event positions
+        return np.arange(self.event_count, dtype=np.int64)
+
+    def _built(self, slot: str) -> np.ndarray:
+        held = self._array(slot)
+        setattr(self, slot, held)
+        return held
 
     @property
     def cores(self) -> np.ndarray:
-        self._ensure_arrays()
-        return self._cores
+        return self._built("_cores")
 
     @property
     def counts(self) -> np.ndarray:
-        self._ensure_arrays()
-        return self._counts
+        return self._built("_counts")
 
     @property
     def witnesses(self) -> np.ndarray:
-        self._ensure_arrays()
-        return self._witnesses
+        return self._built("_witnesses")
 
     @property
     def event_count(self) -> int:
@@ -112,8 +121,8 @@ class ArrivalTimeline:
 
     @property
     def total_paths(self) -> int:
-        if self._cores is None:
-            return 1 << self.n
+        if self._counts is None:
+            return self.event_count
         return int(self._counts.sum())
 
     def _index(self, core: int) -> int | None:
@@ -143,12 +152,13 @@ class ArrivalTimeline:
         return int(self._witnesses[i])
 
     def iter_events(self):
-        if self._cores is None:
+        if self._counts is None:
             one_path = DyadicIntensity.from_paths(1, self.n)
-            for k in range(1 << self.n):
-                yield ArrivalEvent(ExactMoment(k, self.n), one_path, 1, k)
+            cores = range(1 << self.n) if self._cores is None else self._cores
+            for mask, core in enumerate(cores):
+                yield ArrivalEvent(ExactMoment(int(core), self.n), one_path, 1, mask)
             return
-        for core, count, wit in zip(self._cores, self._counts, self._witnesses):
+        for core, count, wit in zip(self.cores, self._counts, self.witnesses):
             yield ArrivalEvent(
                 ExactMoment(int(core), self.n),
                 DyadicIntensity.from_paths(int(count), self.n),
@@ -172,12 +182,14 @@ class ArrivalTimeline:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArrivalTimeline):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.kind == other.kind
-            and np.array_equal(self.cores, other.cores)
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.witnesses, other.witnesses)
+        if (self.n, self.kind, self.event_count) != (other.n, other.kind, other.event_count):
+            return False
+        # two implicit arrays of one length are equal; an implicit array
+        # is built, uncached, only to compare it with a held one
+        return all(
+            (getattr(self, slot) is None and getattr(other, slot) is None)
+            or np.array_equal(self._array(slot), other._array(slot))
+            for slot in ("_cores", "_counts", "_witnesses")
         )
 
     def __repr__(self) -> str:
@@ -197,9 +209,12 @@ def simulate(
     """Propagate one source pulse through every path of the device.
 
     Evaluation is one pass in one thread: the delays of all 2**n paths,
-    coalesced by one sort. ``partitions`` (a power of two no larger than
-    the path count) and ``workers`` are accepted and change nothing: the
-    result is the same for every partition count.
+    in mask order in one buffer. One comparison checks whether they are
+    strictly increasing; then every path arrives alone and the buffer is
+    the timeline, with unit counts and witness = position left implicit.
+    Otherwise one sort coalesces them. ``partitions`` (a power of two no
+    larger than the path count) and ``workers`` are accepted and change
+    nothing: the result is the same for every partition count.
     """
     n = device.n
     if n > cap:
@@ -220,9 +235,17 @@ def simulate(
         return ArrivalTimeline.analytic_splitting(n)
 
     # sums[mask] is the core delay of the path taking the masked layers
-    sums = np.zeros(1, dtype=np.int64)
-    for d in device.take_delays:
-        sums = np.concatenate([sums, sums + d])
+    sums = np.empty(1 << n, dtype=np.int64)
+    sums[0] = 0
+    for i, d in enumerate(device.take_delays):
+        np.add(sums[: 1 << i], d, out=sums[1 << i : 2 << i])
+    # the middle pair compares the last take delay with the sum of all the
+    # others, where arbitrary delays fall out of order; it spares them the
+    # full pass
+    half = len(sums) >> 1
+    if sums[half] > sums[half - 1] and np.all(sums[1:] > sums[:-1]):
+        # distinct and in mask order: each event is one path, its mask the position
+        return ArrivalTimeline(n, device.kind, sums, None, None)
     cores, first, counts = np.unique(sums, return_index=True, return_counts=True)
     # first occurrence in mask order is the smallest witness mask
     return ArrivalTimeline(n, device.kind, cores, counts, first.astype(np.int64))

@@ -328,7 +328,8 @@ class TestGenCommand:
 
 # Numbers an instance line may carry: small universes and indices, and
 # tokens that are out of range, huge, or not integers. Universes stay at
-# most 15, so that no command lists or scans more than 2**15 moments.
+# most 15 and value lists at most 12 long, so that no command lists or
+# scans more than 2**15 moments or paths.
 _NUMBER_TOKENS = st.one_of(
     st.integers(-2, 15).map(str),
     st.sampled_from(
@@ -339,12 +340,17 @@ _NUMBER_TOKENS = st.one_of(
 
 @st.composite
 def instance_bytes(draw):
-    """A well-formed instance with malformed, huge or out-of-range lines
-    inserted anywhere, its 'n' line possibly dropped, and trailing bytes
-    that may not decode."""
-    n = draw(st.integers(1, 12))
-    family = draw(st.lists(st.sets(st.integers(1, n), min_size=1, max_size=4), max_size=6))
-    lines = [f"n {n}"] + ["f " + " ".join(map(str, sorted(f))) for f in family]
+    """A well-formed set-splitting or subset-sum instance with malformed,
+    huge or out-of-range lines inserted anywhere, its first line possibly
+    dropped, and trailing bytes that may not decode."""
+    if draw(st.integers(0, 2)) == 0:
+        values = draw(st.lists(st.integers(1, 1 << 40), min_size=1, max_size=12))
+        target = draw(st.integers(1, sum(values) + 1))
+        lines = ["values " + " ".join(map(str, values)), f"target {target}"]
+    else:
+        n = draw(st.integers(1, 12))
+        family = draw(st.lists(st.sets(st.integers(1, n), min_size=1, max_size=4), max_size=6))
+        lines = [f"n {n}"] + ["f " + " ".join(map(str, sorted(f))) for f in family]
     if draw(st.integers(0, 3)) == 0:
         del lines[0]
     tags = st.sampled_from(["n", "f", "values", "target", "#", "x", "N"])
@@ -381,11 +387,16 @@ class TestExitCodeContract:
     def test_fuzzed_instance_text(self, tmp_path, capsys, data):
         path = tmp_path / "fuzz.txt"
         path.write_bytes(data)
+        # a rise time of a thousand unit delays keeps every trace grid short
+        trace_args = ["--rise-time", "1e-9", "--unit-delay", "1e-12", "--epsilon", "1e-15"]
         codes = []
         for argv in (
             ["solve", str(path), "--method", "optical"],
             ["solve", str(path), "--method", "oracle"],
             ["moments", str(path)],
+            ["simulate", str(path)],
+            ["simulate", "--subset-sum-file", str(path)],
+            ["trace", str(path), *trace_args, "--samples-per-rise", "1", "--out", str(tmp_path / "fuzz.csv")],
         ):
             # an exception escaping main would be the traceback
             code = main(argv)
@@ -400,6 +411,9 @@ class TestExitCodeContract:
             codes.append(code)
         # every universe drawn here is small enough for both routes, so
         # input errors are the only refusals and the routes agree
-        optical, oracle, moments = codes
+        optical, oracle, moments, simulate, simulate_subset_sum, trace = codes
         assert optical == oracle
-        assert (moments == 2) == (optical == 2)
+        assert (moments == 2) == (simulate == 2) == (trace == 2) == (optical == 2)
+        assert simulate in (0, 2) and simulate_subset_sum in (0, 2)
+        # no text is both a set-splitting and a subset-sum instance
+        assert optical == 2 or simulate_subset_sum == 2

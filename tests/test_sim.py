@@ -1,24 +1,33 @@
 """Simulation: arrival timelines, coalescing, detection, trace synthesis."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitbeam import (
+    ArcPair,
+    ArrivalEvent,
     ArrivalTimeline,
+    DelayDevice,
     DeviceKind,
     DyadicIntensity,
     EnumerationLimitError,
     ExactMoment,
+    SplitInstance,
     SubsetSumInstance,
     build_set_splitting_device,
     build_subset_sum_device,
     detect_subset_sum,
     simulate,
+    solve_optical,
     synthesize_trace,
 )
+from splitbeam.sim import DEFAULT_ANALYTIC_THRESHOLD
 
 
 def brute_subset_sums(values):
@@ -108,6 +117,160 @@ class TestSimulateSubsetSum:
             assert event.paths == len(masks)
 
 
+def brute_timeline_arrays(values):
+    """Distinct sums, path counts and smallest masks from brute_subset_sums,
+    as the int64 arrays a timeline holds."""
+    counts, witnesses = {}, {}
+    for mask, total in brute_subset_sums(values).items():  # ascending masks
+        counts[total] = counts.get(total, 0) + 1
+        witnesses.setdefault(total, mask)
+    cores = sorted(counts)
+    columns = (cores, [counts[c] for c in cores], [witnesses[c] for c in cores])
+    return tuple(np.array(col, dtype=np.int64) for col in columns)
+
+
+def _device(kind, delays):
+    return DelayDevice(kind, tuple(ArcPair(d) for d in delays))
+
+
+@st.composite
+def enumerated_devices(draw):
+    """Devices whose path sums come out distinct and in mask order
+    (superincreasing take delays) or not (repeated, zero or arbitrary
+    take delays), so that both sides of simulate's sort check run."""
+    n = draw(st.integers(1, 10))
+    shape = draw(st.sampled_from(["superincreasing", "repeated", "zero", "arbitrary"]))
+    if shape == "superincreasing":
+        delays = []
+        for _ in range(n):
+            delays.append(sum(delays) + draw(st.integers(1, 1 << 20)))
+    elif shape == "repeated":
+        delays = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    elif shape == "zero":
+        delays = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=n, max_size=n))
+    else:
+        delays = draw(st.lists(st.integers(1, 1 << 40), min_size=n, max_size=n))
+    return _device(DeviceKind.SUBSET_SUM, delays)
+
+
+class TestSimulateDifferential:
+    @staticmethod
+    def check_against_brute_force(device):
+        n = device.n
+        cores, counts, witnesses = brute_timeline_arrays(device.take_delays)
+        timeline = simulate(device)
+        # lookups first, while the implicit parts are still implicit
+        assert timeline.total_paths == 1 << n
+        assert timeline.event_count == len(cores)
+        stride = max(1, len(cores) >> 10)
+        for core, count, wit in zip(
+            cores[::stride].tolist(), counts[::stride].tolist(), witnesses[::stride].tolist()
+        ):
+            assert timeline.multiplicity(core) == count
+            assert timeline.witness_for(core) == wit
+        present = set(cores.tolist())
+        for miss in {-1, int(cores[-1]) + 1, *(c + 1 for c in cores[:64].tolist())} - present:
+            assert timeline.multiplicity(miss) == 0
+            assert timeline.witness_for(miss) is None
+        expected = tuple(
+            ArrivalEvent(ExactMoment(c, n), DyadicIntensity.from_paths(k, n), k, w)
+            for c, k, w in zip(cores.tolist(), counts.tolist(), witnesses.tolist())
+        )
+        assert timeline.events == expected
+        for got, want in zip((timeline.cores, timeline.counts, timeline.witnesses), (cores, counts, witnesses)):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+        assert timeline.total_paths == 1 << n
+        return timeline
+
+    @settings(max_examples=150, deadline=None)
+    @given(enumerated_devices())
+    @example(_device(DeviceKind.SUBSET_SUM, [0]))
+    @example(_device(DeviceKind.SUBSET_SUM, [7]))
+    @example(_device(DeviceKind.SUBSET_SUM, [0, 1, 2, 4]))
+    @example(_device(DeviceKind.SUBSET_SUM, [1, 2, 4, 0]))
+    @example(_device(DeviceKind.SUBSET_SUM, [3, 3, 3]))
+    @example(_device(DeviceKind.SUBSET_SUM, [1, 1, 5]))
+    @example(_device(DeviceKind.SUBSET_SUM, [2, 1, 5]))
+    def test_matches_brute_force(self, device):
+        self.check_against_brute_force(device)
+
+    def test_set_splitting_below_the_threshold(self):
+        assert DEFAULT_ANALYTIC_THRESHOLD > 16
+        for n in range(1, 17):
+            timeline = self.check_against_brute_force(build_set_splitting_device(n))
+            # genuinely enumerated, not the analytic formula
+            assert not timeline.is_analytic
+
+
+class TestImplicitTimeline:
+    @staticmethod
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_lookups_build_no_count_or_witness_array(self):
+        timeline = simulate(build_set_splitting_device(16))
+
+        def lookups():
+            return (
+                timeline.witness_for(12345),
+                timeline.multiplicity(12345),
+                timeline.witness_for(1 << 16),
+                timeline.total_paths,
+                timeline.event_count,
+            )
+
+        result, peak = self.peak_bytes(lookups)
+        assert result == (12345, 1, None, 1 << 16, 1 << 16)
+        assert timeline._counts is None and timeline._witnesses is None
+        # one int64 array of 2**16 entries would take 512 KiB
+        assert peak < 64 << 10
+
+    def test_properties_build_implicit_arrays_once(self):
+        for timeline in (simulate(build_set_splitting_device(5)), ArrivalTimeline.analytic_splitting(5)):
+            counts, witnesses = timeline.counts, timeline.witnesses
+            assert counts.tobytes() == np.ones(32, dtype=np.int64).tobytes()
+            assert witnesses.tobytes() == np.arange(32, dtype=np.int64).tobytes()
+            assert timeline.counts is counts and timeline.witnesses is witnesses
+            assert timeline.cores.tobytes() == np.arange(32, dtype=np.int64).tobytes()
+
+    def test_solve_optical_at_16_peaks_under_one_mib(self):
+        inst = SplitInstance(16, (0b111, 0b11 << 3, 0b101 << 8, 0b1010101 << 9))
+        solve_optical(inst)
+        answer, peak = self.peak_bytes(lambda: solve_optical(inst))
+        assert answer.solvable and answer.validate_against(inst)
+        assert peak < 1 << 20
+
+    def test_equality_of_analytic_timelines_builds_no_arrays(self):
+        a, b = ArrivalTimeline.analytic_splitting(20), ArrivalTimeline.analytic_splitting(20)
+        equal, peak = self.peak_bytes(lambda: a == b)
+        assert equal
+        assert peak < 1 << 20
+        assert a.is_analytic and b.is_analytic
+        assert a != ArrivalTimeline.analytic_splitting(19)
+        assert a.is_analytic
+
+    def test_equality_reads_implicit_and_held_arrays_alike(self):
+        def timeline(cores=None, counts=None, witnesses=None, kind=DeviceKind.SET_SPLITTING):
+            arrays = [None if a is None else np.array(a, dtype=np.int64) for a in (cores, counts, witnesses)]
+            return ArrivalTimeline(2, kind, *arrays)
+
+        analytic = timeline()
+        assert analytic == timeline([0, 1, 2, 3]) == timeline([0, 1, 2, 3], [1, 1, 1, 1], [0, 1, 2, 3])
+        assert analytic == timeline(None, [1, 1, 1, 1], None)
+        assert analytic != timeline([0, 1, 2, 4])
+        assert analytic != timeline(None, [1, 1, 1, 2])
+        assert analytic != timeline(None, None, [0, 1, 3, 2])
+        assert analytic != timeline(kind=DeviceKind.SUBSET_SUM)
+        assert timeline([0, 1, 2]) != timeline([0, 1, 2, 3])
+        assert analytic.is_analytic
+
+
 class TestPartitionedSimulation:
     def test_equals_sequential(self):
         rng = random.Random(5)
@@ -121,8 +284,9 @@ class TestPartitionedSimulation:
                     assert chunked == sequential
 
     def test_single_chunk_is_byte_identical_to_merged_chunks(self):
-        # every partition count runs the same single pass: np.unique sorts
-        # and coalesces, so the arrays must match byte for byte
+        # every partition count runs the same single pass: the sums are
+        # coalesced by np.unique, or kept as enumerated when they come out
+        # distinct and in mask order, so the arrays must match byte for byte
         rng = random.Random(6)
         for n in range(1, 17):
             values = tuple(rng.randint(1, 1 << rng.randint(1, 20)) for _ in range(n))
