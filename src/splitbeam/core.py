@@ -49,6 +49,14 @@ def _check_int64_sum(values: Iterable[int], what: str) -> None:
         raise ValueError(f"sum of {what} must fit signed 64-bit arithmetic")
 
 
+def _check_enumerable(n: int, cap: int, what: str) -> None:
+    """Refuse, before anything is allocated, to enumerate 2**n states past ``cap``."""
+    if n > cap:
+        raise EnumerationLimitError(
+            f"instance too large to enumerate: n={n} exceeds the {what} cap {cap}"
+        )
+
+
 def complement(mask: SubsetMask, n: int) -> SubsetMask:
     """Complement of a subset within a universe of ``n`` elements."""
     _check_universe(n)

@@ -413,30 +413,21 @@ def _or_block(patterns: dict[tuple[int, int], int], lo: int, out: np.ndarray) ->
         view |= pattern
 
 
-def superset_moments(f: SubsetMask, n: int, *, cap: int = SPARSE_ENUM_CAP) -> MomentSet:
+def superset_moments(f: SubsetMask, n: int) -> MomentSet:
     """Moments whose decoded subset includes ``f``.
 
-    Exactly the 2**(n - popcount(f)) integers k with k & f == f: one
-    pattern OR into a slice of the packed words, or for n > 28 the subsets
-    of the complement of f with f OR-ed in.
+    Exactly the 2**(n - popcount(f)) integers k with k & f == f: the
+    one-sided blocked set of the family {f}.
     """
     _check_universe(n)
     if f == 0:
         raise ValueError("family sets must be nonempty: every moment is a superset of the empty set")
     if not 0 < f < (1 << n):
         raise ValueError(f"mask {f} out of range for universe size {n}")
-    if n <= BITSET_MAX_N:
-        return _packed_union(n, (f,), two_sided=False)
-    free = complement(f, n)
-    count = 1 << (n - f.bit_count())
-    if count > cap:
-        raise EnumerationLimitError(
-            f"superset moments too large to enumerate: {count} moments exceed the cap {cap}"
-        )
-    return MomentSet.from_iterable(n, (f | s for s in iter_submasks(free)))
+    return _blocked_moments(SplitInstance(n, (f,)), two_sided=False)
 
 
-def blocked_moments_literal(inst: SplitInstance, *, cap: int = SPARSE_ENUM_CAP) -> MomentSet:
+def blocked_moments_literal(inst: SplitInstance) -> MomentSet:
     """One-sided blocked set: union of the superset moments of every family set.
 
     This checks only whether the arriving subset contains a family set; a
@@ -444,33 +435,40 @@ def blocked_moments_literal(inst: SplitInstance, *, cap: int = SPARSE_ENUM_CAP) 
     exact reproduction of the one-sided construction; decisions should use
     :func:`blocked_moments_full`.
     """
-    return _blocked_moments(inst, cap, two_sided=False)
+    return _blocked_moments(inst, two_sided=False)
 
 
-def blocked_moments_full(inst: SplitInstance, *, cap: int = SPARSE_ENUM_CAP) -> MomentSet:
+def blocked_moments_full(inst: SplitInstance) -> MomentSet:
     """Two-sided blocked set: moments whose subset or its complement contains a family set.
 
     Equals the literal set united with its reflection k -> 2**n - 1 - k,
     because the complement of the subset decoding k is the subset decoding
     the reflected moment.
     """
-    return _blocked_moments(inst, cap, two_sided=True)
+    return _blocked_moments(inst, two_sided=True)
 
 
-def _blocked_moments(inst: SplitInstance, cap: int, *, two_sided: bool) -> MomentSet:
+def _blocked_moments(inst: SplitInstance, *, two_sided: bool) -> MomentSet:
     if inst.n > BITSET_MAX_N:
-        return _sparse_union(inst, cap, two_sided=two_sided)
+        return _sparse_union(inst, two_sided=two_sided)
     return _packed_union(inst.n, inst.family, two_sided=two_sided)
 
 
-def _sparse_union(inst: SplitInstance, cap: int, *, two_sided: bool) -> MomentSet:
+def _sparse_union(inst: SplitInstance, *, two_sided: bool) -> MomentSet:
+    # each family set may add SPARSE_ENUM_CAP moments, the union four times that
+    cap, bound = SPARSE_ENUM_CAP, 4 * SPARSE_ENUM_CAP
     members: set[int] = set()
     for f in inst.family:
         free = complement(f, inst.n)
         count = (2 if two_sided else 1) << (inst.n - f.bit_count())
-        if count > cap or len(members) + count > 4 * cap:
+        if count > cap:
             raise EnumerationLimitError(
                 f"blocked moments too large to enumerate: {count} new moments exceed the cap {cap}"
+            )
+        if len(members) + count > bound:
+            raise EnumerationLimitError(
+                f"blocked moments too large to enumerate: {len(members)} moments so far "
+                f"and {count} new ones exceed the union bound {bound}"
             )
         for s in iter_submasks(free):
             members.add(f | s)

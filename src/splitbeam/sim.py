@@ -5,10 +5,11 @@ simultaneous arrivals (same core delay) by summing their exact dyadic
 intensities, and can render the result as an oscilloscope-style sampled
 trace. Enumeration is one pass in one thread into one buffer and costs
 Theta(2**n) in time and memory, which is the whole point of the device
-being simulated; a configurable cap refuses instances that would not
-terminate at desk scale. When the path delays come out distinct and in
-mask order, as the take delays 1, 2, 4, ... of set splitting make them,
-the buffer is the timeline and no sort is needed.
+being simulated; devices of more than ``DEFAULT_SIM_CAP`` = 28 layers,
+which would not terminate at desk scale, are refused. When the path
+delays come out distinct and in mask order, as the take delays 1, 2, 4,
+... of set splitting make them, the buffer is the timeline and no sort
+is needed.
 
 Set-splitting devices force a fully predictable timeline (every moment in
 [0, 2**n) arrives exactly once), so above an enumeration threshold the
@@ -19,7 +20,6 @@ enumerated so tests exercise the model rather than the formula.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +29,7 @@ from .core import (
     EnumerationLimitError,
     ExactMoment,
     SubsetMask,
+    _check_enumerable,
     format_mask,
 )
 from .device import DelayDevice, DeviceKind
@@ -199,37 +200,19 @@ class ArrivalTimeline:
         )
 
 
-def simulate(
-    device: DelayDevice,
-    *,
-    cap: int = DEFAULT_SIM_CAP,
-    partitions: int = 1,
-    workers: int | None = None,
-) -> ArrivalTimeline:
+def simulate(device: DelayDevice) -> ArrivalTimeline:
     """Propagate one source pulse through every path of the device.
 
     Evaluation is one pass in one thread: the delays of all 2**n paths,
     in mask order in one buffer. One comparison checks whether they are
     strictly increasing; then every path arrives alone and the buffer is
     the timeline, with unit counts and witness = position left implicit.
-    Otherwise one sort coalesces them. ``partitions`` (a power of two no
-    larger than the path count) and ``workers`` are accepted and change
-    nothing: the result is the same for every partition count.
+    Otherwise one sort coalesces them. A device of more than
+    ``DEFAULT_SIM_CAP`` layers is refused with ``EnumerationLimitError``
+    before anything is allocated.
     """
     n = device.n
-    if n > cap:
-        raise EnumerationLimitError(
-            f"instance too large to enumerate: n={n} exceeds the simulation cap {cap}"
-        )
-    if cap > DEFAULT_SIM_CAP:
-        warnings.warn(
-            f"simulation cap raised to {cap}; enumeration costs Theta(2**n) time and memory",
-            stacklevel=2,
-        )
-    if partitions < 1 or partitions & (partitions - 1):
-        raise ValueError("partitions must be a positive power of two")
-    if partitions > (1 << n):
-        raise ValueError(f"partitions={partitions} exceeds the 2**{n} path count")
+    _check_enumerable(n, DEFAULT_SIM_CAP, "simulation")
 
     if device.kind is DeviceKind.SET_SPLITTING and n >= DEFAULT_ANALYTIC_THRESHOLD:
         return ArrivalTimeline.analytic_splitting(n)

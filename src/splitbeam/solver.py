@@ -24,12 +24,12 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    EnumerationLimitError,
     ExactMoment,
     Partition,
     SplitInstance,
     SubsetMask,
     SubsetSumInstance,
+    _check_enumerable,
     splits_family,
 )
 from .device import (
@@ -82,7 +82,7 @@ class SplitAnswer:
         )
 
 
-def solve_optical(inst: SplitInstance, *, cap: int = DEFAULT_SIM_CAP) -> SplitAnswer:
+def solve_optical(inst: SplitInstance) -> SplitAnswer:
     """Decide set splitting through the delay-device pipeline.
 
     Builds the device, simulates all arrivals, computes the two-sided
@@ -91,10 +91,11 @@ def solve_optical(inst: SplitInstance, *, cap: int = DEFAULT_SIM_CAP) -> SplitAn
     smallest unblocked moment is the smallest solution arrival. The
     blocked set is never built whole here: ``first_absent`` fills it one
     block of words at a time and stops at the first block with a hole,
-    holding at most 512 KiB.
+    holding at most 512 KiB. Universes of more than ``DEFAULT_SIM_CAP``
+    elements are refused, as ``simulate`` refuses them.
     """
     device = build_set_splitting_device(inst.n)
-    timeline = simulate(device, cap=cap)
+    timeline = simulate(device)
     blocked = blocked_moments_full(inst)
     k = blocked.first_absent()
     if k is None:
@@ -124,10 +125,7 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
     the device, simulation, and moment machinery by construction.
     """
     n = inst.n
-    if n > cap:
-        raise EnumerationLimitError(
-            f"instance too large to enumerate: n={n} exceeds the oracle cap {cap}"
-        )
+    _check_enumerable(n, cap, "oracle")
     total, lo, block = 1 << n, 0, _ORACLE_FIRST_BLOCK
     while lo < total:
         masks = np.arange(lo, min(lo + block, total), dtype=np.int64)
@@ -142,13 +140,10 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
     return SplitAnswer(Decision.UNSOLVABLE, None, None, Method.ORACLE)
 
 
-def oracle_solution_masks(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> list[int]:
+def oracle_solution_masks(inst: SplitInstance) -> list[int]:
     """Every solution mask, by the same exhaustive containment scan."""
     n = inst.n
-    if n > cap:
-        raise EnumerationLimitError(
-            f"instance too large to enumerate: n={n} exceeds the oracle cap {cap}"
-        )
+    _check_enumerable(n, DEFAULT_ORACLE_CAP, "oracle")
     masks = np.arange(1 << n, dtype=np.int64)
     return np.flatnonzero(~_blocked_flags(inst.family, masks)).tolist()
 
@@ -156,13 +151,14 @@ def oracle_solution_masks(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP)
 def _half_chain(layers: tuple[ArcPair, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Distinct core delays of a sub-chain and the smallest mask reaching each.
 
-    The empty chain passes the pulse through once, at delay 0.
+    The empty chain passes the pulse through once, at delay 0. A chain
+    ``simulate`` refuses (more than ``DEFAULT_SIM_CAP`` layers) is refused
+    here too, before anything is allocated.
     """
     if not layers:
         zero = np.zeros(1, dtype=np.int64)
         return zero, zero
-    # The caller has applied the instance cap; a half never exceeds it.
-    timeline = simulate(DelayDevice(DeviceKind.SUBSET_SUM, layers), cap=len(layers))
+    timeline = simulate(DelayDevice(DeviceKind.SUBSET_SUM, layers))
     return timeline.cores, timeline.witnesses
 
 
@@ -177,13 +173,12 @@ def solve_subset_sum(inst: SubsetSumInstance, *, cap: int = DEFAULT_SIM_CAP) -> 
     full mask; its front partner's smallest mask fills the low bits. The
     result is the smallest witness the full timeline would report, found
     in Theta(2**(n/2)) time and memory. Instances with ``n > cap`` are
-    refused, as the full simulation refuses them.
+    refused, as the full simulation refuses them; a raised cap reaches
+    n = 56 at most, because each half is simulated and so refused past
+    ``DEFAULT_SIM_CAP`` layers.
     """
     n = inst.n
-    if n > cap:
-        raise EnumerationLimitError(
-            f"instance too large to enumerate: n={n} exceeds the simulation cap {cap}"
-        )
+    _check_enumerable(n, cap, "simulation")
     moment = ExactMoment(inst.target, n)
     device = build_subset_sum_device(inst)
     # Devices keep the sum of take delays below 2**63, so past this check
@@ -210,10 +205,7 @@ def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP)
     index holding the target is the smallest witness mask.
     """
     n = inst.n
-    if n > cap:
-        raise EnumerationLimitError(
-            f"instance too large to enumerate: n={n} exceeds the oracle cap {cap}"
-        )
+    _check_enumerable(n, cap, "oracle")
     sums = [0]
     for v in inst.values:
         sums += [s + v for s in sums]

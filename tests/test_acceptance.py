@@ -193,10 +193,6 @@ def test_criterion_5_simulation_invariants():
                 assert event.intensity == per_event
                 total = total + event.intensity
             assert total == DyadicIntensity.one()
-            chunked = simulate(device, partitions=min(4, 1 << n), workers=2)
-            assert chunked.cores.tobytes() == timeline.cores.tobytes()
-            assert chunked.counts.tobytes() == timeline.counts.tobytes()
-            assert chunked.witnesses.tobytes() == timeline.witnesses.tobytes()
         assert time.perf_counter() - start < 30
 
 

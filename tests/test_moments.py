@@ -155,6 +155,17 @@ class TestBlockedMoments:
                 literal = blocked_moments_literal(inst)
                 assert blocked_moments_full(inst) == literal | literal.reflect()
 
+    def test_sparse_refusals_name_the_bound_that_tripped(self, monkeypatch):
+        monkeypatch.setattr(moments, "SPARSE_ENUM_CAP", 8)
+        n, top = 29, (1 << 29) - 1
+        # each two-sided 27-element set adds 8 moments, within the cap; they
+        # share only 0 and top, so the fifth passes the union bound of 4 * 8
+        family = tuple(top ^ (0b11 << 2 * i) for i in range(10))
+        with pytest.raises(EnumerationLimitError, match=r"26 moments so far and 8 new ones exceed the union bound 32"):
+            blocked_moments_full(SplitInstance(n, family))
+        with pytest.raises(EnumerationLimitError, match=r"16 new moments exceed the cap 8"):
+            blocked_moments_full(SplitInstance(n, (top ^ 0b111,)))
+
 
 class TestChooseWatch:
     def test_small_blocked_side(self, demo4):
@@ -340,7 +351,11 @@ class TestMomentSetModel:
         n, top = inst.n, (1 << inst.n) - 1
         literal = set()
         for f in inst.family:
-            literal |= {f | s for s in model_subsets(top ^ f)}
+            supersets = {f | s for s in model_subsets(top ^ f)}
+            route, model = superset_moments(f, n), MomentSet.from_iterable(n, supersets)
+            assert route.to_list() == sorted(supersets)
+            assert route == model and hash(route) == hash(model)
+            literal |= supersets
         full = literal | {top - k for k in literal}
         assert blocked_moments_literal(inst).to_list() == sorted(literal)
         members = list(full)

@@ -271,55 +271,11 @@ class TestImplicitTimeline:
         assert analytic.is_analytic
 
 
-class TestPartitionedSimulation:
-    def test_equals_sequential(self):
-        rng = random.Random(5)
-        for n in range(1, 11):
-            values = tuple(rng.randint(1, 9) for _ in range(n))
-            device = build_subset_sum_device(SubsetSumInstance(values, 1))
-            sequential = simulate(device)
-            for partitions in (1, 2, min(8, 1 << n)):
-                for workers in (None, 3):
-                    chunked = simulate(device, partitions=partitions, workers=workers)
-                    assert chunked == sequential
-
-    def test_single_chunk_is_byte_identical_to_merged_chunks(self):
-        # every partition count runs the same single pass: the sums are
-        # coalesced by np.unique, or kept as enumerated when they come out
-        # distinct and in mask order, so the arrays must match byte for byte
-        rng = random.Random(6)
-        for n in range(1, 17):
-            values = tuple(rng.randint(1, 1 << rng.randint(1, 20)) for _ in range(n))
-            devices = [build_subset_sum_device(SubsetSumInstance(values, 1)), build_set_splitting_device(n)]
-            for device in devices:
-                single = simulate(device, partitions=1)
-                merged = simulate(device, partitions=min(4, 1 << n))
-                for a, b in [
-                    (single.cores, merged.cores),
-                    (single.counts, merged.counts),
-                    (single.witnesses, merged.witnesses),
-                ]:
-                    assert a.dtype == b.dtype
-                    assert a.tobytes() == b.tobytes()
-
-    def test_partition_validation(self):
-        device = build_set_splitting_device(3)
-        with pytest.raises(ValueError, match="power of two"):
-            simulate(device, partitions=3)
-        with pytest.raises(ValueError, match="exceeds"):
-            simulate(device, partitions=16)
-
-
 class TestSimulationCap:
     def test_rejects_large_instance(self):
         device = build_subset_sum_device(SubsetSumInstance(tuple([1] * 29), 5))
         with pytest.raises(EnumerationLimitError, match="too large to enumerate.*28"):
             simulate(device)
-
-    def test_raised_cap_warns(self):
-        device = build_set_splitting_device(3)
-        with pytest.warns(UserWarning, match="cap raised"):
-            simulate(device, cap=30)
 
 
 class TestDetectSubsetSum:

@@ -1,6 +1,7 @@
 """Decision procedures: optical pipeline vs brute-force oracles."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,19 @@ class TestSubsetSumSolvers:
     def test_cap(self):
         with pytest.raises(EnumerationLimitError, match="simulation cap"):
             solve_subset_sum(SubsetSumInstance(tuple([1] * 29), 1))
+
+    def test_raised_cap_refuses_oversize_halves_before_allocating(self):
+        # 57 values make a 29-layer front half, which simulate refuses
+        # before it allocates the 2**29-entry (4 GiB) buffer
+        inst = SubsetSumInstance(tuple([1] * 57), 5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="too large to enumerate.*28"):
+                solve_subset_sum(inst, cap=63)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_planted_n40_joins_halves_of_2_20_paths(self, monkeypatch):
         rng = random.Random(40)
