@@ -160,6 +160,8 @@ def _cmd_feasibility(args) -> int:
         light_speed=args.light_speed,
         epsilon_length=args.epsilon_length,
     )
+    # computed before anything is printed, so that an error leaves stdout empty
+    checks = published_figure_checks(params)
     if args.n is not None:
         _print_report(report(args.n, params))
     else:
@@ -170,9 +172,11 @@ def _cmd_feasibility(args) -> int:
         print(f"max_n: {n}")
         if n < 1:
             print("note: no instance fits beyond n=0")
+        elif n > MAX_UNIVERSE:
+            print(f"note: no report is given past n={MAX_UNIVERSE}")
         else:
             _print_report(report(n, params))
-    for check in published_figure_checks(params):
+    for check in checks:
         print("check " + check.describe())
     return 0
 

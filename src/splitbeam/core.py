@@ -102,16 +102,6 @@ def format_mask(mask: SubsetMask) -> str:
     return "{" + ",".join(str(i) for i in mask_to_indices(mask)) + "}"
 
 
-def iter_submasks(mask: SubsetMask) -> Iterator[SubsetMask]:
-    """All submasks of ``mask`` (including 0 and mask itself), ascending."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 @dataclass(frozen=True)
 class SplitInstance:
     """A set-splitting problem: universe of ``n`` elements and a family of subsets.

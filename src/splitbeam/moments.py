@@ -18,23 +18,23 @@ Two variants of the blocked set are deliberately shipped:
   the two differ precisely on moments whose complement (but not the
   subset itself) contains a family set.
 
-A ``MomentSet``'s form follows the universe size n alone: for n <= 28 it
-is a packed bitset of 2**(n-6) little-endian uint64 words (32 MiB at
-n = 28) whatever its size, above that a sorted tuple of its members. Both
-blocked sets and the superset moments are word patterns: each family set
-contributes one 64-bit in-word pattern for a strided slice of the words
-(see ``_packed_union``). One kernel, ``_or_block``, ORs the patterns
-into any aligned block of words. A set made from patterns builds its
-words on first use, with one call over the whole array, except for
-``first_absent`` and ``covers_all``, which build one block at a time in a
-reused buffer and stop at the first block with a clear bit, and ``in``,
-which builds the one word it reads. So a decision whose first solution
-lies early never builds the set.
+A ``MomentSet`` is a packed bitset of 2**(n-6) little-endian uint64 words
+(32 MiB at n = 28) whatever its size. A universe of more than
+``BITSET_MAX_N`` = 28 elements is refused with ``EnumerationLimitError``
+before anything is read or allocated. Both blocked sets and the superset
+moments are word patterns: each family set contributes one 64-bit
+in-word pattern for a strided slice of the words (see ``_packed_union``).
+One kernel, ``_or_block``, ORs the patterns into any aligned block of
+words. A set made from patterns builds its words on first use, with one
+call over the whole array, except for ``first_absent`` and
+``covers_all``, which build one block at a time in a reused buffer and
+stop at the first block with a clear bit, and ``in``, which builds the
+one word it reads. So a decision whose first solution lies early never
+builds the set.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -43,20 +43,16 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import (
-    EnumerationLimitError,
     SplitInstance,
     SubsetMask,
+    _check_enumerable,
     _check_universe,
-    complement,
-    iter_submasks,
     splits_family,
 )
 
-# A packed bitset is used while it stays affordable (n <= 28 means at most
-# 32 MiB); beyond that only the sorted sparse representation is possible,
-# and enumeration is capped.
+# The largest universe a moment set is built for: at n = 28 the packed
+# bitset takes 32 MiB, and a larger one is refused.
 BITSET_MAX_N = 28
-SPARSE_ENUM_CAP = 1 << 24
 
 # Bit j of word w is moment 64*w + j; little-endian words make the byte
 # view of the array the same little-endian bitset on every host.
@@ -80,21 +76,19 @@ _BLOCK_WORDS = 1 << 16
 class MomentSet:
     """An immutable set of integer moments in [0, 2**n).
 
-    The representation follows n alone: for n <= BITSET_MAX_N the set is a
-    read-only array of max(2**(n-6), 1) little-endian uint64 words, bit j
-    of word w standing for moment 64*w + j, costing 2**n/8 bytes whatever
-    its size; for n < 6 the single word keeps every bit past 2**n clear.
-    Above BITSET_MAX_N it is a sorted tuple of its members, the only form
-    affordable there.
+    The set is a read-only array of max(2**(n-6), 1) little-endian uint64
+    words, bit j of word w standing for moment 64*w + j, costing 2**n/8
+    bytes whatever its size; for n < 6 the single word keeps every bit past
+    2**n clear. n > BITSET_MAX_N is refused with ``EnumerationLimitError``.
 
-    A packed set given as word patterns (the blocked sets and superset
+    A set given as word patterns (the blocked sets and superset
     moments) builds its words on first use and keeps them.
     ``first_absent`` and ``covers_all`` do not build them: they OR the
     patterns into one block of words at a time and stop at the first
     block with a clear bit. ``in`` ORs only the word it reads.
     """
 
-    __slots__ = ("n", "_packed", "_patterns", "_members")
+    __slots__ = ("n", "_packed", "_patterns")
 
     def __init__(
         self,
@@ -102,15 +96,13 @@ class MomentSet:
         *,
         _words: np.ndarray | None = None,
         _patterns: dict[tuple[int, int], int] | None = None,
-        _members: tuple[int, ...] | None = None,
     ):
-        _check_universe(n)
+        _check_packable(n)
         self.n = n
         if _words is not None:
             _words.setflags(write=False)
         self._packed = _words
         self._patterns = _patterns
-        self._members = _members
 
     @property
     def _words(self) -> np.ndarray:
@@ -134,35 +126,26 @@ class MomentSet:
 
     @classmethod
     def from_iterable(cls, n: int, moments: Iterable[int]) -> "MomentSet":
-        _check_universe(n)
+        _check_packable(n)
         members = sorted(set(moments))
         if members and (members[0] < 0 or members[-1] >= (1 << n)):
             raise ValueError(f"moments must lie in [0, 2**{n})")
-        if n > BITSET_MAX_N:
-            return cls(n, _members=tuple(members))
         words = _empty_words(n)
         ks = np.array(members, dtype=np.uint64)
         np.bitwise_or.at(words, ks >> 6, np.uint64(1) << (ks & 63))
         return cls(n, _words=words)
 
     def __len__(self) -> int:
-        if self.n <= BITSET_MAX_N:
-            return int(np.bitwise_count(self._words).sum())
-        return len(self._members)
+        return int(np.bitwise_count(self._words).sum())
 
     def __contains__(self, k: int) -> bool:
         if not 0 <= k < (1 << self.n):
             return False
-        if self.n <= BITSET_MAX_N:
-            word = self._block(k >> 6, 1, np.empty(1, dtype=_WORD)).item(0)
-            return word >> (k & 63) & 1 == 1
-        return _tuple_contains(self._members, k)
+        word = self._block(k >> 6, 1, np.empty(1, dtype=_WORD)).item(0)
+        return word >> (k & 63) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        if self.n <= BITSET_MAX_N:
-            yield from _bit_positions(self._words)
-        else:
-            yield from self._members
+        yield from _bit_positions(self._words)
 
     def to_list(self) -> list[int]:
         return list(self)
@@ -172,27 +155,14 @@ class MomentSet:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("cannot union moment sets over different universes")
-        if self.n <= BITSET_MAX_N:
-            return MomentSet(self.n, _words=self._words | other._words)
-        return MomentSet.from_iterable(self.n, self._members + other._members)
+        return MomentSet(self.n, _words=self._words | other._words)
 
     def complement_set(self) -> "MomentSet":
         """Moments of [0, 2**n) not in this set."""
-        total = 1 << self.n
-        if self.n <= BITSET_MAX_N:
-            return MomentSet(self.n, _words=self._words ^ _full_word(self.n))
-        missing = total - len(self._members)
-        if missing > SPARSE_ENUM_CAP:
-            raise EnumerationLimitError(
-                f"complement too large to enumerate: {missing} moments exceed the cap {SPARSE_ENUM_CAP}"
-            )
-        return MomentSet.from_iterable(self.n, _gaps(self._members, total))
+        return MomentSet(self.n, _words=self._words ^ _full_word(self.n))
 
     def reflect(self) -> "MomentSet":
         """The set {2**n - 1 - k} of complement-side images."""
-        if self.n > BITSET_MAX_N:
-            top = (1 << self.n) - 1
-            return MomentSet.from_iterable(self.n, (top - k for k in self))
         # 2**n - 1 - (64*w + j) = 64*(last - w) + (63 - j): reverse the word
         # order and the bits of each word, which is reversing the byte order
         # and the bits of each byte
@@ -212,51 +182,44 @@ class MomentSet:
     def first_absent(self) -> int | None:
         """Smallest moment of [0, 2**n) not in the set, or None if it covers all.
 
-        A packed set is scanned block by block (``_scan_blocks``) up to the
+        The set is scanned block by block (``_scan_blocks``) up to the
         first block with a clear bit. Words not built yet are ORed from the
         patterns one block at a time into a single reused buffer, so the
         scan holds at most 512 KiB and never builds the set.
         """
-        if self.n <= BITSET_MAX_N:
-            full = _full_word(self.n)
-            buffer = None
-            if self._packed is None:
-                buffer = np.empty(min(1 << max(self.n - 6, 0), _BLOCK_WORDS), dtype=_WORD)
-            for lo, size in _scan_blocks(self.n):
-                block = self._block(lo, size, buffer)
-                w = int((block != np.uint64(full)).argmax())
-                word = block.item(w)
-                if word != full:
-                    # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
-                    return 64 * (lo + w) + (word ^ (word + 1)).bit_length() - 1
-            return None
-        expected = 0
-        for k in self._members:
-            if k != expected:
-                return expected
-            expected += 1
-        return expected if expected < (1 << self.n) else None
+        full = _full_word(self.n)
+        buffer = None
+        if self._packed is None:
+            buffer = np.empty(min(1 << max(self.n - 6, 0), _BLOCK_WORDS), dtype=_WORD)
+        for lo, size in _scan_blocks(self.n):
+            block = self._block(lo, size, buffer)
+            w = int((block != np.uint64(full)).argmax())
+            word = block.item(w)
+            if word != full:
+                # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
+                return 64 * (lo + w) + (word ^ (word + 1)).bit_length() - 1
+        return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MomentSet):
             return NotImplemented
-        # n fixes the representation and each form is canonical, so equal
-        # contents always have identical fields
-        if self.n != other.n:
-            return False
-        if self.n <= BITSET_MAX_N:
-            return np.array_equal(self._words, other._words)
-        return self._members == other._members
+        # the word array of n is canonical, so equal contents have equal words
+        return self.n == other.n and np.array_equal(self._words, other._words)
 
     def __hash__(self) -> int:
-        if self.n <= BITSET_MAX_N:
-            return hash((self.n, self._words.tobytes()))
-        return hash((self.n, self._members))
+        return hash((self.n, self._words.tobytes()))
 
     def __repr__(self) -> str:
         shown = ",".join(str(k) for k in islice(self, 16))
         suffix = ",..." if len(self) > 16 else ""
         return f"MomentSet(n={self.n}, size={len(self)}, {{{shown}{suffix}}})"
+
+
+def _check_packable(n: int) -> None:
+    # every route to a MomentSet passes here before it reads its input or
+    # allocates: words, patterns or members
+    _check_universe(n)
+    _check_enumerable(n, BITSET_MAX_N, "moment set")
 
 
 def _empty_words(n: int) -> np.ndarray:
@@ -291,23 +254,6 @@ def _bit_positions(words: np.ndarray) -> Iterator[int]:
             at = nonzero[i : i + _DECODE_BYTES] + lo
             flags = np.unpackbits(packed[at, None], axis=1, bitorder="little")
             yield from (at[:, None] * 8 + bit)[flags == 1].tolist()
-
-
-def _tuple_contains(members: tuple[int, ...], k: int) -> bool:
-    i = bisect_left(members, k)
-    return i < len(members) and members[i] == k
-
-
-def _gaps(members: tuple[int, ...], total: int) -> Iterator[int]:
-    expected = 0
-    for k in members:
-        while expected < k:
-            yield expected
-            expected += 1
-        expected = k + 1
-    while expected < total:
-        yield expected
-        expected += 1
 
 
 class WatchPolarity(Enum):
@@ -365,6 +311,7 @@ def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> M
     in-word moments containing (missing) f_lo. The pattern is keyed
     (f_hi, 1) for the containing words and (f_hi, 0) for the missing ones.
     """
+    _check_packable(n)
     low = (1 << min(n, 6)) - 1
     # one pattern per slice: family sets sharing f_hi (all of them for
     # n <= 6) share their slices, so each slice takes a single OR
@@ -424,7 +371,7 @@ def superset_moments(f: SubsetMask, n: int) -> MomentSet:
         raise ValueError("family sets must be nonempty: every moment is a superset of the empty set")
     if not 0 < f < (1 << n):
         raise ValueError(f"mask {f} out of range for universe size {n}")
-    return _blocked_moments(SplitInstance(n, (f,)), two_sided=False)
+    return _packed_union(n, (f,), two_sided=False)
 
 
 def blocked_moments_literal(inst: SplitInstance) -> MomentSet:
@@ -435,7 +382,7 @@ def blocked_moments_literal(inst: SplitInstance) -> MomentSet:
     exact reproduction of the one-sided construction; decisions should use
     :func:`blocked_moments_full`.
     """
-    return _blocked_moments(inst, two_sided=False)
+    return _packed_union(inst.n, inst.family, two_sided=False)
 
 
 def blocked_moments_full(inst: SplitInstance) -> MomentSet:
@@ -445,36 +392,7 @@ def blocked_moments_full(inst: SplitInstance) -> MomentSet:
     because the complement of the subset decoding k is the subset decoding
     the reflected moment.
     """
-    return _blocked_moments(inst, two_sided=True)
-
-
-def _blocked_moments(inst: SplitInstance, *, two_sided: bool) -> MomentSet:
-    if inst.n > BITSET_MAX_N:
-        return _sparse_union(inst, two_sided=two_sided)
-    return _packed_union(inst.n, inst.family, two_sided=two_sided)
-
-
-def _sparse_union(inst: SplitInstance, *, two_sided: bool) -> MomentSet:
-    # each family set may add SPARSE_ENUM_CAP moments, the union four times that
-    cap, bound = SPARSE_ENUM_CAP, 4 * SPARSE_ENUM_CAP
-    members: set[int] = set()
-    for f in inst.family:
-        free = complement(f, inst.n)
-        count = (2 if two_sided else 1) << (inst.n - f.bit_count())
-        if count > cap:
-            raise EnumerationLimitError(
-                f"blocked moments too large to enumerate: {count} new moments exceed the cap {cap}"
-            )
-        if len(members) + count > bound:
-            raise EnumerationLimitError(
-                f"blocked moments too large to enumerate: {len(members)} moments so far "
-                f"and {count} new ones exceed the union bound {bound}"
-            )
-        for s in iter_submasks(free):
-            members.add(f | s)
-            if two_sided:
-                members.add(s)
-    return MomentSet.from_iterable(inst.n, members)
+    return _packed_union(inst.n, inst.family, two_sided=True)
 
 
 def choose_watch(blocked: MomentSet) -> WatchStrategy:

@@ -67,6 +67,15 @@ class TestMomentsCommand:
         assert main(["moments", str(path)]) == 0
         assert capsys.readouterr().out == "full:\n"
 
+    @pytest.mark.parametrize("n", [29, 40])
+    @pytest.mark.parametrize("variant", [[], ["--literal"]])
+    def test_universe_past_the_bitset_is_refused(self, tmp_path, capsys, n, variant):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"n {n}\n")
+        assert main(["moments", str(path), *variant]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: instance too large to enumerate: n={n} exceeds the moment set cap 28\n"
 
     def test_large_set_is_written_without_holding_the_line(self, tmp_path, monkeypatch):
         # {1..5} at n = 22 blocks the 2**18 moments whose low five bits are
@@ -258,6 +267,23 @@ class TestFeasibilityCommand:
         assert "max_n: 0" in out
         assert "no instance fits" in out
 
+    @pytest.mark.parametrize("args, max_n", [(["--max-cable", "1e300"], 1009), (["--total-time", "1e300"], 1036)])
+    def test_budget_past_the_largest_universe(self, capsys, args, max_n):
+        assert main(["feasibility", *args]) == 0
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert out[:2] == [f"max_n: {max_n}", "note: no report is given past n=63"]
+        assert len(out) == 7 and all(line.startswith("check ") for line in out[2:])
+        assert captured.err == ""
+
+    def test_minimum_cable_longer_than_300_km(self, capsys):
+        # the 300 km figure check fits no instance instead of failing after
+        # the report was printed
+        assert main(["feasibility", "--n", "3", "--rise-time", "1", "--light-speed", "1e6"]) == 0
+        captured = capsys.readouterr()
+        assert "check instance size with 300 km cables: computed=0.0 published=26.0 DIFFERS" in captured.out
+        assert captured.err == ""
+
     def test_requires_exactly_one_mode(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["feasibility", "--n", "3", "--total-time", "1"])
@@ -328,8 +354,9 @@ class TestGenCommand:
 
 # Numbers an instance line may carry: small universes and indices, and
 # tokens that are out of range, huge, or not integers. Universes stay at
-# most 15 and value lists at most 12 long, so that no command lists or
-# scans more than 2**15 moments or paths.
+# most 15 or lie in 29-63, which every command refuses before allocating,
+# and value lists stay at most 12 long, so that no command lists or scans
+# more than 2**15 moments or paths.
 _NUMBER_TOKENS = st.one_of(
     st.integers(-2, 15).map(str),
     st.sampled_from(
@@ -348,7 +375,7 @@ def instance_bytes(draw):
         target = draw(st.integers(1, sum(values) + 1))
         lines = ["values " + " ".join(map(str, values)), f"target {target}"]
     else:
-        n = draw(st.integers(1, 12))
+        n = draw(st.one_of(st.integers(1, 12), st.integers(29, 63)))
         family = draw(st.lists(st.sets(st.integers(1, n), min_size=1, max_size=4), max_size=6))
         lines = [f"n {n}"] + ["f " + " ".join(map(str, sorted(f))) for f in family]
     if draw(st.integers(0, 3)) == 0:
@@ -359,6 +386,29 @@ def instance_bytes(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(bad_line))
     text = draw(st.sampled_from(["\n", "\r\n", "\n\n# comment\n"])).join(lines)
     return text.encode("utf-8") + draw(st.sampled_from([b"", b"", b"\n", b"\xff", b"\xc3", b"\x00"]))
+
+
+# Values for the float options: ints, zero, negatives, the ends of the
+# float range and the non-finite values. --n takes ints only: anything else
+# is an argparse usage error.
+_FLOAT_TOKENS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["0", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "5e-324", "inf", "-inf", "nan"]),
+)
+_INT_TOKENS = st.one_of(st.integers(-70, 70), st.sampled_from([10**30, -(10**30)])).map(str)
+
+
+@st.composite
+def feasibility_argv(draw):
+    """Exactly one of --n, --total-time and --max-cable, and any of the
+    physical parameters; ``--opt=value`` keeps negative values from
+    reading as options."""
+    mode = draw(st.sampled_from(["n", "total-time", "max-cable"]))
+    argv = ["feasibility", f"--{mode}={draw(_INT_TOKENS if mode == 'n' else _FLOAT_TOKENS)}"]
+    for name in ("rise-time", "light-speed", "epsilon-length"):
+        if draw(st.booleans()):
+            argv.append(f"--{name}={draw(_FLOAT_TOKENS)}")
+    return argv
 
 
 class TestExitCodeContract:
@@ -409,11 +459,30 @@ class TestExitCodeContract:
             else:
                 assert captured.err == ""
             codes.append(code)
-        # every universe drawn here is small enough for both routes, so
-        # input errors are the only refusals and the routes agree
+        # every universe drawn here is small enough for both routes or
+        # refused by all of them, so the routes agree
         optical, oracle, moments, simulate, simulate_subset_sum, trace = codes
         assert optical == oracle
         assert (moments == 2) == (simulate == 2) == (trace == 2) == (optical == 2)
         assert simulate in (0, 2) and simulate_subset_sum in (0, 2)
         # no text is both a set-splitting and a subset-sum instance
         assert optical == 2 or simulate_subset_sum == 2
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(feasibility_argv())
+    def test_fuzzed_feasibility(self, capsys, argv):
+        # an exception escaping main would be the traceback
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+        else:
+            assert captured.err == ""
+

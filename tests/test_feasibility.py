@@ -177,3 +177,10 @@ class TestPublishedFigures:
         lines = [c.describe() for c in published_figure_checks()]
         assert sum("DIFFERS" in line for line in lines) == 3
         assert sum(line.endswith("agrees") for line in lines) == 2
+
+    def test_minimum_cable_past_300_km_fits_nothing(self):
+        # 1 s at 1e6 m/s is a 1000 km minimum cable: 300 km builds no layer
+        params = PhysicalParams(rise_time=1.0, light_speed=1e6)
+        checks = {c.label: c for c in published_figure_checks(params)}
+        assert checks["instance size with 300 km cables"].computed == 0.0
+        assert checks["instance size solvable in one second"].computed == 0.0

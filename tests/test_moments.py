@@ -105,11 +105,11 @@ class TestSupersetMoments:
                 assert len(superset_moments(f, n)) == 1 << (n - f.bit_count())
 
     def test_sparse_universe_path(self):
-        # n above the bitset limit exercises the sorted-tuple representation
+        # n above the bitset limit is refused even for a set of 8 moments
         n = 40
         f = (1 << n) - 1 - 0b111  # 37 of 40 elements
-        ms = superset_moments(f, n)
-        assert ms.to_list() == [f | s for s in range(8)]
+        with pytest.raises(EnumerationLimitError, match="n=40 exceeds the moment set cap 28"):
+            superset_moments(f, n)
 
     def test_sparse_universe_cap(self):
         with pytest.raises(EnumerationLimitError, match="too large"):
@@ -154,17 +154,6 @@ class TestBlockedMoments:
                 inst = random_instance(rng, n)
                 literal = blocked_moments_literal(inst)
                 assert blocked_moments_full(inst) == literal | literal.reflect()
-
-    def test_sparse_refusals_name_the_bound_that_tripped(self, monkeypatch):
-        monkeypatch.setattr(moments, "SPARSE_ENUM_CAP", 8)
-        n, top = 29, (1 << 29) - 1
-        # each two-sided 27-element set adds 8 moments, within the cap; they
-        # share only 0 and top, so the fifth passes the union bound of 4 * 8
-        family = tuple(top ^ (0b11 << 2 * i) for i in range(10))
-        with pytest.raises(EnumerationLimitError, match=r"26 moments so far and 8 new ones exceed the union bound 32"):
-            blocked_moments_full(SplitInstance(n, family))
-        with pytest.raises(EnumerationLimitError, match=r"16 new moments exceed the cap 8"):
-            blocked_moments_full(SplitInstance(n, (top ^ 0b111,)))
 
 
 class TestChooseWatch:
@@ -250,7 +239,9 @@ class TestMomentSet:
         self.check_small_and_large_contents(10, list(range(0, 1 << 10, 2)))
 
     def test_small_and_large_contents_huge_universe(self):
-        self.check_small_and_large_contents(40, list(range(0, 1 << 13, 2)))
+        for members in ([7, 5, 1, 5], range(0, 1 << 13, 2)):
+            with pytest.raises(EnumerationLimitError, match="moment set cap 28"):
+                MomentSet.from_iterable(40, members)
 
     def test_union_across_representations(self):
         a = MomentSet.from_iterable(8, range(0, 256, 2))
@@ -268,8 +259,9 @@ class TestMomentSet:
         assert ms.complement_set().to_list() == [1, 3, 5, 7]
 
     def test_complement_cap_on_huge_universe(self):
+        # refused at construction, so there is nothing to complement
         with pytest.raises(EnumerationLimitError):
-            MomentSet.from_iterable(40, [7]).complement_set()
+            MomentSet.from_iterable(40, [7])
 
     def test_reflect(self):
         ms = MomentSet.from_iterable(4, [3, 5])
@@ -280,7 +272,8 @@ class TestMomentSet:
         assert MomentSet.from_iterable(2, [0, 1, 2, 3]).covers_all()
         assert MomentSet.from_iterable(2, [0, 1]).first_absent() == 2
         assert MomentSet.from_iterable(2, [1, 2]).first_absent() == 0
-        assert MomentSet.from_iterable(40, [0, 1]).first_absent() == 2
+        with pytest.raises(EnumerationLimitError):
+            MomentSet.from_iterable(40, [0, 1])
 
     def test_rejects_out_of_range_members(self):
         with pytest.raises(ValueError):
@@ -299,33 +292,26 @@ def model_subsets(mask):
     return {sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r)}
 
 
-# Bitset universes and tuple universes; above 28 only small sets are affordable.
-universes = st.one_of(st.integers(1, 12), st.integers(29, 40))
-
-
 @st.composite
-def universe_and_sets(draw):
+def universe_and_sets(draw, universes=st.integers(1, 12)):
     n = draw(universes)
     members = st.sets(st.integers(0, (1 << n) - 1), max_size=40)
     return n, draw(members), draw(members)
 
 
 @st.composite
-def instance_with_few_free(draw):
-    # at most 4 free elements per set above 28 keeps every family set
-    # within the sparse enumeration cap
+def instance_from_free_sets(draw, universes=st.integers(1, 12)):
     n = draw(universes)
     top = (1 << n) - 1
-    free_max = n - 1 if n <= 12 else 4
     free_sets = draw(
-        st.lists(st.sets(st.integers(0, n - 1), max_size=free_max), max_size=4)
+        st.lists(st.sets(st.integers(0, n - 1), max_size=n - 1), max_size=4)
     )
     family = tuple(top ^ sum(1 << p for p in free) for free in free_sets)
     return SplitInstance(n, family)
 
 
 class TestMomentSetModel:
-    """MomentSet against a Python set, on both representations."""
+    """MomentSet against a Python set, and its refusal past the bitset."""
 
     @settings(max_examples=200, deadline=None)
     @given(universe_and_sets())
@@ -342,11 +328,10 @@ class TestMomentSetModel:
         gap = next(k for k in range(len(a) + 1) if k not in a)
         assert ma.first_absent() == (gap if gap <= top else None)
         assert ma.covers_all() == (len(a) == 1 << n)
-        if n <= 28:
-            assert ma.complement_set().to_list() == sorted(set(range(1 << n)) - a)
+        assert ma.complement_set().to_list() == sorted(set(range(1 << n)) - a)
 
     @settings(max_examples=200, deadline=None)
-    @given(instance_with_few_free(), st.randoms(use_true_random=False))
+    @given(instance_from_free_sets(), st.randoms(use_true_random=False))
     def test_equal_contents_by_every_route_compare_and_hash_equal(self, inst, rng):
         n, top = inst.n, (1 << inst.n) - 1
         literal = set()
@@ -365,13 +350,60 @@ class TestMomentSetModel:
             MomentSet.from_iterable(n, members + members[:cut]),
             MomentSet.from_iterable(n, members[:cut]) | MomentSet.from_iterable(n, members[cut:]),
             blocked_moments_full(inst),
+            MomentSet.from_iterable(n, members).complement_set().complement_set(),
         ]
-        if n <= 28:
-            routes.append(MomentSet.from_iterable(n, members).complement_set().complement_set())
         for route in routes:
             assert route.to_list() == sorted(full)
             assert route == routes[0]
             assert hash(route) == hash(routes[0])
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        universe_and_sets(st.integers(29, 63)),
+        instance_from_free_sets(st.integers(29, 63)),
+    )
+    def test_every_route_refuses_universes_past_the_bitset(self, case, inst):
+        n, a, _ = case
+        routes = [lambda: MomentSet.from_iterable(n, a)]
+        routes += [lambda f=f: superset_moments(f, inst.n) for f in inst.family]
+        routes += [lambda: blocked_moments_literal(inst), lambda: blocked_moments_full(inst)]
+        for route in routes:
+            with pytest.raises(EnumerationLimitError, match="exceeds the moment set cap 28"):
+                route()
+
+
+class TestRefusalPastTheBitset:
+    """Past n = 28 every route to a moment set is refused before it reads
+    its input or allocates anything."""
+
+    @pytest.mark.parametrize("n", [29, 63])
+    @pytest.mark.parametrize("route", ["from_iterable", "superset", "literal", "full"])
+    def test_refused_before_allocating(self, n, route):
+        # reading the 2**20 moments would take tens of MiB
+        inst = SplitInstance(n, (0b1, 0b110))
+        build = {
+            "from_iterable": lambda: MomentSet.from_iterable(n, range(1 << 20)),
+            "superset": lambda: superset_moments(0b1, n),
+            "literal": lambda: blocked_moments_literal(inst),
+            "full": lambda: blocked_moments_full(inst),
+        }[route]
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match=f"n={n} exceeds the moment set cap 28"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_from_iterable_reads_no_moment(self):
+        def unreadable():
+            raise AssertionError("a moment was read")
+            yield
+
+        with pytest.raises(EnumerationLimitError):
+            MomentSet.from_iterable(29, unreadable())
 
 
 class TestPackedBuildMemory:
