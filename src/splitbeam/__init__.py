@@ -48,11 +48,8 @@ from .feasibility import (
 )
 from .moments import (
     MomentSet,
-    WatchPolarity,
-    WatchStrategy,
     blocked_moments_full,
     blocked_moments_literal,
-    choose_watch,
     decode_moment,
     encode_moment,
     is_solution_moment,
@@ -110,13 +107,10 @@ __all__ = [
     "SubsetSumDetection",
     "SubsetSumInstance",
     "Trace",
-    "WatchPolarity",
-    "WatchStrategy",
     "blocked_moments_full",
     "blocked_moments_literal",
     "build_set_splitting_device",
     "build_subset_sum_device",
-    "choose_watch",
     "complement",
     "decode_moment",
     "detect_subset_sum",

@@ -21,22 +21,19 @@ Two variants of the blocked set are deliberately shipped:
 A ``MomentSet`` is a packed bitset of 2**(n-6) little-endian uint64 words
 (32 MiB at n = 28) whatever its size. A universe of more than
 ``BITSET_MAX_N`` = 28 elements is refused with ``EnumerationLimitError``
-before anything is read or allocated. Both blocked sets and the superset
-moments are word patterns: each family set contributes one 64-bit
-in-word pattern for a strided slice of the words (see ``_packed_union``).
-One kernel, ``_or_block``, ORs the patterns into any aligned block of
-words. A set made from patterns builds its words on first use, with one
-call over the whole array, except for ``first_absent`` and
-``covers_all``, which build one block at a time in a reused buffer and
-stop at the first block with a clear bit, and ``in``, which builds the
-one word it reads. So a decision whose first solution lies early never
-builds the set.
+before anything is read or allocated. Every set is made from word
+patterns, by ``_packed_union``: each family set contributes one 64-bit
+in-word pattern for a strided slice of the words. One kernel,
+``_or_block``, ORs the patterns into any aligned block of words. A set
+builds its words on first use, with one call over the whole array,
+except for ``first_absent`` and ``covers_all``, which build one block at
+a time in a reused buffer and stop at the first block with a clear bit,
+and ``in``, which builds the one word it reads. So a decision whose
+first solution lies early never builds the set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -81,8 +78,9 @@ class MomentSet:
     bytes whatever its size; for n < 6 the single word keeps every bit past
     2**n clear. n > BITSET_MAX_N is refused with ``EnumerationLimitError``.
 
-    A set given as word patterns (the blocked sets and superset
-    moments) builds its words on first use and keeps them.
+    Sets are built from word patterns only (the blocked sets and the
+    superset moments, see ``_packed_union``); a set builds its words on
+    first use and keeps them.
     ``first_absent`` and ``covers_all`` do not build them: they OR the
     patterns into one block of words at a time and stop at the first
     block with a clear bit. ``in`` ORs only the word it reads.
@@ -90,18 +88,9 @@ class MomentSet:
 
     __slots__ = ("n", "_packed", "_patterns")
 
-    def __init__(
-        self,
-        n: int,
-        *,
-        _words: np.ndarray | None = None,
-        _patterns: dict[tuple[int, int], int] | None = None,
-    ):
-        _check_packable(n)
+    def __init__(self, n: int, *, _patterns: dict[tuple[int, int], int]):
         self.n = n
-        if _words is not None:
-            _words.setflags(write=False)
-        self._packed = _words
+        self._packed = None
         self._patterns = _patterns
 
     @property
@@ -124,17 +113,6 @@ class MomentSet:
         _or_block(self._patterns, lo, out)
         return out
 
-    @classmethod
-    def from_iterable(cls, n: int, moments: Iterable[int]) -> "MomentSet":
-        _check_packable(n)
-        members = sorted(set(moments))
-        if members and (members[0] < 0 or members[-1] >= (1 << n)):
-            raise ValueError(f"moments must lie in [0, 2**{n})")
-        words = _empty_words(n)
-        ks = np.array(members, dtype=np.uint64)
-        np.bitwise_or.at(words, ks >> 6, np.uint64(1) << (ks & 63))
-        return cls(n, _words=words)
-
     def __len__(self) -> int:
         return int(np.bitwise_count(self._words).sum())
 
@@ -149,32 +127,6 @@ class MomentSet:
 
     def to_list(self) -> list[int]:
         return list(self)
-
-    def __or__(self, other: "MomentSet") -> "MomentSet":
-        if not isinstance(other, MomentSet):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("cannot union moment sets over different universes")
-        return MomentSet(self.n, _words=self._words | other._words)
-
-    def complement_set(self) -> "MomentSet":
-        """Moments of [0, 2**n) not in this set."""
-        return MomentSet(self.n, _words=self._words ^ _full_word(self.n))
-
-    def reflect(self) -> "MomentSet":
-        """The set {2**n - 1 - k} of complement-side images."""
-        # 2**n - 1 - (64*w + j) = 64*(last - w) + (63 - j): reverse the word
-        # order and the bits of each word, which is reversing the byte order
-        # and the bits of each byte
-        byte_reversed = np.packbits(
-            np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"),
-            axis=1,
-        ).ravel()
-        words = byte_reversed[self._words.view(np.uint8)[::-1]].view(_WORD)
-        if self.n < 6:
-            # a lone word held moments in bits [0, 2**n), now in [64 - 2**n, 64)
-            words >>= np.uint64(64 - (1 << self.n))
-        return MomentSet(self.n, _words=words)
 
     def covers_all(self) -> bool:
         return self.first_absent() is None
@@ -206,9 +158,6 @@ class MomentSet:
         # the word array of n is canonical, so equal contents have equal words
         return self.n == other.n and np.array_equal(self._words, other._words)
 
-    def __hash__(self) -> int:
-        return hash((self.n, self._words.tobytes()))
-
     def __repr__(self) -> str:
         shown = ",".join(str(k) for k in islice(self, 16))
         suffix = ",..." if len(self) > 16 else ""
@@ -216,8 +165,8 @@ class MomentSet:
 
 
 def _check_packable(n: int) -> None:
-    # every route to a MomentSet passes here before it reads its input or
-    # allocates: words, patterns or members
+    # _packed_union, the one route to a MomentSet, passes here before it
+    # reads the family or allocates
     _check_universe(n)
     _check_enumerable(n, BITSET_MAX_N, "moment set")
 
@@ -254,19 +203,6 @@ def _bit_positions(words: np.ndarray) -> Iterator[int]:
             at = nonzero[i : i + _DECODE_BYTES] + lo
             flags = np.unpackbits(packed[at, None], axis=1, bitorder="little")
             yield from (at[:, None] * 8 + bit)[flags == 1].tolist()
-
-
-class WatchPolarity(Enum):
-    WATCH_BLOCKED = "blocked"
-    WATCH_SOLUTIONS = "solutions"
-
-
-@dataclass(frozen=True)
-class WatchStrategy:
-    """The smaller moment list to monitor at the destination, with its meaning."""
-
-    moments: MomentSet
-    polarity: WatchPolarity
 
 
 def decode_moment(k: int, n: int) -> SubsetMask:
@@ -393,20 +329,6 @@ def blocked_moments_full(inst: SplitInstance) -> MomentSet:
     the reflected moment.
     """
     return _packed_union(inst.n, inst.family, two_sided=True)
-
-
-def choose_watch(blocked: MomentSet) -> WatchStrategy:
-    """Pick the smaller side to monitor.
-
-    If fewer than half of all moments are blocked, watch those (an arrival
-    there is a non-solution); otherwise watch the complement, where any
-    arrival is a solution. Either way the watched list never exceeds
-    2**(n-1) moments.
-    """
-    half = 1 << (blocked.n - 1)
-    if len(blocked) < half:
-        return WatchStrategy(blocked, WatchPolarity.WATCH_BLOCKED)
-    return WatchStrategy(blocked.complement_set(), WatchPolarity.WATCH_SOLUTIONS)
 
 
 def is_solution_moment(k: int, inst: SplitInstance) -> bool:

@@ -1,4 +1,4 @@
-"""Moment decoding, superset enumeration, blocked sets, watch strategy."""
+"""Moment decoding, superset enumeration, blocked sets, the packed moment set."""
 
 import itertools
 import random
@@ -12,12 +12,9 @@ from hypothesis import strategies as st
 
 from splitbeam import (
     EnumerationLimitError,
-    MomentSet,
     SplitInstance,
-    WatchPolarity,
     blocked_moments_full,
     blocked_moments_literal,
-    choose_watch,
     complement,
     decode_moment,
     encode_moment,
@@ -152,39 +149,9 @@ class TestBlockedMoments:
         for n in range(1, 13):
             for _ in range(10):
                 inst = random_instance(rng, n)
-                literal = blocked_moments_literal(inst)
-                assert blocked_moments_full(inst) == literal | literal.reflect()
-
-
-class TestChooseWatch:
-    def test_small_blocked_side(self, demo4):
-        blocked = blocked_moments_literal(demo4)  # 6 < 2**3
-        strategy = choose_watch(blocked)
-        assert strategy.polarity is WatchPolarity.WATCH_BLOCKED
-        assert strategy.moments == blocked
-
-    def test_empty_blocked(self):
-        strategy = choose_watch(MomentSet.from_iterable(4, []))
-        assert strategy.polarity is WatchPolarity.WATCH_BLOCKED
-        assert len(strategy.moments) == 0
-
-    def test_everything_blocked_flips(self):
-        strategy = choose_watch(MomentSet.from_iterable(3, range(8)))
-        assert strategy.polarity is WatchPolarity.WATCH_SOLUTIONS
-        assert len(strategy.moments) == 0
-
-    def test_exact_half_flips(self):
-        strategy = choose_watch(MomentSet.from_iterable(3, range(4)))
-        assert strategy.polarity is WatchPolarity.WATCH_SOLUTIONS
-        assert strategy.moments.to_list() == [4, 5, 6, 7]
-
-    def test_never_larger_than_half(self):
-        rng = random.Random(13)
-        for _ in range(50):
-            n = rng.randint(1, 10)
-            size = rng.randint(0, 1 << n)
-            blocked = MomentSet.from_iterable(n, rng.sample(range(1 << n), size))
-            assert len(choose_watch(blocked).moments) <= 1 << (n - 1)
+                top = (1 << n) - 1
+                literal = set(blocked_moments_literal(inst))
+                assert set(blocked_moments_full(inst)) == literal | {top - k for k in literal}
 
 
 class TestIsSolutionMoment:
@@ -217,86 +184,63 @@ class TestIsSolutionMoment:
 
 class TestMomentSet:
     @staticmethod
-    def check_small_and_large_contents(n, large):
+    def check_small_and_large_contents(n, large_family):
+        # a family set with one free element has 2 supersets; the literal
+        # set of a family is the union of the supersets of its sets
         top = (1 << n) - 1
-        small = MomentSet.from_iterable(n, [top, 5, 1, 5])
-        assert len(small) == 3
-        assert small.to_list() == [1, 5, top]
-        assert 1 in small and 5 in small and top in small
-        for k in (-1, 0, 2, 1 << (n - 1), top - 1, 1 << n):
+        small = superset_moments(top ^ 0b10, n)
+        assert len(small) == 2
+        assert small.to_list() == [top ^ 0b10, top]
+        assert top in small and top - 2 in small
+        for k in (-1, 0, 1, 2, 1 << (n - 1), top - 1, 1 << n):
             assert k not in small
-        big = MomentSet.from_iterable(n, reversed(large))
+        big = blocked_moments_literal(SplitInstance(n, large_family))
+        large = sorted({k for f in large_family for k in brute_supersets(f, n)})
         assert len(big) == len(large)
         assert big.to_list() == large
         assert all(k in big for k in large)
-        assert 1 not in big and top not in big
-        union = small | big
-        assert union == big | small
-        assert union.to_list() == sorted({1, 5, top} | set(large))
-        assert len(union) == len(large) + 3
+        assert 0 not in big and -1 not in big and (1 << n) not in big
+        union = blocked_moments_literal(SplitInstance(n, (top ^ 0b10,) + large_family))
+        assert union.to_list() == sorted({top ^ 0b10, top} | set(large))
 
     def test_small_and_large_contents_small_universe(self):
-        self.check_small_and_large_contents(10, list(range(0, 1 << 10, 2)))
+        self.check_small_and_large_contents(10, (0b1, 0b110 << 4))
 
     def test_small_and_large_contents_huge_universe(self):
-        for members in ([7, 5, 1, 5], range(0, 1 << 13, 2)):
+        top = (1 << 40) - 1
+        for route in (
+            lambda: superset_moments(top ^ 0b10, 40),
+            lambda: blocked_moments_literal(SplitInstance(40, (0b1, 0b110 << 4))),
+        ):
             with pytest.raises(EnumerationLimitError, match="moment set cap 28"):
-                MomentSet.from_iterable(40, members)
-
-    def test_union_across_representations(self):
-        a = MomentSet.from_iterable(8, range(0, 256, 2))
-        b = MomentSet.from_iterable(8, [1, 3])
-        u = a | b
-        assert len(u) == 130
-        assert 3 in u and 5 not in u
-
-    def test_union_requires_same_universe(self):
-        with pytest.raises(ValueError):
-            MomentSet.from_iterable(3, []) | MomentSet.from_iterable(4, [])
-
-    def test_complement_set(self):
-        ms = MomentSet.from_iterable(3, [0, 2, 4, 6])
-        assert ms.complement_set().to_list() == [1, 3, 5, 7]
-
-    def test_complement_cap_on_huge_universe(self):
-        # refused at construction, so there is nothing to complement
-        with pytest.raises(EnumerationLimitError):
-            MomentSet.from_iterable(40, [7])
-
-    def test_reflect(self):
-        ms = MomentSet.from_iterable(4, [3, 5])
-        assert ms.reflect().to_list() == [10, 12]
+                route()
 
     def test_first_absent_and_covers(self):
-        assert MomentSet.from_iterable(2, [0, 1, 2, 3]).first_absent() is None
-        assert MomentSet.from_iterable(2, [0, 1, 2, 3]).covers_all()
-        assert MomentSet.from_iterable(2, [0, 1]).first_absent() == 2
-        assert MomentSet.from_iterable(2, [1, 2]).first_absent() == 0
+        full = blocked_moments_full(SplitInstance(2, (0b01,)))  # every moment
+        assert full.first_absent() is None
+        assert full.covers_all()
+        # {a1, a2} on either side blocks 0 and 3
+        assert blocked_moments_full(SplitInstance(2, (0b11,))).first_absent() == 1
+        assert blocked_moments_literal(SplitInstance(2, (0b10,))).first_absent() == 0
+        assert not superset_moments(0b01, 2).covers_all()
         with pytest.raises(EnumerationLimitError):
-            MomentSet.from_iterable(40, [0, 1])
+            blocked_moments_full(SplitInstance(40, (0b01,)))
 
     def test_rejects_out_of_range_members(self):
         with pytest.raises(ValueError):
-            MomentSet.from_iterable(3, [8])
+            superset_moments(8, 3)
         with pytest.raises(ValueError):
-            MomentSet.from_iterable(3, [-1])
+            superset_moments(-1, 3)
 
     def test_contains_and_iter(self):
-        ms = MomentSet.from_iterable(5, [4, 1, 4, 30])
-        assert ms.to_list() == [1, 4, 30]
-        assert 4 in ms and 2 not in ms and 32 not in ms
+        ms = superset_moments(0b11110, 5)
+        assert ms.to_list() == [30, 31]
+        assert 30 in ms and 2 not in ms and 32 not in ms
 
 
 def model_subsets(mask):
     bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
     return {sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r)}
-
-
-@st.composite
-def universe_and_sets(draw, universes=st.integers(1, 12)):
-    n = draw(universes)
-    members = st.sets(st.integers(0, (1 << n) - 1), max_size=40)
-    return n, draw(members), draw(members)
 
 
 @st.composite
@@ -310,63 +254,83 @@ def instance_from_free_sets(draw, universes=st.integers(1, 12)):
     return SplitInstance(n, family)
 
 
+@st.composite
+def pattern_set(draw, universes=st.integers(1, 12)):
+    """A builder of a fresh moment set by one of the three pattern routes,
+    with its members by brute force."""
+    n = draw(universes)
+    top = (1 << n) - 1
+    # any nonempty mask, or one with few free elements (a small superset set)
+    masks = st.one_of(
+        st.integers(1, top),
+        st.sets(st.integers(0, n - 1), max_size=n - 1).map(lambda free: top ^ sum(1 << p for p in free)),
+    )
+    inst = SplitInstance(n, tuple(draw(st.lists(masks, max_size=4))))
+    routes = ["literal", "full"] + (["superset"] if inst.family else [])
+    route = draw(st.sampled_from(routes))
+    if route == "superset":
+        f = inst.family[0]
+        return (lambda: superset_moments(f, n)), set(brute_supersets(f, n))
+    if route == "literal":
+        return (lambda: blocked_moments_literal(inst)), set(brute_literal(inst))
+    return (lambda: blocked_moments_full(inst)), set(brute_full(inst))
+
+
 class TestMomentSetModel:
     """MomentSet against a Python set, and its refusal past the bitset."""
 
     @settings(max_examples=200, deadline=None)
-    @given(universe_and_sets())
+    @given(pattern_set())
     def test_matches_python_set(self, case):
-        n, a, b = case
-        top = (1 << n) - 1
-        ma, mb = MomentSet.from_iterable(n, a), MomentSet.from_iterable(n, b)
-        assert len(ma) == len(a)
-        assert list(ma) == ma.to_list() == sorted(a)
-        for k in a | b | {-1, 0, 1, top, 1 << n}:
-            assert (k in ma) == (k in a)
-        assert (ma | mb).to_list() == sorted(a | b)
-        assert ma.reflect().to_list() == sorted(top - k for k in a)
-        gap = next(k for k in range(len(a) + 1) if k not in a)
-        assert ma.first_absent() == (gap if gap <= top else None)
-        assert ma.covers_all() == (len(a) == 1 << n)
-        assert ma.complement_set().to_list() == sorted(set(range(1 << n)) - a)
+        build, model = case
+        streamed = build()
+        n, top = streamed.n, (1 << streamed.n) - 1
+        gap = next((k for k in range(1 << n) if k not in model), None)
+        probes = model | {-1, 0, 1, top, 1 << n}
+        assert streamed.first_absent() == gap
+        assert streamed.covers_all() == (gap is None)
+        assert all((k in streamed) == (k in model) for k in probes)
+        assert streamed._patterns is not None  # nothing was built
+        built = build()
+        built._words  # build the words
+        assert built.first_absent() == gap
+        assert built.covers_all() == (gap is None)
+        assert all((k in built) == (k in model) for k in probes)
+        assert len(built) == len(model)
+        assert list(built) == built.to_list() == sorted(model)
+        assert built == streamed and streamed == built
+        assert (built == superset_moments(top, n)) == (model == {top})
+        assert built != blocked_moments_full(SplitInstance(n + 1))
 
     @settings(max_examples=200, deadline=None)
     @given(instance_from_free_sets(), st.randoms(use_true_random=False))
-    def test_equal_contents_by_every_route_compare_and_hash_equal(self, inst, rng):
+    def test_equal_contents_by_every_route_compare_equal(self, inst, rng):
         n, top = inst.n, (1 << inst.n) - 1
         literal = set()
         for f in inst.family:
             supersets = {f | s for s in model_subsets(top ^ f)}
-            route, model = superset_moments(f, n), MomentSet.from_iterable(n, supersets)
+            route = superset_moments(f, n)
             assert route.to_list() == sorted(supersets)
-            assert route == model and hash(route) == hash(model)
+            # a superset of f blocks no moment that f does not
+            assert route == blocked_moments_literal(SplitInstance(n, (f, f | rng.randrange(top + 1))))
             literal |= supersets
         full = literal | {top - k for k in literal}
-        assert blocked_moments_literal(inst).to_list() == sorted(literal)
-        members = list(full)
-        rng.shuffle(members)
-        cut = rng.randint(0, len(members))
-        routes = [
-            MomentSet.from_iterable(n, members + members[:cut]),
-            MomentSet.from_iterable(n, members[:cut]) | MomentSet.from_iterable(n, members[cut:]),
-            blocked_moments_full(inst),
-            MomentSet.from_iterable(n, members).complement_set().complement_set(),
-        ]
-        for route in routes:
-            assert route.to_list() == sorted(full)
-            assert route == routes[0]
-            assert hash(route) == hash(routes[0])
-
+        # the same blocked sets from other patterns: the family shuffled,
+        # partly repeated and padded with supersets of its sets
+        family = list(inst.family) + [f | rng.randrange(top + 1) for f in inst.family]
+        rng.shuffle(family)
+        same = SplitInstance(n, tuple(family + family[: rng.randint(0, len(family))]))
+        for blocked, model in ((blocked_moments_literal, literal), (blocked_moments_full, full)):
+            routes = [blocked(inst), blocked(same)]
+            for route in routes:
+                assert route.to_list() == sorted(model)
+                assert route == routes[0]
+        assert (blocked_moments_literal(inst) == blocked_moments_full(inst)) == (literal == full)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        universe_and_sets(st.integers(29, 63)),
-        instance_from_free_sets(st.integers(29, 63)),
-    )
-    def test_every_route_refuses_universes_past_the_bitset(self, case, inst):
-        n, a, _ = case
-        routes = [lambda: MomentSet.from_iterable(n, a)]
-        routes += [lambda f=f: superset_moments(f, inst.n) for f in inst.family]
+    @given(instance_from_free_sets(st.integers(29, 63)))
+    def test_every_route_refuses_universes_past_the_bitset(self, inst):
+        routes = [lambda f=f: superset_moments(f, inst.n) for f in inst.family]
         routes += [lambda: blocked_moments_literal(inst), lambda: blocked_moments_full(inst)]
         for route in routes:
             with pytest.raises(EnumerationLimitError, match="exceeds the moment set cap 28"):
@@ -378,15 +342,20 @@ class TestRefusalPastTheBitset:
     its input or allocates anything."""
 
     @pytest.mark.parametrize("n", [29, 63])
-    @pytest.mark.parametrize("route", ["from_iterable", "superset", "literal", "full"])
+    @pytest.mark.parametrize("route", ["superset", "literal", "full", "unread_family"])
     def test_refused_before_allocating(self, n, route):
-        # reading the 2**20 moments would take tens of MiB
+        # the word array alone would take 64 MiB at n = 29
         inst = SplitInstance(n, (0b1, 0b110))
+
+        def unreadable():
+            raise AssertionError("a family set was read")
+            yield
+
         build = {
-            "from_iterable": lambda: MomentSet.from_iterable(n, range(1 << 20)),
             "superset": lambda: superset_moments(0b1, n),
             "literal": lambda: blocked_moments_literal(inst),
             "full": lambda: blocked_moments_full(inst),
+            "unread_family": lambda: moments._packed_union(n, unreadable(), two_sided=True),
         }[route]
         tracemalloc.start()
         try:
@@ -396,14 +365,6 @@ class TestRefusalPastTheBitset:
         finally:
             tracemalloc.stop()
         assert peak < 64 << 10
-
-    def test_from_iterable_reads_no_moment(self):
-        def unreadable():
-            raise AssertionError("a moment was read")
-            yield
-
-        with pytest.raises(EnumerationLimitError):
-            MomentSet.from_iterable(29, unreadable())
 
 
 class TestPackedBuildMemory:
@@ -420,11 +381,6 @@ class TestPackedBuildMemory:
             return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-
-    def test_from_iterable_small_set(self):
-        ms, peak = self.peak_bytes(lambda: MomentSet.from_iterable(28, [7, 1 << 27]))
-        assert ms.to_list() == [7, 1 << 27]
-        assert peak < self.LIMIT
 
     def test_superset_moments_small_set(self):
         f = (1 << 28) - 2
@@ -444,13 +400,6 @@ class TestPackedBuildMemory:
             tracemalloc.stop()
         assert hits == 2
         assert peak < 1 << 20
-
-    def test_reflect_dense_set_in_place_of_a_member_list(self):
-        # 2**23 members: listing them as Python ints would cost far more
-        ms = superset_moments(0b1, 24)
-        reflected, peak = self.peak_bytes(ms.reflect)
-        assert peak < 8 << 20
-        assert reflected == MomentSet.from_iterable(24, range(0, 1 << 24, 2))
 
     def test_repr_decodes_only_what_it_shows(self):
         # every one of the 2**22 moments is blocked; listing them all to
@@ -478,12 +427,11 @@ class TestPackedBuildMemory:
         assert peak < 1 << 20
 
     def test_iteration_crosses_decode_slices_and_scan_blocks(self):
-        # a dense run over the first 2**17 + 100 moments, then every 997th:
-        # both the in-block slicing and the block boundaries are crossed
-        n = 19
-        members = list(range((1 << 17) + 100)) + list(range((1 << 17) + 100, 1 << n, 997))
-        ms = MomentSet.from_iterable(n, members)
-        assert list(ms) == members
+        # {a18, a19} fills the last 2**17 moments, one whole scan block
+        # decoded in 32 slices; {a1..a7} puts one moment in 128 into every
+        # scan block and {a1, a17} every odd moment of four 2**16 runs
+        inst = SplitInstance(19, (0b11 << 17, 0b1111111, 1 << 16 | 1))
+        assert list(blocked_moments_literal(inst)) == brute_literal(inst)
 
 
 def family_set_in(n, region):
@@ -520,7 +468,7 @@ class TestWordKernel:
         full = blocked_moments_full(inst)
         assert literal.to_list() == brute_literal(inst)
         assert full.to_list() == brute_full(inst)
-        built = [literal, full, full.complement_set(), full.reflect(), literal | full]
+        built = [literal, full]
         for f in inst.family:
             supersets = superset_moments(f, inst.n)
             assert supersets.to_list() == brute_supersets(f, inst.n)
