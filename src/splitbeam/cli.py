@@ -14,6 +14,7 @@ import random
 import sys
 from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from .core import (
     MAX_UNIVERSE,
@@ -38,6 +39,11 @@ from .solver import Method, solve_optical, solve_oracle
 def generate_split_instance_text(n: int, m: int, max_set_size: int, seed: int) -> str:
     """Deterministic random instance: sets drawn uniformly among nonempty
     subsets of size at most ``max_set_size``. Same seed, same bytes."""
+    return "".join(_split_instance_lines(n, m, max_set_size, seed))
+
+
+def _split_instance_lines(n: int, m: int, max_set_size: int, seed: int) -> Iterator[str]:
+    # the lines of generate_split_instance_text, each drawn when it is read
     if not 1 <= n <= MAX_UNIVERSE:
         raise ValueError(f"universe size must be in [1, {MAX_UNIVERSE}], got {n}")
     if m < 0:
@@ -48,12 +54,11 @@ def generate_split_instance_text(n: int, m: int, max_set_size: int, seed: int) -
     sizes = range(1, size_cap + 1)
     weights = [math.comb(n, k) for k in sizes]
     rng = random.Random(seed)
-    lines = [f"# gen seed={seed} n={n} m={m} max-set-size={max_set_size}", f"n {n}"]
+    yield f"# gen seed={seed} n={n} m={m} max-set-size={max_set_size}\nn {n}\n"
     for _ in range(m):
         k = rng.choices(sizes, weights=weights)[0]
         indices = sorted(rng.sample(range(1, n + 1), k))
-        lines.append("f " + " ".join(map(str, indices)))
-    return "\n".join(lines) + "\n"
+        yield "f " + " ".join(map(str, indices)) + "\n"
 
 
 def _read(path: str) -> str:
@@ -182,8 +187,8 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    text = generate_split_instance_text(args.n, args.m, args.max_set_size, args.seed)
-    sys.stdout.write(text)
+    # one line at a time: the text of a large --m need never be held whole
+    sys.stdout.writelines(_split_instance_lines(args.n, args.m, args.max_set_size, args.seed))
     return 0
 
 

@@ -18,18 +18,17 @@ Two variants of the blocked set are deliberately shipped:
   the two differ precisely on moments whose complement (but not the
   subset itself) contains a family set.
 
-A ``MomentSet`` is a packed bitset of 2**(n-6) little-endian uint64 words
-(32 MiB at n = 28) whatever its size. A universe of more than
-``BITSET_MAX_N`` = 28 elements is refused with ``EnumerationLimitError``
-before anything is read or allocated. Every set is made from word
-patterns, by ``_packed_union``: each family set contributes one 64-bit
-in-word pattern for a strided slice of the words. One kernel,
-``_or_block``, ORs the patterns into any aligned block of words. A set
-builds its words on first use, with one call over the whole array,
-except for ``first_absent`` and ``covers_all``, which build one block at
-a time in a reused buffer and stop at the first block with a clear bit,
-and ``in``, which builds the one word it reads. So a decision whose
-first solution lies early never builds the set.
+A ``MomentSet`` is its word patterns, made by ``_packed_union``: each
+family set contributes one 64-bit in-word pattern for a strided slice of
+the 2**(n-6) uint64 words of the bitset, which is never held whole. A
+universe of more than ``BITSET_MAX_N`` = 28 elements is refused with
+``EnumerationLimitError`` before anything is read or allocated. One
+kernel, ``_or_block``, ORs the patterns into any aligned block of words,
+and every read goes through it: ``in`` builds the one word it reads, and
+``len``, iteration, ``==``, ``repr`` and ``first_absent`` stream blocks
+of at most 512 KiB through one reused buffer. ``first_absent`` stops at
+the first block with a clear bit, so a decision whose first solution
+lies early reads only the first 64 words.
 """
 
 from __future__ import annotations
@@ -47,83 +46,67 @@ from .core import (
     splits_family,
 )
 
-# The largest universe a moment set is built for: at n = 28 the packed
-# bitset takes 32 MiB, and a larger one is refused.
+# The largest universe a moment set is built for: a full scan at n = 28
+# reads 2**22 words, a block at a time. A larger universe is refused.
 BITSET_MAX_N = 28
 
 # Bit j of word w is moment 64*w + j; little-endian words make the byte
-# view of the array the same little-endian bitset on every host.
+# view of a block the same little-endian bitset on every host.
 _WORD = np.dtype("<u8")
 
-# Iteration scans the packed bytes in blocks of _SCAN_BYTES and decodes at
-# most _DECODE_BYTES nonzero bytes (4096 members) at a time, so listing a
-# set of any size or density holds well under 1 MiB.
+# Iteration scans each block's bytes in slices of _SCAN_BYTES and decodes
+# at most _DECODE_BYTES nonzero bytes (4096 members) at a time, so listing
+# a set of any size or density holds well under 1 MiB.
 _SCAN_BYTES = 1 << 14
 _DECODE_BYTES = 1 << 9
 
-# first_absent looks at a prefix of _PREFIX_WORDS first, where the first
-# solution of most solvable instances lies, then at aligned blocks of
-# _BLOCK_WORDS words (512 KiB). Smaller blocks make a full scan pay the
-# per-slice set-up of _or_block more often: with 2**12-word blocks an
-# unsolvable n = 22 decision took 2.4x as long.
+# Every read but `in` streams aligned blocks of _BLOCK_WORDS words
+# (512 KiB); first_absent looks at a prefix of _PREFIX_WORDS first, where
+# the first solution of most solvable instances lies. Smaller blocks make
+# a full scan pay the per-slice set-up of _or_block more often: with
+# 2**12-word blocks an unsolvable n = 22 decision took 2.4x as long.
 _PREFIX_WORDS = 1 << 6
 _BLOCK_WORDS = 1 << 16
 
 
 class MomentSet:
-    """An immutable set of integer moments in [0, 2**n).
+    """An immutable set of integer moments in [0, 2**n): ``n`` and its
+    word patterns (see ``_packed_union``).
 
-    The set is a read-only array of max(2**(n-6), 1) little-endian uint64
-    words, bit j of word w standing for moment 64*w + j, costing 2**n/8
-    bytes whatever its size; for n < 6 the single word keeps every bit past
-    2**n clear. n > BITSET_MAX_N is refused with ``EnumerationLimitError``.
-
-    Sets are built from word patterns only (the blocked sets and the
-    superset moments, see ``_packed_union``); a set builds its words on
-    first use and keeps them.
-    ``first_absent`` and ``covers_all`` do not build them: they OR the
-    patterns into one block of words at a time and stop at the first
-    block with a clear bit. ``in`` ORs only the word it reads.
+    Bit j of word w stands for moment 64*w + j; for n < 6 the single
+    word keeps every bit past 2**n clear. ``in`` ORs the one word it
+    reads, every other read one aligned block at a time (``_blocks``).
     """
 
-    __slots__ = ("n", "_packed", "_patterns")
+    __slots__ = ("n", "_patterns")
 
     def __init__(self, n: int, *, _patterns: dict[tuple[int, int], int]):
         self.n = n
-        self._packed = None
         self._patterns = _patterns
 
-    @property
-    def _words(self) -> np.ndarray:
-        """The read-only word array, built from the patterns on first use."""
-        if self._packed is None:
-            words = _empty_words(self.n)
-            _or_block(self._patterns, 0, words)
-            words.setflags(write=False)
-            self._packed, self._patterns = words, None
-        return self._packed
-
-    def _block(self, lo: int, size: int, buffer: np.ndarray | None) -> np.ndarray:
-        """Words [lo, lo + size): a slice of the built words if there are
-        any, else ORed from the patterns into the front of ``buffer``."""
-        if self._packed is not None:
-            return self._packed[lo : lo + size]
-        out = buffer[:size]
-        out.fill(0)
-        _or_block(self._patterns, lo, out)
-        return out
+    def _blocks(self, spans: Iterable[tuple[int, int]]) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, words [lo, lo + size)) for each (lo, size) of ``spans``,
+        ORed from the patterns into one buffer that the next block reuses."""
+        buffer = np.empty(min(_word_count(self.n), _BLOCK_WORDS), dtype=_WORD)
+        for lo, size in spans:
+            block = buffer[:size]
+            block.fill(0)
+            _or_block(self._patterns, lo, block)
+            yield lo, block
 
     def __len__(self) -> int:
-        return int(np.bitwise_count(self._words).sum())
+        return sum(_count(block) for _, block in self._blocks(_spans(self.n)))
 
     def __contains__(self, k: int) -> bool:
         if not 0 <= k < (1 << self.n):
             return False
-        word = self._block(k >> 6, 1, np.empty(1, dtype=_WORD)).item(0)
-        return word >> (k & 63) & 1 == 1
+        word = np.zeros(1, dtype=_WORD)
+        _or_block(self._patterns, k >> 6, word)
+        return word.item(0) >> (k & 63) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        yield from _bit_positions(self._words)
+        for lo, block in self._blocks(_spans(self.n)):
+            yield from _bit_positions(block, lo)
 
     def to_list(self) -> list[int]:
         return list(self)
@@ -132,19 +115,10 @@ class MomentSet:
         return self.first_absent() is None
 
     def first_absent(self) -> int | None:
-        """Smallest moment of [0, 2**n) not in the set, or None if it covers all.
-
-        The set is scanned block by block (``_scan_blocks``) up to the
-        first block with a clear bit. Words not built yet are ORed from the
-        patterns one block at a time into a single reused buffer, so the
-        scan holds at most 512 KiB and never builds the set.
-        """
+        """Smallest moment of [0, 2**n) not in the set, or None if it
+        covers all; the scan (``_scan_blocks``) stops at the first hole."""
         full = _full_word(self.n)
-        buffer = None
-        if self._packed is None:
-            buffer = np.empty(min(1 << max(self.n - 6, 0), _BLOCK_WORDS), dtype=_WORD)
-        for lo, size in _scan_blocks(self.n):
-            block = self._block(lo, size, buffer)
+        for lo, block in self._blocks(_scan_blocks(self.n)):
             w = int((block != np.uint64(full)).argmax())
             word = block.item(w)
             if word != full:
@@ -155,13 +129,26 @@ class MomentSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MomentSet):
             return NotImplemented
-        # the word array of n is canonical, so equal contents have equal words
-        return self.n == other.n and np.array_equal(self._words, other._words)
+        if self.n != other.n:
+            return False
+        # Block by block in one buffer (a block of each set would hold
+        # 1 MiB at n = 28): two sets are equal iff each block of either
+        # holds as many members as the same block of both.
+        for lo, block in self._blocks(_spans(self.n)):
+            ours = _count(block)
+            _or_block(other._patterns, lo, block)
+            both = _count(block)
+            block.fill(0)
+            _or_block(other._patterns, lo, block)
+            if not ours == both == _count(block):
+                return False
+        return True
 
     def __repr__(self) -> str:
+        size = len(self)  # a full scan, so taken once
         shown = ",".join(str(k) for k in islice(self, 16))
-        suffix = ",..." if len(self) > 16 else ""
-        return f"MomentSet(n={self.n}, size={len(self)}, {{{shown}{suffix}}})"
+        suffix = ",..." if size > 16 else ""
+        return f"MomentSet(n={self.n}, size={size}, {{{shown}{suffix}}})"
 
 
 def _check_packable(n: int) -> None:
@@ -171,8 +158,8 @@ def _check_packable(n: int) -> None:
     _check_enumerable(n, BITSET_MAX_N, "moment set")
 
 
-def _empty_words(n: int) -> np.ndarray:
-    return np.zeros(1 << max(n - 6, 0), dtype=_WORD)
+def _word_count(n: int) -> int:
+    return 1 << max(n - 6, 0)
 
 
 def _full_word(n: int) -> int:
@@ -180,27 +167,34 @@ def _full_word(n: int) -> int:
     return (1 << (1 << min(n, 6))) - 1
 
 
+def _count(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum())
+
+
+def _spans(n: int) -> Iterator[tuple[int, int]]:
+    # (first word, word count) of the aligned blocks that tile the words, in order
+    size = min(_word_count(n), _BLOCK_WORDS)
+    return ((lo, size) for lo in range(0, _word_count(n), size))
+
+
 def _scan_blocks(n: int) -> Iterator[tuple[int, int]]:
-    # (first word, word count) of each block first_absent scans, in order;
-    # the first full-size block repeats the prefix, 64 words of 2**16
-    total = 1 << max(n - 6, 0)
-    yield 0, min(total, _PREFIX_WORDS)
-    if total > _PREFIX_WORDS:
-        size = min(total, _BLOCK_WORDS)
-        for lo in range(0, total, size):
-            yield lo, size
+    # the blocks first_absent scans: the prefix, then every block (the
+    # first of which repeats the prefix, 64 words of 2**16)
+    if _word_count(n) > _PREFIX_WORDS:
+        yield 0, _PREFIX_WORDS
+    yield from _spans(n)
 
 
-def _bit_positions(words: np.ndarray) -> Iterator[int]:
-    # unpack only the nonzero bytes, so a small set at n = 28 never
-    # expands to a byte per moment, and only a slice of them at a time,
-    # so a dense set never becomes one list of every member
+def _bit_positions(words: np.ndarray, lo: int) -> Iterator[int]:
+    # the members in words [lo, lo + len(words)): unpack only the nonzero
+    # bytes, so a sparse block never expands to a byte per moment, and only
+    # a slice of them at a time, so a dense one never lists every member
     packed = words.view(np.uint8)
-    bit = np.arange(8)
-    for lo in range(0, len(packed), _SCAN_BYTES):
-        nonzero = np.flatnonzero(packed[lo : lo + _SCAN_BYTES])
+    bit = np.arange(8) + 64 * lo
+    for start in range(0, len(packed), _SCAN_BYTES):
+        nonzero = np.flatnonzero(packed[start : start + _SCAN_BYTES])
         for i in range(0, len(nonzero), _DECODE_BYTES):
-            at = nonzero[i : i + _DECODE_BYTES] + lo
+            at = nonzero[i : i + _DECODE_BYTES] + start
             flags = np.unpackbits(packed[at, None], axis=1, bitorder="little")
             yield from (at[:, None] * 8 + bit)[flags == 1].tolist()
 

@@ -350,6 +350,32 @@ class TestGenCommand:
         assert main(["gen", "--n", "0", "--m", "1", "--max-set-size", "1", "--seed", "1"]) == 2
         assert main(["gen", "--n", "4", "--m", "-1", "--max-set-size", "1", "--seed", "1"]) == 2
         assert main(["gen", "--n", "4", "--m", "1", "--max-set-size", "0", "--seed", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_output_is_the_generated_text(self, capsys):
+        expected = "# gen seed=7 n=6 m=3 max-set-size=3\nn 6\nf 2 4\nf 1 5 6\nf 1 5\n"
+        assert generate_split_instance_text(6, 3, 3, 7) == expected
+        for seed in range(20):
+            n, m, size = 1 + seed % 9, seed % 6, 1 + seed % 4
+            assert main(["gen", f"--n={n}", f"--m={m}", f"--max-set-size={size}", f"--seed={seed}"]) == 0
+            assert capsys.readouterr().out == generate_split_instance_text(n, m, size, seed)
+
+    def test_large_family_is_written_as_it_is_drawn(self, tmp_path, monkeypatch):
+        # 20000 sets make 138 KiB of text; holding its lines and
+        # their join took 1.7 MiB
+        path = tmp_path / "gen.txt"
+        args = ["gen", "--n", "8", "--m", "20000", "--max-set-size", "3", "--seed", "1"]
+        with open(path, "w", encoding="utf-8") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == generate_split_instance_text(8, 20000, 3, 1)
+        assert peak < 1 << 20
 
 
 # Numbers an instance line may carry: small universes and indices, and

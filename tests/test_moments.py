@@ -44,6 +44,14 @@ def brute_full(inst):
     return out
 
 
+def words_of(ms):
+    """The whole word array of ``ms``, ORed from its patterns in one call:
+    the reference that the streamed reads are checked against."""
+    words = np.zeros(1 << max(ms.n - 6, 0), dtype="<u8")
+    moments._or_block(ms._patterns, 0, words)
+    return words
+
+
 def random_instance(rng, n, max_sets=4):
     m = rng.randint(0, max_sets)
     family = tuple(rng.randrange(1, 1 << n) for _ in range(m))
@@ -232,6 +240,11 @@ class TestMomentSet:
         with pytest.raises(ValueError):
             superset_moments(-1, 3)
 
+    def test_same_size_in_every_block_is_not_equality(self):
+        # a1 and a2 each lie in half the moments of every word
+        for n in (2, 8, 20):
+            assert superset_moments(0b01, n) != superset_moments(0b10, n)
+
     def test_contains_and_iter(self):
         ms = superset_moments(0b11110, 5)
         assert ms.to_list() == [30, 31]
@@ -279,28 +292,36 @@ def pattern_set(draw, universes=st.integers(1, 12)):
 class TestMomentSetModel:
     """MomentSet against a Python set, and its refusal past the bitset."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(pattern_set())
-    def test_matches_python_set(self, case):
+    @settings(max_examples=300, deadline=None)
+    @given(pattern_set(), st.sampled_from([(64, 1 << 16), (1, 2), (2, 8)]))
+    def test_matches_python_set(self, case, sizes):
+        # small block sizes put block boundaries within reach of every read
         build, model = case
-        streamed = build()
-        n, top = streamed.n, (1 << streamed.n) - 1
-        gap = next((k for k in range(1 << n) if k not in model), None)
-        probes = model | {-1, 0, 1, top, 1 << n}
-        assert streamed.first_absent() == gap
-        assert streamed.covers_all() == (gap is None)
-        assert all((k in streamed) == (k in model) for k in probes)
-        assert streamed._patterns is not None  # nothing was built
-        built = build()
-        built._words  # build the words
-        assert built.first_absent() == gap
-        assert built.covers_all() == (gap is None)
-        assert all((k in built) == (k in model) for k in probes)
-        assert len(built) == len(model)
-        assert list(built) == built.to_list() == sorted(model)
-        assert built == streamed and streamed == built
-        assert (built == superset_moments(top, n)) == (model == {top})
-        assert built != blocked_moments_full(SplitInstance(n + 1))
+        prefix, block = sizes
+        with mock.patch.multiple(moments, _PREFIX_WORDS=prefix, _BLOCK_WORDS=block):
+            ms = build()
+            n, top = ms.n, (1 << ms.n) - 1
+            gap = next((k for k in range(1 << n) if k not in model), None)
+            probes = model | {-1, 0, 1, top, 1 << n}
+            assert ms.first_absent() == gap
+            assert ms.covers_all() == (gap is None)
+            assert all((k in ms) == (k in model) for k in probes)
+            assert len(ms) == len(model)
+            assert list(ms) == ms.to_list() == sorted(model)
+            words = words_of(ms)
+            assert {k for k in range(1 << n) if int(words[k >> 6]) >> (k & 63) & 1} == model
+            shown = ",".join(map(str, sorted(model)[:16])) + (",..." if len(model) > 16 else "")
+            assert repr(ms) == f"MomentSet(n={n}, size={len(model)}, {{{shown}}})"
+            assert ms == build() and build() == ms
+            # the same patterns plus moment 0 (word 0 only) or plus moment
+            # top (the last word only) differ from ms in one block at most
+            for key, k in (((top >> 6, 0), 0), ((top >> 6, 1), top)):
+                plus = dict(ms._patterns)
+                plus[key] = plus.get(key, 0) | 1 << (k & 63)
+                plus = moments.MomentSet(n, _patterns=plus)
+                assert (ms == plus) == (plus == ms) == (k in model)
+            assert (ms == superset_moments(top, n)) == (model == {top})
+            assert ms != blocked_moments_full(SplitInstance(n + 1))
 
     @settings(max_examples=200, deadline=None)
     @given(instance_from_free_sets(), st.randoms(use_true_random=False))
@@ -368,10 +389,10 @@ class TestRefusalPastTheBitset:
 
 
 class TestPackedBuildMemory:
-    """At n = 28 a set is a 32 MiB bitset whatever its size; no build of
-    one may expand to a byte per moment (256 MiB)."""
+    """At n = 28 the bitset of a set would take 32 MiB whatever its size;
+    no build or read of one may hold more than a 512 KiB block of it."""
 
-    LIMIT = 128 << 20  # 4x the bitset
+    LIMIT = 1 << 20  # two blocks
 
     @staticmethod
     def peak_bytes(build):
@@ -402,13 +423,42 @@ class TestPackedBuildMemory:
         assert peak < 1 << 20
 
     def test_repr_decodes_only_what_it_shows(self):
-        # every one of the 2**22 moments is blocked; listing them all to
+        # every one of the 2**n moments is blocked; listing them all to
         # show 16 would cost hundreds of MiB
-        ms = blocked_moments_full(SplitInstance(22, (0b1,)))
-        text, peak = self.peak_bytes(lambda: repr(ms))
-        shown = ",".join(map(str, range(16)))
-        assert text == f"MomentSet(n=22, size={1 << 22}, {{{shown},...}})"
-        assert peak < 1 << 20
+        for n in (22, 28):
+            ms = blocked_moments_full(SplitInstance(n, (0b1,)))
+            text, peak = self.peak_bytes(lambda: repr(ms))
+            shown = ",".join(map(str, range(16)))
+            assert text == f"MomentSet(n={n}, size={1 << n}, {{{shown},...}})"
+            assert peak < self.LIMIT
+
+    def test_len_streams_the_blocks(self):
+        # a1 and a2 on one side: half the moments, in every one of the 64 blocks
+        ms = blocked_moments_full(SplitInstance(28, (0b11,)))
+        size, peak = self.peak_bytes(lambda: len(ms))
+        assert size == 1 << 27
+        assert peak < self.LIMIT
+
+    def test_to_list_of_a_small_set(self):
+        f = (1 << 28) - 4
+        ms = superset_moments(f, 28)
+        members, peak = self.peak_bytes(ms.to_list)
+        assert members == [f, f | 1, f | 2, f | 3]
+        assert peak < self.LIMIT
+
+    def test_equality_of_two_sets(self):
+        # both block every moment, from different patterns, so every block
+        # is compared; the third lacks moment 0 only
+        covers = blocked_moments_full(SplitInstance(28, (0b1,)))
+        same = blocked_moments_full(SplitInstance(28, (0b10, 0b100)))
+        equal, peak = self.peak_bytes(lambda: covers == same)
+        assert equal
+        assert peak < self.LIMIT
+        all_but_zero = blocked_moments_literal(SplitInstance(28, tuple(1 << p for p in range(28))))
+        assert 0 not in all_but_zero
+        differ, peak = self.peak_bytes(lambda: all_but_zero == covers)
+        assert not differ
+        assert peak < self.LIMIT
 
     def test_solvable_decision_at_28_builds_no_set(self):
         # the first solution lies in the first words, so the scan stops
@@ -457,9 +507,8 @@ class TestWordKernel:
 
     @staticmethod
     def check_words(ms):
-        assert not ms._words.flags.writeable
         if ms.n < 6:
-            assert int(ms._words[0]) >> (1 << ms.n) == 0
+            assert int(words_of(ms)[0]) >> (1 << ms.n) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(word_kernel_instance())
@@ -484,7 +533,7 @@ class TestWordKernel:
     def test_every_aligned_block_matches_the_built_words(self, inst, two_sided):
         ms = moments._packed_union(inst.n, inst.family, two_sided=two_sided)
         patterns = dict(ms._patterns)
-        words = ms._words
+        words = words_of(ms)
         total = len(words)
         size = 1
         while size <= total:
@@ -505,10 +554,9 @@ class TestWordKernel:
             streamed = blocked_moments_full(inst)
             assert streamed.first_absent() == gap
             assert streamed.covers_all() == (gap is None)
-            assert streamed._patterns is not None  # nothing was built
-            built = blocked_moments_full(inst)
-            built._words  # build the words
-            assert built.first_absent() == gap
+        words = words_of(blocked_moments_full(inst))
+        clear = (k for k in range(1 << inst.n) if not int(words[k >> 6]) >> (k & 63) & 1)
+        assert next(clear, None) == gap
 
     def test_first_solution_in_a_later_block(self):
         # {a23, a24} blocks every moment below 2**22 (its complement holds
@@ -516,9 +564,12 @@ class TestWordKernel:
         # 2**16 + 1, bit 1: the second of four 2**16-word blocks at n = 24
         inst = SplitInstance(24, (3 << 22, 0b11, 0b11 << 6))
         expected = 1 << 22 | 1 << 6 | 1
-        assert blocked_moments_full(inst).first_absent() == expected
-        built = blocked_moments_full(inst)
-        built._words  # build the words
-        assert expected not in built and expected - 1 in built
-        assert built.first_absent() == expected
+        ms = blocked_moments_full(inst)
+        assert ms.first_absent() == expected
+        assert expected not in ms and expected - 1 in ms
+        # the scan of the whole word array finds the same first clear bit
+        words, w = words_of(ms), expected >> 6
+        assert np.all(words[:w] == np.uint64((1 << 64) - 1))
+        word = int(words[w])
+        assert (~word & (word + 1)).bit_length() - 1 == expected & 63
         assert solve_optical(inst).solution_moment == expected
