@@ -18,7 +18,6 @@ from typing import Iterator
 
 from .core import (
     MAX_UNIVERSE,
-    ParseError,
     format_mask,
     parse_split_instance,
     parse_subset_sum_instance,
@@ -252,9 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

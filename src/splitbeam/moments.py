@@ -106,7 +106,9 @@ class MomentSet:
 
     def __iter__(self) -> Iterator[int]:
         for lo, block in self._blocks(_spans(self.n)):
-            yield from _bit_positions(block, lo)
+            # an empty block has no member, and decoding would walk all its bytes
+            if block.any():
+                yield from _bit_positions(block, lo)
 
     def to_list(self) -> list[int]:
         return list(self)

@@ -53,16 +53,19 @@ class ArrivalEvent:
 class ArrivalTimeline:
     """Coalesced arrival events of one simulation, sorted by core delay.
 
-    Backed by three parallel arrays (distinct core delays, path
-    multiplicities, smallest originating mask per delay), any of which
-    may stay implicit until someone asks for it. No counts means one path
-    per event, whose mask is the event's position: ``simulate`` keeps
-    that form whenever the enumerated sums come out distinct and in mask
-    order. No cores as well means the moments are exactly 0..2**n-1, the
-    form a set-splitting timeline built analytically has.
+    An immutable value backed by three parallel arrays (distinct core
+    delays, path multiplicities, smallest originating mask per delay),
+    any of which may be implicit. No counts means one path per event,
+    whose mask is the event's position: ``simulate`` keeps that form
+    whenever the enumerated sums come out distinct and in mask order. No
+    cores as well means the moments are exactly 0..2**n-1, the form a
+    set-splitting timeline built analytically has. A read builds only
+    what it returns and keeps nothing: ``cores``, ``counts`` and
+    ``witnesses`` return the held array or a new one for an implicit
+    array, and ``iter_events`` streams the events one at a time.
     """
 
-    __slots__ = ("n", "kind", "_cores", "_counts", "_witnesses", "_events")
+    __slots__ = ("n", "kind", "_cores", "_counts", "_witnesses")
 
     def __init__(
         self,
@@ -77,7 +80,6 @@ class ArrivalTimeline:
         self._cores = cores
         self._counts = counts
         self._witnesses = witnesses
-        self._events: tuple[ArrivalEvent, ...] | None = None
 
     @classmethod
     def analytic_splitting(cls, n: int) -> "ArrivalTimeline":
@@ -87,32 +89,24 @@ class ArrivalTimeline:
     def is_analytic(self) -> bool:
         return self._cores is None
 
-    def _array(self, slot: str) -> np.ndarray:
-        """The array held in ``slot``, or a new one with the value it stands for."""
-        held = getattr(self, slot)
-        if held is not None:
-            return held
-        if slot == "_counts":
-            return np.ones(self.event_count, dtype=np.int64)
-        # implicit cores and witnesses are both the event positions
-        return np.arange(self.event_count, dtype=np.int64)
-
-    def _built(self, slot: str) -> np.ndarray:
-        held = self._array(slot)
-        setattr(self, slot, held)
-        return held
-
+    # implicit cores and witnesses are both the event positions
     @property
     def cores(self) -> np.ndarray:
-        return self._built("_cores")
+        if self._cores is None:
+            return np.arange(self.event_count, dtype=np.int64)
+        return self._cores
 
     @property
     def counts(self) -> np.ndarray:
-        return self._built("_counts")
+        if self._counts is None:
+            return np.ones(self.event_count, dtype=np.int64)
+        return self._counts
 
     @property
     def witnesses(self) -> np.ndarray:
-        return self._built("_witnesses")
+        if self._witnesses is None:
+            return np.arange(self.event_count, dtype=np.int64)
+        return self._witnesses
 
     @property
     def event_count(self) -> int:
@@ -135,9 +129,6 @@ class ArrivalTimeline:
         if i < len(self._cores) and int(self._cores[i]) == core:
             return i
         return None
-
-    def contains_core(self, core: int) -> bool:
-        return self._index(core) is not None
 
     def multiplicity(self, core: int) -> int:
         i = self._index(core)
@@ -167,18 +158,10 @@ class ArrivalTimeline:
                 int(wit),
             )
 
-    @property
-    def events(self) -> tuple[ArrivalEvent, ...]:
-        if self._events is None:
-            self._events = tuple(self.iter_events())
-        return self._events
-
     def total_intensity(self) -> DyadicIntensity:
-        """Exact dyadic sum of all event intensities (1 when nothing is lost)."""
-        total = DyadicIntensity.zero()
-        for event in self.iter_events():
-            total = total + event.intensity
-        return total
+        """Exact dyadic sum of all event intensities (1 when nothing is lost):
+        each event carries its path count over 2**n."""
+        return DyadicIntensity.from_paths(self.total_paths, self.n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArrivalTimeline):
@@ -186,11 +169,11 @@ class ArrivalTimeline:
         if (self.n, self.kind, self.event_count) != (other.n, other.kind, other.event_count):
             return False
         # two implicit arrays of one length are equal; an implicit array
-        # is built, uncached, only to compare it with a held one
+        # is built only to compare it with a held one
         return all(
-            (getattr(self, slot) is None and getattr(other, slot) is None)
-            or np.array_equal(self._array(slot), other._array(slot))
-            for slot in ("_cores", "_counts", "_witnesses")
+            (getattr(self, "_" + name) is None and getattr(other, "_" + name) is None)
+            or np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("cores", "counts", "witnesses")
         )
 
     def __repr__(self) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -117,6 +118,19 @@ def _blocked_flags(family, masks: np.ndarray) -> np.ndarray:
     return blocked
 
 
+def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
+    """The solution masks of each block of the ascending scan, one array
+    per block, so the scan holds one block of masks at a time."""
+    n = inst.n
+    _check_enumerable(n, cap, "oracle")
+    total, lo, block = 1 << n, 0, _ORACLE_FIRST_BLOCK
+    while lo < total:
+        masks = np.arange(lo, min(lo + block, total), dtype=np.int64)
+        yield masks[~_blocked_flags(inst.family, masks)]
+        lo += block
+        block = min(2 * block, _ORACLE_BLOCK)
+
+
 def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SplitAnswer:
     """Brute-force verifier: scan masks ascending, check containment directly.
 
@@ -124,28 +138,18 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
     returning the first solution in ascending mask order; independent of
     the device, simulation, and moment machinery by construction.
     """
-    n = inst.n
-    _check_enumerable(n, cap, "oracle")
-    total, lo, block = 1 << n, 0, _ORACLE_FIRST_BLOCK
-    while lo < total:
-        masks = np.arange(lo, min(lo + block, total), dtype=np.int64)
-        free = np.flatnonzero(~_blocked_flags(inst.family, masks))
+    for free in _free_masks(inst, cap):
         if free.size:
-            m = lo + int(free[0])
+            m = int(free[0])
             return SplitAnswer(
-                Decision.SOLVABLE, Partition.from_mask(m, n), m, Method.ORACLE
+                Decision.SOLVABLE, Partition.from_mask(m, inst.n), m, Method.ORACLE
             )
-        lo += block
-        block = min(2 * block, _ORACLE_BLOCK)
     return SplitAnswer(Decision.UNSOLVABLE, None, None, Method.ORACLE)
 
 
 def oracle_solution_masks(inst: SplitInstance) -> list[int]:
     """Every solution mask, by the same exhaustive containment scan."""
-    n = inst.n
-    _check_enumerable(n, DEFAULT_ORACLE_CAP, "oracle")
-    masks = np.arange(1 << n, dtype=np.int64)
-    return np.flatnonzero(~_blocked_flags(inst.family, masks)).tolist()
+    return [m for free in _free_masks(inst, DEFAULT_ORACLE_CAP) for m in free.tolist()]
 
 
 def _half_chain(layers: tuple[ArcPair, ...]) -> tuple[np.ndarray, np.ndarray]:

@@ -476,6 +476,15 @@ class TestPackedBuildMemory:
         assert not answer.solvable
         assert peak < 1 << 20
 
+    def test_iteration_decodes_only_occupied_blocks(self):
+        # {a2, ..., a28} blocks the moments holding all of a2..a28 or none
+        # of them: two moments in the first block and two in the last
+        inst = SplitInstance(28, ((1 << 28) - 2,))
+        with mock.patch.object(moments, "_bit_positions", wraps=moments._bit_positions) as decode:
+            members = list(blocked_moments_full(inst))
+        assert members == [0, 1, 268435454, 268435455]
+        assert decode.call_count <= 2
+
     def test_iteration_crosses_decode_slices_and_scan_blocks(self):
         # {a18, a19} fills the last 2**17 moments, one whole scan block
         # decoded in 32 slices; {a1..a7} puts one moment in 128 into every

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def brute_subset_sums(values):
 class TestSimulateSetSplitting:
     def test_two_layers(self):
         timeline = simulate(build_set_splitting_device(2))
-        events = timeline.events
+        events = list(timeline.iter_events())
         assert [e.moment.core for e in events] == [0, 1, 2, 3]
         assert all(e.moment.hops == 2 for e in events)
         assert all(e.intensity == DyadicIntensity(1, 2) for e in events)
@@ -66,12 +67,11 @@ class TestSimulateSetSplitting:
             assert not enumerated.is_analytic
             assert analytic.witness_for(n) == n
             assert analytic.multiplicity(0) == 1
-            assert not analytic.contains_core(1 << n)
+            assert analytic.witness_for(1 << n) is None
             for k in range(-1, (1 << n) + 1):
-                assert analytic.contains_core(k) == enumerated.contains_core(k)
                 assert analytic.multiplicity(k) == enumerated.multiplicity(k)
                 assert analytic.witness_for(k) == enumerated.witness_for(k)
-            assert analytic.events == enumerated.events
+            assert list(analytic.iter_events()) == list(enumerated.iter_events())
             # neither the lookups nor the events materialise the arrays
             assert analytic.is_analytic
             assert analytic == enumerated
@@ -84,12 +84,13 @@ class TestSimulateSetSplitting:
 class TestSimulateSubsetSum:
     def test_distinct_sums(self):
         timeline = simulate(build_subset_sum_device(SubsetSumInstance((1, 2), 3)))
-        assert [e.moment.core for e in timeline.events] == [0, 1, 2, 3]
-        assert all(e.intensity == DyadicIntensity(1, 2) for e in timeline.events)
+        events = list(timeline.iter_events())
+        assert [e.moment.core for e in events] == [0, 1, 2, 3]
+        assert all(e.intensity == DyadicIntensity(1, 2) for e in events)
 
     def test_collision_multiplicity(self):
         timeline = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))
-        by_core = {e.moment.core: e for e in timeline.events}
+        by_core = {e.moment.core: e for e in timeline.iter_events()}
         assert sorted(by_core) == [0, 5, 10, 15, 20]
         assert by_core[5].paths == 2
         assert by_core[5].intensity == DyadicIntensity(2, 3)
@@ -103,7 +104,7 @@ class TestSimulateSubsetSum:
             values = tuple(rng.randint(1, 40) for _ in range(n))
             timeline = simulate(build_subset_sum_device(SubsetSumInstance(values, 1)))
             expected = Counter(brute_subset_sums(values).values())
-            got = {e.moment.core: e.paths for e in timeline.events}
+            got = {e.moment.core: e.paths for e in timeline.iter_events()}
             assert got == dict(expected)
 
     def test_witness_is_smallest_mask(self):
@@ -111,7 +112,7 @@ class TestSimulateSubsetSum:
         inst = SubsetSumInstance(values, 2)
         timeline = simulate(build_subset_sum_device(inst))
         sums = brute_subset_sums(values)
-        for event in timeline.events:
+        for event in timeline.iter_events():
             masks = [m for m, s in sums.items() if s == event.moment.core]
             assert event.witness == min(masks)
             assert event.paths == len(masks)
@@ -176,7 +177,7 @@ class TestSimulateDifferential:
             ArrivalEvent(ExactMoment(c, n), DyadicIntensity.from_paths(k, n), k, w)
             for c, k, w in zip(cores.tolist(), counts.tolist(), witnesses.tolist())
         )
-        assert timeline.events == expected
+        assert tuple(timeline.iter_events()) == expected
         for got, want in zip((timeline.cores, timeline.counts, timeline.witnesses), (cores, counts, witnesses)):
             assert got.dtype == want.dtype == np.int64
             assert got.tobytes() == want.tobytes()
@@ -231,13 +232,40 @@ class TestImplicitTimeline:
         # one int64 array of 2**16 entries would take 512 KiB
         assert peak < 64 << 10
 
-    def test_properties_build_implicit_arrays_once(self):
+    def test_properties_build_implicit_arrays_and_keep_nothing(self):
         for timeline in (simulate(build_set_splitting_device(5)), ArrivalTimeline.analytic_splitting(5)):
-            counts, witnesses = timeline.counts, timeline.witnesses
-            assert counts.tobytes() == np.ones(32, dtype=np.int64).tobytes()
-            assert witnesses.tobytes() == np.arange(32, dtype=np.int64).tobytes()
-            assert timeline.counts is counts and timeline.witnesses is witnesses
+            assert timeline.counts.tobytes() == np.ones(32, dtype=np.int64).tobytes()
+            assert timeline.witnesses.tobytes() == np.arange(32, dtype=np.int64).tobytes()
             assert timeline.cores.tobytes() == np.arange(32, dtype=np.int64).tobytes()
+            assert timeline._counts is None and timeline._witnesses is None
+
+        timeline = ArrivalTimeline.analytic_splitting(20)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            arrays = (timeline.cores, timeline.counts, timeline.witnesses)
+            assert [len(a) for a in arrays] == [1 << 20] * 3
+            del arrays
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert timeline.is_analytic
+        assert timeline._counts is None and timeline._witnesses is None
+        # three int64 arrays of 2**20 entries took 24 MiB while they were held
+        assert after - before < 64 << 10
+
+    def test_total_intensity_reads_no_event(self):
+        # 2**28 events, each its own path: a per-event sum would take hours
+        timeline = ArrivalTimeline.analytic_splitting(28)
+        with mock.patch.object(ArrivalTimeline, "iter_events", side_effect=AssertionError("events read")):
+            total, peak = self.peak_bytes(timeline.total_intensity)
+        assert total == DyadicIntensity.one()
+        assert peak < 64 << 10
+        # the total follows the held path counts: 3/2 + 1/2
+        coalesced = ArrivalTimeline(
+            1, DeviceKind.SUBSET_SUM, *(np.array(a, dtype=np.int64) for a in ([0, 3], [3, 1], [0, 1]))
+        )
+        assert coalesced.total_intensity() == DyadicIntensity(2, 0)
 
     def test_solve_optical_at_16_peaks_under_one_mib(self):
         inst = SplitInstance(16, (0b111, 0b11 << 3, 0b101 << 8, 0b1010101 << 9))
@@ -362,7 +390,7 @@ class TestSynthesizeTrace:
         )
         assert np.all(np.diff(trace.times) > 0)
         assert trace.times[1] - trace.times[0] == STEP
-        t_last = timeline.events[-1].moment.physical_seconds(2.0**-30, 2.0**-45)
+        t_last = list(timeline.iter_events())[-1].moment.physical_seconds(2.0**-30, 2.0**-45)
         assert trace.times[-1] <= t_last + 2 * RISE < trace.times[-1] + STEP
 
     def test_parameter_validation(self):

@@ -111,6 +111,33 @@ class TestSolveOracle:
             assert oracle_solution_masks(inst)[0] == (1 << j) - 1
             assert not solve_oracle(inst.with_set((1 << j) - 1)).solvable
 
+    def test_solution_masks_match_brute_force_across_blocks(self):
+        # n = 11 and 17 span 2 and 9 blocks of the scan, the last cut short at 2**n
+        rng = random.Random(13)
+        for n in (3, 11, 17):
+            for m in (1, 3, 6):
+                family = tuple(sum(1 << p for p in rng.sample(range(n), rng.randint(1, n))) for _ in range(m))
+                inst = SplitInstance(n, family)
+                expected = [k for k in range(1 << n) if mask_splits(family, k, n)]
+                assert oracle_solution_masks(inst) == expected
+
+    def test_solution_masks_scan_in_blocks(self):
+        # {a_i, a_(i+1)} for every i forces the elements to alternate, so
+        # the only solutions are 0101... and its complement; the 2**20
+        # masks themselves would take 8 MiB
+        n = 20
+        inst = SplitInstance(n, tuple(0b11 << i for i in range(n - 1)))
+        tracemalloc.start()
+        try:
+            masks = oracle_solution_masks(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        odd = sum(1 << i for i in range(0, n, 2))  # a1, a3, a5, ...
+        assert masks == [odd, odd ^ ((1 << n) - 1)]
+        assert all(mask_splits(inst.family, k, n) for k in masks)
+        assert peak < 2 << 20
+
 
 class TestOracleEquivalence:
     def test_exhaustive_single_set_families(self):
