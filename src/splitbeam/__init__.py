@@ -30,7 +30,6 @@ from .core import (
     splits_family,
 )
 from .device import (
-    ArcPair,
     DelayDevice,
     DeviceKind,
     build_set_splitting_device,
@@ -81,7 +80,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcPair",
     "ArrivalEvent",
     "ArrivalTimeline",
     "DEFAULT_ANALYTIC_THRESHOLD",

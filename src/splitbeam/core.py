@@ -9,6 +9,7 @@ arithmetic; no arbitrary-precision layer is needed or wanted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -115,7 +116,9 @@ class SplitInstance:
 
     def __post_init__(self):
         _check_universe(self.n)
-        object.__setattr__(self, "family", tuple(self.family))
+        # numpy integers become ints here, so the bit operations downstream
+        # see one type; a float is refused
+        object.__setattr__(self, "family", tuple(map(operator.index, self.family)))
         for f in self.family:
             if f == 0:
                 raise ValueError("family sets must be nonempty")

@@ -4,9 +4,10 @@ Both devices are chains of n layers between a source and a destination
 node. Each layer offers two parallel arcs: a "take" arc whose base delay
 encodes one element, and a zero-base-delay "skip" arc. A beam split at
 every layer therefore traverses all 2**n take/skip combinations, and each
-complete path accumulates the take delays of its chosen layers. The
-uniform epsilon pad every physical arc needs is presentation metadata,
-not arc data, so core delays stay integral.
+complete path accumulates the take delays of its chosen layers, and a
+device is its tuple of take delays. The uniform epsilon pad every
+physical arc needs is presentation metadata, not arc data, so core
+delays stay integral.
 """
 
 from __future__ import annotations
@@ -30,38 +31,28 @@ class DeviceKind(Enum):
 
 
 @dataclass(frozen=True)
-class ArcPair:
-    """One layer's pair of parallel arcs (base delays, epsilon excluded)."""
-
-    take_delay: int
-    skip_delay: int = 0
-
-    def __post_init__(self):
-        if self.take_delay < 0 or self.skip_delay != 0:
-            raise ValueError("take delay must be nonnegative and skip delay zero")
-
-
-@dataclass(frozen=True)
 class DelayDevice:
-    """A layered delay graph, one ArcPair per element."""
+    """A layered delay graph: the take delay of each layer, in layer order.
+
+    Every skip arc has base delay 0, so the take delays are the whole
+    device.
+    """
 
     kind: DeviceKind
-    layers: tuple[ArcPair, ...]
+    take_delays: tuple[int, ...]
     target: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if not 1 <= len(self.layers) <= MAX_UNIVERSE:
+        object.__setattr__(self, "take_delays", tuple(self.take_delays))
+        if not 1 <= len(self.take_delays) <= MAX_UNIVERSE:
             raise ValueError(f"device must have between 1 and {MAX_UNIVERSE} layers")
+        if min(self.take_delays) < 0:
+            raise ValueError("take delays must be nonnegative")
         _check_int64_sum(self.take_delays, "take delays")
 
     @property
     def n(self) -> int:
-        return len(self.layers)
-
-    @property
-    def take_delays(self) -> tuple[int, ...]:
-        return tuple(arc.take_delay for arc in self.layers)
+        return len(self.take_delays)
 
     def path_core_delay(self, mask: SubsetMask) -> int:
         """Total base delay of the complete path taking exactly the masked layers."""
@@ -69,7 +60,7 @@ class DelayDevice:
         total = 0
         while mask:
             low = mask & -mask
-            total += self.layers[low.bit_length() - 1].take_delay
+            total += self.take_delays[low.bit_length() - 1]
             mask ^= low
         return total
 
@@ -78,8 +69,8 @@ class DelayDevice:
         lines = [f"device kind={self.kind.value} n={self.n}"]
         if self.target is not None:
             lines.append(f"target={self.target}")
-        for i, arc in enumerate(self.layers, start=1):
-            lines.append(f"layer {i}: take={arc.take_delay} skip={arc.skip_delay}")
+        for i, delay in enumerate(self.take_delays, start=1):
+            lines.append(f"layer {i}: take={delay} skip=0")
         return "\n".join(lines)
 
 
@@ -91,16 +82,9 @@ def build_set_splitting_device(n: int) -> DelayDevice:
     the mask of the layers it took.
     """
     _check_universe(n)
-    return DelayDevice(
-        DeviceKind.SET_SPLITTING,
-        tuple(ArcPair(1 << i) for i in range(n)),
-    )
+    return DelayDevice(DeviceKind.SET_SPLITTING, tuple(1 << i for i in range(n)))
 
 
 def build_subset_sum_device(inst: SubsetSumInstance) -> DelayDevice:
     """Device whose layer i take delay is the i-th input value."""
-    return DelayDevice(
-        DeviceKind.SUBSET_SUM,
-        tuple(ArcPair(v) for v in inst.values),
-        target=inst.target,
-    )
+    return DelayDevice(DeviceKind.SUBSET_SUM, inst.values, target=inst.target)

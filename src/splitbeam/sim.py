@@ -6,10 +6,11 @@ intensities, and can render the result as an oscilloscope-style sampled
 trace. Enumeration is one pass in one thread into one buffer and costs
 Theta(2**n) in time and memory, which is the whole point of the device
 being simulated; devices of more than ``DEFAULT_SIM_CAP`` = 28 layers,
-which would not terminate at desk scale, are refused. When the path
-delays come out distinct and in mask order, as the take delays 1, 2, 4,
-... of set splitting make them, the buffer is the timeline and no sort
-is needed.
+which would not terminate at desk scale, are refused, and so is the
+enumeration of more than ``PATH_ENUM_CAP`` = 24 layers, which would need
+1 GiB or more. When the path delays come out distinct and in mask
+order, as the take delays 1, 2, 4, ... of set splitting make them, the
+buffer is the timeline and no sort is needed.
 
 Set-splitting devices force a fully predictable timeline (every moment in
 [0, 2**n) arrives exactly once), so above an enumeration threshold the
@@ -35,6 +36,8 @@ from .core import (
 from .device import DelayDevice, DeviceKind
 
 DEFAULT_SIM_CAP = 28
+# enumeration peaks at up to 65 bytes per path: about 1 GiB at 24 layers
+PATH_ENUM_CAP = 24
 DEFAULT_ANALYTIC_THRESHOLD = 17
 # 32 MiB per float64 array, and a trace holds three
 TRACE_MAX_SAMPLES = 1 << 22
@@ -61,8 +64,9 @@ class ArrivalTimeline:
     cores as well means the moments are exactly 0..2**n-1, the form a
     set-splitting timeline built analytically has. A read builds only
     what it returns and keeps nothing: ``cores``, ``counts`` and
-    ``witnesses`` return the held array or a new one for an implicit
-    array, and ``iter_events`` streams the events one at a time.
+    ``witnesses`` return the held array, which ``simulate`` makes
+    read-only, or a new one for an implicit array, and ``iter_events``
+    streams the events one at a time.
     """
 
     __slots__ = ("n", "kind", "_cores", "_counts", "_witnesses")
@@ -190,15 +194,17 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
     in mask order in one buffer. One comparison checks whether they are
     strictly increasing; then every path arrives alone and the buffer is
     the timeline, with unit counts and witness = position left implicit.
-    Otherwise one sort coalesces them. A device of more than
-    ``DEFAULT_SIM_CAP`` layers is refused with ``EnumerationLimitError``
-    before anything is allocated.
+    Otherwise one sort coalesces them. The arrays the timeline holds are
+    read-only. A device of more than ``DEFAULT_SIM_CAP`` layers, or one
+    whose paths would be enumerated past ``PATH_ENUM_CAP`` layers, is
+    refused with ``EnumerationLimitError`` before anything is allocated.
     """
     n = device.n
     _check_enumerable(n, DEFAULT_SIM_CAP, "simulation")
 
     if device.kind is DeviceKind.SET_SPLITTING and n >= DEFAULT_ANALYTIC_THRESHOLD:
         return ArrivalTimeline.analytic_splitting(n)
+    _check_enumerable(n, PATH_ENUM_CAP, "path enumeration")
 
     # sums[mask] is the core delay of the path taking the masked layers
     sums = np.empty(1 << n, dtype=np.int64)
@@ -211,10 +217,14 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
     half = len(sums) >> 1
     if sums[half] > sums[half - 1] and np.all(sums[1:] > sums[:-1]):
         # distinct and in mask order: each event is one path, its mask the position
+        sums.flags.writeable = False
         return ArrivalTimeline(n, device.kind, sums, None, None)
     cores, first, counts = np.unique(sums, return_index=True, return_counts=True)
     # first occurrence in mask order is the smallest witness mask
-    return ArrivalTimeline(n, device.kind, cores, counts, first.astype(np.int64))
+    first = first.astype(np.int64)
+    for array in (cores, counts, first):
+        array.flags.writeable = False
+    return ArrivalTimeline(n, device.kind, cores, counts, first)
 
 
 @dataclass(frozen=True)

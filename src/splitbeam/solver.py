@@ -34,7 +34,6 @@ from .core import (
     splits_family,
 )
 from .device import (
-    ArcPair,
     DelayDevice,
     DeviceKind,
     build_set_splitting_device,
@@ -152,21 +151,21 @@ def oracle_solution_masks(inst: SplitInstance) -> list[int]:
     return [m for free in _free_masks(inst, DEFAULT_ORACLE_CAP) for m in free.tolist()]
 
 
-def _half_chain(layers: tuple[ArcPair, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _half_chain(delays: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Distinct core delays of a sub-chain and the smallest mask reaching each.
 
     The empty chain passes the pulse through once, at delay 0. A chain
-    ``simulate`` refuses (more than ``DEFAULT_SIM_CAP`` layers) is refused
-    here too, before anything is allocated.
+    ``simulate`` refuses is refused here too, before anything is
+    allocated.
     """
-    if not layers:
+    if not delays:
         zero = np.zeros(1, dtype=np.int64)
         return zero, zero
-    timeline = simulate(DelayDevice(DeviceKind.SUBSET_SUM, layers))
+    timeline = simulate(DelayDevice(DeviceKind.SUBSET_SUM, delays))
     return timeline.cores, timeline.witnesses
 
 
-def solve_subset_sum(inst: SubsetSumInstance, *, cap: int = DEFAULT_SIM_CAP) -> SubsetSumDetection:
+def solve_subset_sum(inst: SubsetSumInstance) -> SubsetSumDetection:
     """Decide subset sum by joining the device's two half-chains at the target.
 
     The front half is the first ceil(n/2) layers of the device, the back
@@ -176,13 +175,12 @@ def solve_subset_sum(inst: SubsetSumInstance, *, cap: int = DEFAULT_SIM_CAP) -> 
     smallest mask wins, because the back layers are the high bits of the
     full mask; its front partner's smallest mask fills the low bits. The
     result is the smallest witness the full timeline would report, found
-    in Theta(2**(n/2)) time and memory. Instances with ``n > cap`` are
-    refused, as the full simulation refuses them; a raised cap reaches
-    n = 56 at most, because each half is simulated and so refused past
-    ``DEFAULT_SIM_CAP`` layers.
+    in Theta(2**(n/2)) time and memory. Instances of more than
+    ``DEFAULT_SIM_CAP`` values are refused before anything is allocated,
+    as the full simulation refuses them.
     """
     n = inst.n
-    _check_enumerable(n, cap, "simulation")
+    _check_enumerable(n, DEFAULT_SIM_CAP, "simulation")
     moment = ExactMoment(inst.target, n)
     device = build_subset_sum_device(inst)
     # Devices keep the sum of take delays below 2**63, so past this check
@@ -190,8 +188,8 @@ def solve_subset_sum(inst: SubsetSumInstance, *, cap: int = DEFAULT_SIM_CAP) -> 
     if inst.target > sum(device.take_delays):
         return SubsetSumDetection(False, None, moment)
     front_n = (n + 1) // 2
-    front_cores, front_wits = _half_chain(device.layers[:front_n])
-    back_cores, back_wits = _half_chain(device.layers[front_n:])
+    front_cores, front_wits = _half_chain(device.take_delays[:front_n])
+    back_cores, back_wits = _half_chain(device.take_delays[front_n:])
     need = inst.target - back_cores
     at = np.minimum(np.searchsorted(front_cores, need), len(front_cores) - 1)
     joins = np.flatnonzero(front_cores[at] == need)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,8 @@ from splitbeam import (
     parse_subset_sum_instance,
     serialize_split_instance,
     serialize_subset_sum_instance,
+    solve_optical,
+    solve_oracle,
     splits_family,
 )
 
@@ -98,6 +101,18 @@ class TestInstances:
             SplitInstance(3, (0,))
         with pytest.raises(ValueError):
             SplitInstance(3, (0b1000,))
+
+    def test_numpy_integer_masks_decide_like_ints(self):
+        for family, moment in (((np.int64(3),), 1), ((np.int64(192), np.uint8(5)), 65)):
+            inst = SplitInstance(8, family)
+            assert inst == SplitInstance(8, tuple(map(int, family)))
+            assert all(type(f) is int for f in inst.family)
+            for solve in (solve_optical, solve_oracle):
+                assert solve(inst).solution_moment == moment
+
+    def test_float_mask_refused(self):
+        with pytest.raises(TypeError):
+            SplitInstance(8, (3.0,))
 
     def test_split_instance_accepts_empty_family(self):
         inst = SplitInstance(3)

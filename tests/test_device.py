@@ -3,7 +3,6 @@
 import pytest
 
 from splitbeam import (
-    ArcPair,
     DelayDevice,
     DeviceKind,
     SubsetSumInstance,
@@ -81,24 +80,36 @@ class TestSubsetSumDevice:
         assert build_subset_sum_device(inst) == build_subset_sum_device(inst)
 
 
-class TestArcPair:
-    def test_skip_must_be_zero(self):
-        with pytest.raises(ValueError):
-            ArcPair(1, 1)
-        with pytest.raises(ValueError):
-            ArcPair(-1)
-
-
 class TestDelayDevice:
+    def test_rejects_negative_take_delay(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DelayDevice(DeviceKind.SUBSET_SUM, (1, -1))
+
+    def test_rejects_bad_layer_count(self):
+        with pytest.raises(ValueError, match="layers"):
+            DelayDevice(DeviceKind.SUBSET_SUM, ())
+        with pytest.raises(ValueError, match="layers"):
+            DelayDevice(DeviceKind.SUBSET_SUM, (0,) * 64)
+
+    def test_dump_prints_zero_skip_arcs(self):
+        device = build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15))
+        assert device.dump() == (
+            "device kind=subset-sum n=3\n"
+            "target=15\n"
+            "layer 1: take=5 skip=0\n"
+            "layer 2: take=5 skip=0\n"
+            "layer 3: take=10 skip=0"
+        )
+
     def test_rejects_take_delays_summing_past_int64(self):
         # the full path would arrive at 2**63, which int64 wraps to -2**63
         with pytest.raises(ValueError, match="64-bit"):
-            DelayDevice(DeviceKind.SUBSET_SUM, (ArcPair(1 << 62), ArcPair(1 << 62)))
+            DelayDevice(DeviceKind.SUBSET_SUM, (1 << 62, 1 << 62))
 
     def test_rejects_take_delay_past_int64(self):
         with pytest.raises(ValueError, match="64-bit"):
-            DelayDevice(DeviceKind.SUBSET_SUM, (ArcPair(1 << 63),))
+            DelayDevice(DeviceKind.SUBSET_SUM, (1 << 63,))
 
     def test_largest_int64_sum_accepted(self):
-        device = DelayDevice(DeviceKind.SUBSET_SUM, (ArcPair(1 << 62), ArcPair((1 << 62) - 1)))
+        device = DelayDevice(DeviceKind.SUBSET_SUM, (1 << 62, (1 << 62) - 1))
         assert int(simulate(device).cores[-1]) == device.path_core_delay(0b11) == (1 << 63) - 1

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitbeam import (
-    ArcPair,
     ArrivalEvent,
     ArrivalTimeline,
     DelayDevice,
@@ -130,10 +129,6 @@ def brute_timeline_arrays(values):
     return tuple(np.array(col, dtype=np.int64) for col in columns)
 
 
-def _device(kind, delays):
-    return DelayDevice(kind, tuple(ArcPair(d) for d in delays))
-
-
 @st.composite
 def enumerated_devices(draw):
     """Devices whose path sums come out distinct and in mask order
@@ -151,7 +146,7 @@ def enumerated_devices(draw):
         delays = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=n, max_size=n))
     else:
         delays = draw(st.lists(st.integers(1, 1 << 40), min_size=n, max_size=n))
-    return _device(DeviceKind.SUBSET_SUM, delays)
+    return DelayDevice(DeviceKind.SUBSET_SUM, delays)
 
 
 class TestSimulateDifferential:
@@ -186,13 +181,13 @@ class TestSimulateDifferential:
 
     @settings(max_examples=150, deadline=None)
     @given(enumerated_devices())
-    @example(_device(DeviceKind.SUBSET_SUM, [0]))
-    @example(_device(DeviceKind.SUBSET_SUM, [7]))
-    @example(_device(DeviceKind.SUBSET_SUM, [0, 1, 2, 4]))
-    @example(_device(DeviceKind.SUBSET_SUM, [1, 2, 4, 0]))
-    @example(_device(DeviceKind.SUBSET_SUM, [3, 3, 3]))
-    @example(_device(DeviceKind.SUBSET_SUM, [1, 1, 5]))
-    @example(_device(DeviceKind.SUBSET_SUM, [2, 1, 5]))
+    @example(DelayDevice(DeviceKind.SUBSET_SUM, [0]))
+    @example(DelayDevice(DeviceKind.SUBSET_SUM, [7]))
+    @example(DelayDevice(DeviceKind.SUBSET_SUM, [0, 1, 2, 4]))
+    @example(DelayDevice(DeviceKind.SUBSET_SUM, [1, 2, 4, 0]))
+    @example(DelayDevice(DeviceKind.SUBSET_SUM, [3, 3, 3]))
+    @example(DelayDevice(DeviceKind.SUBSET_SUM, [1, 1, 5]))
+    @example(DelayDevice(DeviceKind.SUBSET_SUM, [2, 1, 5]))
     def test_matches_brute_force(self, device):
         self.check_against_brute_force(device)
 
@@ -299,11 +294,38 @@ class TestImplicitTimeline:
         assert analytic.is_analytic
 
 
+    def test_held_arrays_are_read_only(self):
+        timeline = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))
+        assert not timeline.is_analytic
+        for array in (timeline.cores, timeline.counts, timeline.witnesses):
+            with pytest.raises(ValueError, match="read-only"):
+                array[3] = 99
+        assert timeline.witness_for(15) == 5
+        # sums in mask order are held as the cores; the implicit arrays are fresh
+        ordered = simulate(build_set_splitting_device(4))
+        with pytest.raises(ValueError, match="read-only"):
+            ordered.cores[3] = 99
+        assert ordered.witness_for(3) == 3
+        ordered.counts[3] = 99
+        assert ordered.multiplicity(3) == 1
+
+
 class TestSimulationCap:
     def test_rejects_large_instance(self):
         device = build_subset_sum_device(SubsetSumInstance(tuple([1] * 29), 5))
         with pytest.raises(EnumerationLimitError, match="too large to enumerate.*28"):
             simulate(device)
+
+    def test_refuses_path_enumeration_past_24_layers_before_allocating(self):
+        device = build_subset_sum_device(SubsetSumInstance(tuple(range(1, 26)), 5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="path enumeration cap 24"):
+                simulate(device)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDetectSubsetSum:

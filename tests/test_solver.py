@@ -224,14 +224,15 @@ class TestSubsetSumSolvers:
         with pytest.raises(EnumerationLimitError, match="simulation cap"):
             solve_subset_sum(SubsetSumInstance(tuple([1] * 29), 1))
 
-    def test_raised_cap_refuses_oversize_halves_before_allocating(self):
+    def test_raised_cap_refuses_oversize_halves_before_allocating(self, monkeypatch):
         # 57 values make a 29-layer front half, which simulate refuses
         # before it allocates the 2**29-entry (4 GiB) buffer
+        monkeypatch.setattr(splitbeam.solver, "DEFAULT_SIM_CAP", 63)
         inst = SubsetSumInstance(tuple([1] * 57), 5)
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationLimitError, match="too large to enumerate.*28"):
-                solve_subset_sum(inst, cap=63)
+                solve_subset_sum(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -250,7 +251,8 @@ class TestSubsetSumSolvers:
             return timeline
 
         monkeypatch.setattr(splitbeam.solver, "simulate", counted)
-        detection = solve_subset_sum(inst, cap=40)
+        monkeypatch.setattr(splitbeam.solver, "DEFAULT_SIM_CAP", 40)
+        detection = solve_subset_sum(inst)
         assert detection.found and inst.subset_sum(detection.witness) == inst.target
         assert detection.witness <= mask
         assert paths == [1 << 20, 1 << 20]
