@@ -12,6 +12,7 @@ delays stay integral.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,7 +44,7 @@ class DelayDevice:
     target: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "take_delays", tuple(self.take_delays))
+        object.__setattr__(self, "take_delays", tuple(map(operator.index, self.take_delays)))
         if not 1 <= len(self.take_delays) <= MAX_UNIVERSE:
             raise ValueError(f"device must have between 1 and {MAX_UNIVERSE} layers")
         if min(self.take_delays) < 0:

@@ -3,9 +3,9 @@
 Two routes decide set splitting: the optical pipeline (build the delay
 device, simulate every path, classify arrival moments against the full
 blocked set) and a deliberately dumb brute-force oracle that scans all
-masks and checks the raw containment predicate, touching no devices,
-timelines, or moment sets. Equality of the two on small instances is the
-correctness argument for the pipeline. Subset sum gets the same pair.
+masks and drops each one a raw family set contains or misses, touching
+no devices, timelines, or moment sets. Equality of the two on small
+instances is the correctness argument. Subset sum gets the same pair.
 
 A subset-sum decision watches a single moment at the destination, so
 ``solve_subset_sum`` does not simulate the whole device. It cuts the
@@ -108,24 +108,22 @@ def solve_optical(inst: SplitInstance) -> SplitAnswer:
     )
 
 
-def _blocked_flags(family, masks: np.ndarray) -> np.ndarray:
-    blocked = np.zeros(len(masks), dtype=bool)
-    for f in family:
-        part = masks & f
-        np.logical_or(blocked, part == f, out=blocked)
-        np.logical_or(blocked, part == 0, out=blocked)
-    return blocked
-
-
 def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
-    """The solution masks of each block of the ascending scan, one array
-    per block, so the scan holds one block of masks at a time."""
+    """The solution masks of each block of the ascending scan, in the
+    narrowest unsigned type holding 2**n - 1, which every family set fits,
+    so ``free & f`` keeps it. Each set, smallest first, keeps only the
+    masks that split it; boolean indexing keeps them ascending."""
     n = inst.n
     _check_enumerable(n, cap, "oracle")
+    dtype = np.min_scalar_type((1 << n) - 1)
+    family = sorted(inst.family, key=int.bit_count)
     total, lo, block = 1 << n, 0, _ORACLE_FIRST_BLOCK
     while lo < total:
-        masks = np.arange(lo, min(lo + block, total), dtype=np.int64)
-        yield masks[~_blocked_flags(inst.family, masks)]
+        free = np.arange(lo, min(lo + block, total), dtype=dtype)
+        for f in family:
+            part = free & f
+            free = free[(part != f) & (part != 0)]
+        yield free
         lo += block
         block = min(2 * block, _ORACLE_BLOCK)
 
@@ -133,9 +131,10 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
 def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SplitAnswer:
     """Brute-force verifier: scan masks ascending, check containment directly.
 
-    Works block by block so the scan stays vectorized while still
-    returning the first solution in ascending mask order; independent of
-    the device, simulation, and moment machinery by construction.
+    Works block by block, one family set at a time over the surviving
+    masks, so the scan stays vectorized while still returning the first
+    solution in ascending mask order. It touches no devices, timelines,
+    or moment sets.
     """
     for free in _free_masks(inst, cap):
         if free.size:

@@ -1,5 +1,6 @@
 """Delay-graph builders: layer delays, path/mask correspondence, determinism."""
 
+import numpy as np
 import pytest
 
 from splitbeam import (
@@ -100,6 +101,17 @@ class TestDelayDevice:
             "layer 2: take=5 skip=0\n"
             "layer 3: take=10 skip=0"
         )
+
+    def test_rejects_non_integer_take_delay(self):
+        with pytest.raises(TypeError):
+            DelayDevice(DeviceKind.SUBSET_SUM, (1.5, 2))
+
+    def test_numpy_integer_take_delays_become_ints(self):
+        device = DelayDevice(DeviceKind.SUBSET_SUM, (np.int64(5), np.uint8(5), np.int32(10)))
+        plain = DelayDevice(DeviceKind.SUBSET_SUM, (5, 5, 10))
+        assert device == plain and all(type(d) is int for d in device.take_delays)
+        assert device.dump() == plain.dump()
+        assert simulate(device) == simulate(plain)
 
     def test_rejects_take_delays_summing_past_int64(self):
         # the full path would arrive at 2**63, which int64 wraps to -2**63

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,51 @@ class TestSolveOracle:
         assert masks == [odd, odd ^ ((1 << n) - 1)]
         assert all(mask_splits(inst.family, k, n) for k in masks)
         assert peak < 2 << 20
+
+    @pytest.mark.parametrize("n, dtype", [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)])
+    def test_solution_masks_where_the_mask_type_widens(self, n, dtype):
+        # at n = 8 and 16 the last block ends exactly at the top of the
+        # uint8 or uint16 range; the full universe is a set too
+        rng = random.Random(n)
+        family = tuple(sum(1 << p for p in rng.sample(range(n), rng.randint(2, 3))) for _ in range(3))
+        inst = SplitInstance(n, family + ((1 << n) - 1,))
+        assert {free.dtype for free in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)} == {np.dtype(dtype)}
+        expected = [k for k in range(1 << n) if mask_splits(inst.family, k, n)]
+        masks = oracle_solution_masks(inst)
+        assert masks == expected and masks[-1] > (1 << n) - 1024
+        assert all(type(k) is int for k in masks)
+        answer = solve_oracle(inst)
+        assert answer.solution_moment == expected[0] and type(answer.solution_moment) is int
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_family_order_and_duplicates_do_not_matter(self, data):
+        n = data.draw(st.integers(1, 12))
+        family = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
+        duplicates = data.draw(st.lists(st.sampled_from(family), max_size=3)) if family else []
+        shuffled = data.draw(st.permutations(family + duplicates))
+        inst = SplitInstance(n, tuple(family))
+        for other in (shuffled, sorted(family, key=int.bit_count, reverse=True)):
+            again = SplitInstance(n, tuple(other))
+            assert oracle_solution_masks(again) == oracle_solution_masks(inst)
+            assert solve_oracle(again) == solve_oracle(inst)
+
+    def test_unsolvable_full_scan_memory(self):
+        # an odd cycle of pairs cannot be two-coloured, so all 2**22 masks
+        # are scanned; a block of them is 128 KiB as uint32
+        rng = random.Random(22)
+        n = 22
+        cycle = (0b11, 0b110, 0b101)
+        family = cycle + tuple(sum(1 << p for p in rng.sample(range(n), 4)) for _ in range(3))
+        inst = SplitInstance(n, family)
+        tracemalloc.start()
+        try:
+            answer = solve_oracle(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer.decision is Decision.UNSOLVABLE
+        assert peak < 1 << 20
 
 
 class TestOracleEquivalence:
