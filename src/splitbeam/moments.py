@@ -26,9 +26,11 @@ universe of more than ``BITSET_MAX_N`` = 28 elements is refused with
 kernel, ``_or_block``, ORs the patterns into any aligned block of words,
 and every read goes through it: ``in`` builds the one word it reads, and
 ``len``, iteration, ``==``, ``repr`` and ``first_absent`` stream blocks
-of at most 512 KiB through one reused buffer. ``first_absent`` stops at
-the first block with a clear bit, so a decision whose first solution
-lies early reads only the first 64 words.
+of at most 512 KiB through one reused buffer. ``first_absent`` scans only
+the moments below 2**(n-1), where every set made here has its smallest
+hole if it has one, and stops at the first block with a clear bit, so a
+decision whose first solution lies early reads only the first 64 words
+and an unsolvable one reads half of them.
 """
 
 from __future__ import annotations
@@ -118,9 +120,19 @@ class MomentSet:
 
     def first_absent(self) -> int | None:
         """Smallest moment of [0, 2**n) not in the set, or None if it
-        covers all; the scan (``_scan_blocks``) stops at the first hole."""
+        covers all.
+
+        The scan (``_scan_blocks``) reads only the words of the lower
+        half, the moments below 2**(n-1) (for n <= 6 the one word), and
+        stops at the first hole. That finds the smallest hole of the whole
+        range for both kinds of set that ``_packed_union`` makes. A
+        two-sided set holds k iff it holds its reflection 2**n - 1 - k, so
+        a hole in the upper half has a mirror hole in the lower one. A
+        one-sided set never holds moment 0, because every family set is
+        nonempty.
+        """
         full = _full_word(self.n)
-        for lo, block in self._blocks(_scan_blocks(self.n)):
+        for lo, block in self._blocks(_scan_blocks(self.n - 1)):
             w = int((block != np.uint64(full)).argmax())
             word = block.item(w)
             if word != full:
@@ -180,8 +192,9 @@ def _spans(n: int) -> Iterator[tuple[int, int]]:
 
 
 def _scan_blocks(n: int) -> Iterator[tuple[int, int]]:
-    # the blocks first_absent scans: the prefix, then every block (the
-    # first of which repeats the prefix, 64 words of 2**16)
+    # the first _PREFIX_WORDS words of a universe of n elements, then the
+    # blocks that tile its words (the first repeats the prefix, 64 words
+    # of 2**16); first_absent passes n - 1: the lower half of its words
     if _word_count(n) > _PREFIX_WORDS:
         yield 0, _PREFIX_WORDS
     yield from _spans(n)

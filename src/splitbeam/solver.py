@@ -91,8 +91,12 @@ def solve_optical(inst: SplitInstance) -> SplitAnswer:
     smallest unblocked moment is the smallest solution arrival. The
     blocked set is never built whole here: ``first_absent`` fills it one
     block of words at a time and stops at the first block with a hole,
-    holding at most 512 KiB. Universes of more than ``DEFAULT_SIM_CAP``
-    elements are refused, as ``simulate`` refuses them.
+    holding at most 512 KiB. It watches only the moments below 2**(n-1):
+    a split and its complement, moments k and 2**n - 1 - k, are both
+    splits, so the smallest one lies there if any exists, and an
+    unsolvable instance is proven by half the words. Universes of more
+    than ``DEFAULT_SIM_CAP`` elements are refused, as ``simulate``
+    refuses them.
     """
     device = build_set_splitting_device(inst.n)
     timeline = simulate(device)

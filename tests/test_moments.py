@@ -470,11 +470,21 @@ class TestPackedBuildMemory:
         assert peak < 1 << 20
 
     def test_unsolvable_decision_at_28_scans_in_one_buffer(self):
-        # {a1} blocks every moment: all 64 blocks of 2**16 words are scanned
+        # {a1} blocks every moment: the 32 blocks of 2**16 words below
+        # moment 2**27 are scanned
         inst = SplitInstance(28, (0b1,))
         answer, peak = self.peak_bytes(lambda: solve_optical(inst))
         assert not answer.solvable
         assert peak < 1 << 20
+
+    def test_unsolvable_decision_at_28_scans_only_the_lower_half(self):
+        # a split and its complement are both splits, so no hole below
+        # moment 2**27 proves there is none: no word from 2**21 on is ORed
+        inst = SplitInstance(28, (0b1,))
+        with mock.patch.object(moments, "_or_block", wraps=moments._or_block) as or_block:
+            answer = solve_optical(inst)
+        assert not answer.solvable
+        assert max(lo + len(out) for (_, lo, out), _ in or_block.call_args_list) <= 1 << 21
 
     def test_iteration_decodes_only_occupied_blocks(self):
         # {a2, ..., a28} blocks the moments holding all of a2..a28 or none
@@ -508,6 +518,12 @@ def word_kernel_instance(draw):
     regions = st.sampled_from(["low", "high", "straddle"])
     family = draw(st.lists(regions.flatmap(lambda r: family_set_in(n, r)), max_size=4))
     return SplitInstance(n, tuple(family))
+
+
+def top_pairs(n):
+    """{a_n, a_j} for every j < n: the holes are 2**(n-1) - 1 and 2**(n-1),
+    so the smallest is the last moment of the lower half."""
+    return SplitInstance(n, tuple(1 << (n - 1) | 1 << j for j in range(n - 1)))
 
 
 class TestWordKernel:
@@ -555,17 +571,36 @@ class TestWordKernel:
     @pytest.mark.parametrize("prefix, block", [(64, 1 << 16), (1, 2), (2, 8)])
     @settings(max_examples=100, deadline=None)
     @given(inst=word_kernel_instance())
+    # first_absent scans the words below moment 2**(n-1): for n = 1-6 the
+    # one word, which also holds the upper half, at n = 7 exactly the
+    # lower half's one word, and at n = 9 and n = 11 two blocks of the
+    # patched 2 and 8 words. top_pairs puts the smallest hole on the last
+    # moment of the lower half, and {a1} covers all
+    @example(inst=top_pairs(1))
+    @example(inst=top_pairs(2))
+    @example(inst=top_pairs(3))
+    @example(inst=top_pairs(4))
+    @example(inst=top_pairs(5))
+    @example(inst=top_pairs(6))
+    @example(inst=top_pairs(7))
+    @example(inst=top_pairs(9))
+    @example(inst=top_pairs(11))
+    @example(inst=SplitInstance(6, (0b1,)))
+    @example(inst=SplitInstance(7, (0b1,)))
+    @example(inst=SplitInstance(11, (0b1,)))
     def test_streamed_first_absent_matches_built_scan_and_brute_force(self, prefix, block, inst):
-        # small block sizes put every block boundary of the scan within reach
-        blocked = set(brute_full(inst))
-        gap = next((k for k in range(1 << inst.n) if k not in blocked), None)
-        with mock.patch.multiple(moments, _PREFIX_WORDS=prefix, _BLOCK_WORDS=block):
-            streamed = blocked_moments_full(inst)
-            assert streamed.first_absent() == gap
-            assert streamed.covers_all() == (gap is None)
-        words = words_of(blocked_moments_full(inst))
-        clear = (k for k in range(1 << inst.n) if not int(words[k >> 6]) >> (k & 63) & 1)
-        assert next(clear, None) == gap
+        # small block sizes put every block boundary of the scan within
+        # reach; the scan stops at 2**(n-1), the brute force does not
+        for build, brute in ((blocked_moments_full, brute_full), (blocked_moments_literal, brute_literal)):
+            blocked = set(brute(inst))
+            gap = next((k for k in range(1 << inst.n) if k not in blocked), None)
+            with mock.patch.multiple(moments, _PREFIX_WORDS=prefix, _BLOCK_WORDS=block):
+                streamed = build(inst)
+                assert streamed.first_absent() == gap
+                assert streamed.covers_all() == (gap is None)
+            words = words_of(build(inst))
+            clear = (k for k in range(1 << inst.n) if not int(words[k >> 6]) >> (k & 63) & 1)
+            assert next(clear, None) == gap
 
     def test_first_solution_in_a_later_block(self):
         # {a23, a24} blocks every moment below 2**22 (its complement holds
