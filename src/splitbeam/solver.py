@@ -28,7 +28,6 @@ from .core import (
     ExactMoment,
     Partition,
     SplitInstance,
-    SubsetMask,
     SubsetSumInstance,
     _check_enumerable,
     splits_family,
@@ -204,19 +203,26 @@ def solve_subset_sum(inst: SubsetSumInstance) -> SubsetSumDetection:
 
 
 def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SubsetSumDetection:
-    """Direct enumeration of all subset sums, no device or arrays involved.
+    """Direct enumeration of all subset sums in one int64 array, no device involved.
 
-    The running list is grown value by value in mask order, so the first
-    index holding the target is the smallest witness mask.
+    Entry ``mask`` of the array holds the sum of the values ``mask``
+    selects: it is doubled value by value in mask order, so the first
+    index holding the target is the smallest witness mask. The int64
+    sums are exact because ``SubsetSumInstance`` refuses values whose
+    sum reaches 2**63, and a target past that sum is answered before
+    anything is allocated.
     """
     n = inst.n
     _check_enumerable(n, cap, "oracle")
-    sums = [0]
-    for v in inst.values:
-        sums += [s + v for s in sums]
     moment = ExactMoment(inst.target, n)
-    try:
-        mask: SubsetMask | None = sums.index(inst.target)
-    except ValueError:
+    if inst.target > sum(inst.values):
+        return SubsetSumDetection(False, None, moment)
+    sums = np.empty(1 << n, dtype=np.int64)
+    sums[0] = 0
+    for i, v in enumerate(inst.values):
+        np.add(sums[: 1 << i], v, out=sums[1 << i : 2 << i])
+    hit = sums == inst.target
+    mask = int(np.argmax(hit))
+    if not hit[mask]:
         return SubsetSumDetection(False, None, moment)
     return SubsetSumDetection(True, mask, moment)

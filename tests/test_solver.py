@@ -256,15 +256,61 @@ class TestSubsetSumSolvers:
                 assert inst.subset_sum(piped.witness) == target
 
     def test_oracle_cap(self):
-        with pytest.raises(EnumerationLimitError):
-            subset_sum_oracle(SubsetSumInstance(tuple([1] * 25), 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="oracle cap 24"):
+                subset_sum_oracle(SubsetSumInstance(tuple([1] * 25), 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_targets_out_of_reach(self):
         values = (3, 5, 9)
         for target in (sum(values) + 1, 1 << 63, 1 << 64, 1 << 70):
-            detection = solve_subset_sum(SubsetSumInstance(values, target))
-            assert not detection.found and detection.witness is None
-            assert detection.moment.core == target
+            inst = SubsetSumInstance(values, target)
+            for detection in (solve_subset_sum(inst), subset_sum_oracle(inst)):
+                assert not detection.found and detection.witness is None
+                assert detection.moment.core == target
+
+    def test_oracle_answers_a_target_past_the_sum_before_allocating(self):
+        inst = SubsetSumInstance(tuple(range(1, 21)), 211)
+        tracemalloc.start()
+        try:
+            detection = subset_sum_oracle(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not detection.found
+        assert peak < 1 << 20
+
+    def test_oracle_full_scan_memory(self):
+        # all values even, target odd and inside [0, sum]: no subset hits,
+        # so every one of the 2**22 sums is built and compared
+        values = tuple(2 * (i + 1) for i in range(22))
+        inst = SubsetSumInstance(values, sum(values) - 1)
+        tracemalloc.start()
+        try:
+            detection = subset_sum_oracle(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not detection.found
+        # one int64 per mask (32 MiB) and one comparison flag per mask (4 MiB)
+        assert peak < 40 << 20
+
+    def test_sums_at_the_int64_edge(self):
+        values = (1 << 62, 1 << 61, (1 << 61) - 1)
+        assert sum(values) == (1 << 63) - 1
+        sums = {masked_sum(values, mask) for mask in range(1, 1 << len(values))}
+        for target in sorted(sums) + [1, 1 << 63]:
+            inst = SubsetSumInstance(values, target)
+            direct = subset_sum_oracle(inst)
+            piped = solve_subset_sum(inst)
+            assert (direct.found, direct.witness) == (piped.found, piped.witness)
+            assert direct.found == (target in sums)
+            if direct.found:
+                assert inst.subset_sum(direct.witness) == target
 
     def test_cap(self):
         with pytest.raises(EnumerationLimitError, match="simulation cap"):
