@@ -21,7 +21,6 @@ from .core import (
     SubsetSumInstance,
     complement,
     format_mask,
-    indices_to_mask,
     mask_to_indices,
     parse_split_instance,
     parse_subset_sum_instance,
@@ -50,7 +49,6 @@ from .moments import (
     blocked_moments_full,
     blocked_moments_literal,
     decode_moment,
-    encode_moment,
     is_solution_moment,
     superset_moments,
 )
@@ -112,9 +110,7 @@ __all__ = [
     "complement",
     "decode_moment",
     "detect_subset_sum",
-    "encode_moment",
     "format_mask",
-    "indices_to_mask",
     "is_solution_moment",
     "mask_to_indices",
     "max_n_for_cable",

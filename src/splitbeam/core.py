@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 MAX_UNIVERSE = 63
@@ -88,16 +87,6 @@ def mask_to_indices(mask: SubsetMask) -> tuple[int, ...]:
     return tuple(out)
 
 
-def indices_to_mask(indices: Iterable[int], n: int) -> SubsetMask:
-    _check_universe(n)
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= n:
-            raise ValueError(f"element index {i} out of range [1, {n}]")
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def format_mask(mask: SubsetMask) -> str:
     """Render a subset as ``{1,3,4}`` with 1-based indices."""
     return "{" + ",".join(str(i) for i in mask_to_indices(mask)) + "}"
@@ -124,10 +113,6 @@ class SplitInstance:
                 raise ValueError("family sets must be nonempty")
             _check_mask(f, self.n)
 
-    def with_set(self, mask: SubsetMask) -> "SplitInstance":
-        """A new instance with one more family set."""
-        return SplitInstance(self.n, self.family + (mask,))
-
 
 @dataclass(frozen=True)
 class SubsetSumInstance:
@@ -137,16 +122,18 @@ class SubsetSumInstance:
     target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        # as in SplitInstance: numpy integers and bools become ints, a float is refused
+        object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
+        object.__setattr__(self, "target", operator.index(self.target))
         if not self.values:
             raise ValueError("value list must be nonempty")
         if len(self.values) > MAX_UNIVERSE:
             raise ValueError(f"at most {MAX_UNIVERSE} values supported, got {len(self.values)}")
         for v in self.values:
-            if not isinstance(v, int) or v < 1:
+            if v < 1:
                 raise ValueError(f"values must be positive integers, got {v!r}")
         _check_int64_sum(self.values, "values")
-        if not isinstance(self.target, int) or self.target < 1:
+        if self.target < 1:
             raise ValueError(f"target must be a positive integer, got {self.target!r}")
 
     @property
@@ -207,9 +194,6 @@ class ExactMoment:
         if self.core < 0 or self.hops < 0:
             raise ValueError("moment components must be nonnegative")
 
-    def physical_seconds(self, unit_delay: float, epsilon: float) -> float:
-        return self.core * unit_delay + self.hops * epsilon
-
     def __str__(self) -> str:
         return f"{self.core}+{self.hops}eps"
 
@@ -241,14 +225,6 @@ class DyadicIntensity:
         object.__setattr__(self, "exponent", exp)
 
     @classmethod
-    def one(cls) -> "DyadicIntensity":
-        return cls(1, 0)
-
-    @classmethod
-    def zero(cls) -> "DyadicIntensity":
-        return cls(0, 0)
-
-    @classmethod
     def from_paths(cls, paths: int, n: int) -> "DyadicIntensity":
         """Intensity of ``paths`` coalesced beams in an n-layer device."""
         return cls(paths, n)
@@ -261,12 +237,6 @@ class DyadicIntensity:
             other.numerator << (exp - other.exponent)
         )
         return DyadicIntensity(num, exp)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def as_float(self) -> float:
-        return self.numerator / (1 << self.exponent)
 
     def __str__(self) -> str:
         if self.exponent == 0:

@@ -16,14 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (
-    MAX_UNIVERSE,
-    SubsetMask,
-    SubsetSumInstance,
-    _check_int64_sum,
-    _check_mask,
-    _check_universe,
-)
+from .core import MAX_UNIVERSE, SubsetSumInstance, _check_int64_sum, _check_universe
 
 
 class DeviceKind(Enum):
@@ -54,16 +47,6 @@ class DelayDevice:
     @property
     def n(self) -> int:
         return len(self.take_delays)
-
-    def path_core_delay(self, mask: SubsetMask) -> int:
-        """Total base delay of the complete path taking exactly the masked layers."""
-        _check_mask(mask, self.n)
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += self.take_delays[low.bit_length() - 1]
-            mask ^= low
-        return total
 
     def dump(self) -> str:
         """Human-readable arc table."""

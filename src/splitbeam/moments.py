@@ -112,12 +112,6 @@ class MomentSet:
             if block.any():
                 yield from _bit_positions(block, lo)
 
-    def to_list(self) -> list[int]:
-        return list(self)
-
-    def covers_all(self) -> bool:
-        return self.first_absent() is None
-
     def first_absent(self) -> int | None:
         """Smallest moment of [0, 2**n) not in the set, or None if it
         covers all.
@@ -225,14 +219,6 @@ def decode_moment(k: int, n: int) -> SubsetMask:
     if not 0 <= k < (1 << n):
         raise ValueError(f"moment {k} out of range [0, 2**{n})")
     return k
-
-
-def encode_moment(mask: SubsetMask, n: int) -> int:
-    """Arrival moment of the path taking exactly the masked layers."""
-    _check_universe(n)
-    if not 0 <= mask < (1 << n):
-        raise ValueError(f"mask {mask} out of range for universe size {n}")
-    return mask
 
 
 def _spread(bits: int, free: SubsetMask) -> int:

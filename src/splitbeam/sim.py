@@ -124,28 +124,15 @@ class ArrivalTimeline:
             return self.event_count
         return int(self._counts.sum())
 
-    def _index(self, core: int) -> int | None:
-        """Array position of the event at ``core``, or None if no beam arrives then."""
+    def witness_for(self, core: int) -> SubsetMask | None:
+        """Smallest mask among the paths arriving at ``core``, or None."""
         if self._cores is None:
             # analytic: event k sits at position k, arrays stay implicit
             return core if 0 <= core < (1 << self.n) else None
         i = int(np.searchsorted(self._cores, core))
-        if i < len(self._cores) and int(self._cores[i]) == core:
-            return i
-        return None
-
-    def multiplicity(self, core: int) -> int:
-        i = self._index(core)
-        if i is None:
-            return 0
-        return 1 if self._counts is None else int(self._counts[i])
-
-    def witness_for(self, core: int) -> SubsetMask | None:
-        """Smallest mask among the paths arriving at ``core``, or None."""
-        i = self._index(core)
-        if i is None or self._witnesses is None:
-            return i
-        return int(self._witnesses[i])
+        if i == len(self._cores) or int(self._cores[i]) != core:
+            return None
+        return i if self._witnesses is None else int(self._witnesses[i])
 
     def iter_events(self):
         if self._counts is None:

@@ -25,19 +25,17 @@ class TestSetSplittingDevice:
 
     def test_path_taking_first_two_layers(self):
         device = build_set_splitting_device(4)
-        assert device.path_core_delay(0b0011) == 3
+        assert simulate(device).witness_for(3) == 0b0011
 
     def test_path_delay_equals_mask_exhaustive(self):
         # the path <-> mask bijection is structural: core delay reads back the mask
         for n in (1, 2, 3, 8, 16):
-            device = build_set_splitting_device(n)
-            for mask in range(1 << n):
-                assert device.path_core_delay(mask) == mask
+            timeline = simulate(build_set_splitting_device(n))
+            assert timeline.cores.tolist() == timeline.witnesses.tolist() == list(range(1 << n))
 
     def test_all_path_delays_distinct(self):
-        device = build_set_splitting_device(10)
-        delays = {device.path_core_delay(m) for m in range(1 << 10)}
-        assert len(delays) == 1 << 10
+        timeline = simulate(build_set_splitting_device(10))
+        assert timeline.event_count == timeline.total_paths == 1 << 10
 
     def test_deterministic(self):
         assert build_set_splitting_device(6) == build_set_splitting_device(6)
@@ -63,18 +61,21 @@ class TestSubsetSumDevice:
         # oracle: the target is reachable two ways
         hits = [m for m in range(8) if inst.subset_sum(m) == 15]
         assert len(hits) == 2
-        assert all(device.path_core_delay(m) == 15 for m in hits)
+        timeline = simulate(device)
+        assert timeline.witness_for(15) == hits[0]
+        assert int(timeline.counts[timeline.cores.tolist().index(15)]) == len(hits)
 
     def test_path_delays_match_subset_sums(self):
         inst = SubsetSumInstance((3, 1, 4, 1, 5), 9)
         device = build_subset_sum_device(inst)
-        for mask in range(1 << 5):
-            assert device.path_core_delay(mask) == inst.subset_sum(mask)
+        timeline = simulate(device)
+        arrivals = np.repeat(timeline.cores, timeline.counts).tolist()
+        assert arrivals == sorted(inst.subset_sum(mask) for mask in range(1 << 5))
 
     def test_single_value_device(self):
         device = build_subset_sum_device(SubsetSumInstance((7,), 3))
         # 2 paths only; neither reaches delay 3
-        assert {device.path_core_delay(m) for m in range(2)} == {0, 7}
+        assert simulate(device).cores.tolist() == [0, 7]
 
     def test_deterministic(self):
         inst = SubsetSumInstance((2, 9, 2), 4)
@@ -124,4 +125,4 @@ class TestDelayDevice:
 
     def test_largest_int64_sum_accepted(self):
         device = DelayDevice(DeviceKind.SUBSET_SUM, (1 << 62, (1 << 62) - 1))
-        assert int(simulate(device).cores[-1]) == device.path_core_delay(0b11) == (1 << 63) - 1
+        assert int(simulate(device).cores[-1]) == (1 << 63) - 1

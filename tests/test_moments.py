@@ -17,7 +17,6 @@ from splitbeam import (
     blocked_moments_literal,
     complement,
     decode_moment,
-    encode_moment,
     is_solution_moment,
     solve_optical,
     superset_moments,
@@ -67,33 +66,31 @@ class TestDecodeEncode:
     def test_roundtrip_exhaustive(self):
         for n in range(1, 13):
             for k in range(1 << n):
-                assert encode_moment(decode_moment(k, n), n) == k
+                assert decode_moment(k, n) == k
 
     def test_roundtrip_randomized_large(self):
         rng = random.Random(31)
         for _ in range(2000):
             n = rng.randint(13, 63)
             k = rng.randrange(1 << n)
-            assert encode_moment(decode_moment(k, n), n) == k
+            assert decode_moment(k, n) == k
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
             decode_moment(-1, 4)
         with pytest.raises(ValueError):
             decode_moment(16, 4)
-        with pytest.raises(ValueError):
-            encode_moment(16, 4)
 
 
 class TestSupersetMoments:
     def test_first_family_set(self):
-        assert superset_moments(0b0011, 4).to_list() == [3, 7, 11, 15]
+        assert list(superset_moments(0b0011, 4)) == [3, 7, 11, 15]
 
     def test_second_family_set(self):
-        assert superset_moments(0b0101, 4).to_list() == [5, 7, 13, 15]
+        assert list(superset_moments(0b0101, 4)) == [5, 7, 13, 15]
 
     def test_full_mask_is_own_only_superset(self):
-        assert superset_moments(0b1111, 4).to_list() == [15]
+        assert list(superset_moments(0b1111, 4)) == [15]
 
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -102,7 +99,7 @@ class TestSupersetMoments:
     def test_matches_brute_force(self):
         for n in range(1, 11):
             for f in range(1, 1 << n):
-                assert superset_moments(f, n).to_list() == brute_supersets(f, n)
+                assert list(superset_moments(f, n)) == brute_supersets(f, n)
 
     def test_cardinality_formula(self):
         for n in range(1, 11):
@@ -123,34 +120,34 @@ class TestSupersetMoments:
 
 class TestBlockedMoments:
     def test_literal_worked_example(self, demo4):
-        assert blocked_moments_literal(demo4).to_list() == [3, 5, 7, 11, 13, 15]
+        assert list(blocked_moments_literal(demo4)) == [3, 5, 7, 11, 13, 15]
 
     def test_literal_empty_family(self):
-        assert blocked_moments_literal(SplitInstance(4)).to_list() == []
+        assert list(blocked_moments_literal(SplitInstance(4))) == []
 
     def test_literal_full_mask(self):
-        assert blocked_moments_literal(SplitInstance(2, (0b11,))).to_list() == [3]
+        assert list(blocked_moments_literal(SplitInstance(2, (0b11,)))) == [3]
 
     def test_full_worked_example(self, demo4):
         expected = [0, 2, 3, 4, 5, 7, 8, 10, 11, 12, 13, 15]
         assert brute_full(demo4) == expected
-        assert blocked_moments_full(demo4).to_list() == expected
+        assert list(blocked_moments_full(demo4)) == expected
 
     def test_full_empty_family(self):
-        assert blocked_moments_full(SplitInstance(4)).to_list() == []
+        assert list(blocked_moments_full(SplitInstance(4))) == []
 
     def test_full_singleton_blocks_everything(self):
         inst = SplitInstance(2, (0b01,))
         assert brute_full(inst) == [0, 1, 2, 3]
-        assert blocked_moments_full(inst).to_list() == [0, 1, 2, 3]
+        assert list(blocked_moments_full(inst)) == [0, 1, 2, 3]
 
     def test_both_variants_match_brute_force(self):
         rng = random.Random(11)
         for n in range(1, 11):
             for _ in range(20):
                 inst = random_instance(rng, n)
-                assert blocked_moments_literal(inst).to_list() == brute_literal(inst)
-                assert blocked_moments_full(inst).to_list() == brute_full(inst)
+                assert list(blocked_moments_literal(inst)) == brute_literal(inst)
+                assert list(blocked_moments_full(inst)) == brute_full(inst)
 
     def test_full_is_literal_union_reflection(self):
         rng = random.Random(12)
@@ -198,18 +195,18 @@ class TestMomentSet:
         top = (1 << n) - 1
         small = superset_moments(top ^ 0b10, n)
         assert len(small) == 2
-        assert small.to_list() == [top ^ 0b10, top]
+        assert list(small) == [top ^ 0b10, top]
         assert top in small and top - 2 in small
         for k in (-1, 0, 1, 2, 1 << (n - 1), top - 1, 1 << n):
             assert k not in small
         big = blocked_moments_literal(SplitInstance(n, large_family))
         large = sorted({k for f in large_family for k in brute_supersets(f, n)})
         assert len(big) == len(large)
-        assert big.to_list() == large
+        assert list(big) == large
         assert all(k in big for k in large)
         assert 0 not in big and -1 not in big and (1 << n) not in big
         union = blocked_moments_literal(SplitInstance(n, (top ^ 0b10,) + large_family))
-        assert union.to_list() == sorted({top ^ 0b10, top} | set(large))
+        assert list(union) == sorted({top ^ 0b10, top} | set(large))
 
     def test_small_and_large_contents_small_universe(self):
         self.check_small_and_large_contents(10, (0b1, 0b110 << 4))
@@ -226,11 +223,10 @@ class TestMomentSet:
     def test_first_absent_and_covers(self):
         full = blocked_moments_full(SplitInstance(2, (0b01,)))  # every moment
         assert full.first_absent() is None
-        assert full.covers_all()
         # {a1, a2} on either side blocks 0 and 3
         assert blocked_moments_full(SplitInstance(2, (0b11,))).first_absent() == 1
         assert blocked_moments_literal(SplitInstance(2, (0b10,))).first_absent() == 0
-        assert not superset_moments(0b01, 2).covers_all()
+        assert superset_moments(0b01, 2).first_absent() == 0
         with pytest.raises(EnumerationLimitError):
             blocked_moments_full(SplitInstance(40, (0b01,)))
 
@@ -247,7 +243,7 @@ class TestMomentSet:
 
     def test_contains_and_iter(self):
         ms = superset_moments(0b11110, 5)
-        assert ms.to_list() == [30, 31]
+        assert list(ms) == [30, 31]
         assert 30 in ms and 2 not in ms and 32 not in ms
 
 
@@ -304,10 +300,9 @@ class TestMomentSetModel:
             gap = next((k for k in range(1 << n) if k not in model), None)
             probes = model | {-1, 0, 1, top, 1 << n}
             assert ms.first_absent() == gap
-            assert ms.covers_all() == (gap is None)
             assert all((k in ms) == (k in model) for k in probes)
             assert len(ms) == len(model)
-            assert list(ms) == ms.to_list() == sorted(model)
+            assert list(ms) == sorted(model)
             words = words_of(ms)
             assert {k for k in range(1 << n) if int(words[k >> 6]) >> (k & 63) & 1} == model
             shown = ",".join(map(str, sorted(model)[:16])) + (",..." if len(model) > 16 else "")
@@ -331,7 +326,7 @@ class TestMomentSetModel:
         for f in inst.family:
             supersets = {f | s for s in model_subsets(top ^ f)}
             route = superset_moments(f, n)
-            assert route.to_list() == sorted(supersets)
+            assert list(route) == sorted(supersets)
             # a superset of f blocks no moment that f does not
             assert route == blocked_moments_literal(SplitInstance(n, (f, f | rng.randrange(top + 1))))
             literal |= supersets
@@ -344,7 +339,7 @@ class TestMomentSetModel:
         for blocked, model in ((blocked_moments_literal, literal), (blocked_moments_full, full)):
             routes = [blocked(inst), blocked(same)]
             for route in routes:
-                assert route.to_list() == sorted(model)
+                assert list(route) == sorted(model)
                 assert route == routes[0]
         assert (blocked_moments_literal(inst) == blocked_moments_full(inst)) == (literal == full)
 
@@ -406,7 +401,7 @@ class TestPackedBuildMemory:
     def test_superset_moments_small_set(self):
         f = (1 << 28) - 2
         ms, peak = self.peak_bytes(lambda: superset_moments(f, 28))
-        assert ms.to_list() == [f, f | 1]
+        assert list(ms) == [f, f | 1]
         assert peak < self.LIMIT
 
     def test_contains_reads_one_word(self):
@@ -439,10 +434,10 @@ class TestPackedBuildMemory:
         assert size == 1 << 27
         assert peak < self.LIMIT
 
-    def test_to_list_of_a_small_set(self):
+    def test_listing_a_small_set(self):
         f = (1 << 28) - 4
         ms = superset_moments(f, 28)
-        members, peak = self.peak_bytes(ms.to_list)
+        members, peak = self.peak_bytes(lambda: list(ms))
         assert members == [f, f | 1, f | 2, f | 3]
         assert peak < self.LIMIT
 
@@ -540,12 +535,12 @@ class TestWordKernel:
     def test_matches_brute_force(self, inst):
         literal = blocked_moments_literal(inst)
         full = blocked_moments_full(inst)
-        assert literal.to_list() == brute_literal(inst)
-        assert full.to_list() == brute_full(inst)
+        assert list(literal) == brute_literal(inst)
+        assert list(full) == brute_full(inst)
         built = [literal, full]
         for f in inst.family:
             supersets = superset_moments(f, inst.n)
-            assert supersets.to_list() == brute_supersets(f, inst.n)
+            assert list(supersets) == brute_supersets(f, inst.n)
             built.append(supersets)
         for ms in built:
             self.check_words(ms)
@@ -597,7 +592,6 @@ class TestWordKernel:
             with mock.patch.multiple(moments, _PREFIX_WORDS=prefix, _BLOCK_WORDS=block):
                 streamed = build(inst)
                 assert streamed.first_absent() == gap
-                assert streamed.covers_all() == (gap is None)
             words = words_of(build(inst))
             clear = (k for k in range(1 << inst.n) if not int(words[k >> 6]) >> (k & 63) & 1)
             assert next(clear, None) == gap

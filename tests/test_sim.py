@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -56,7 +57,7 @@ class TestSimulateSetSplitting:
             assert timeline.event_count == 1 << n
             assert np.array_equal(timeline.cores, np.arange(1 << n))
             assert timeline.total_paths == 1 << n
-            assert timeline.total_intensity() == DyadicIntensity.one()
+            assert timeline.total_intensity() == DyadicIntensity(1, 0)
 
     def test_analytic_matches_enumerated(self):
         for n in (1, 3, 6, 10):
@@ -65,11 +66,10 @@ class TestSimulateSetSplitting:
             analytic = ArrivalTimeline.analytic_splitting(n)
             assert not enumerated.is_analytic
             assert analytic.witness_for(n) == n
-            assert analytic.multiplicity(0) == 1
             assert analytic.witness_for(1 << n) is None
             for k in range(-1, (1 << n) + 1):
-                assert analytic.multiplicity(k) == enumerated.multiplicity(k)
                 assert analytic.witness_for(k) == enumerated.witness_for(k)
+            assert analytic.counts.tolist() == enumerated.counts.tolist() == [1] * (1 << n)
             assert list(analytic.iter_events()) == list(enumerated.iter_events())
             # neither the lookups nor the events materialise the arrays
             assert analytic.is_analytic
@@ -87,7 +87,7 @@ class TestSimulateSubsetSum:
         assert [e.moment.core for e in events] == [0, 1, 2, 3]
         assert all(e.intensity == DyadicIntensity(1, 2) for e in events)
 
-    def test_collision_multiplicity(self):
+    def test_collision_path_counts(self):
         timeline = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))
         by_core = {e.moment.core: e for e in timeline.iter_events()}
         assert sorted(by_core) == [0, 5, 10, 15, 20]
@@ -95,7 +95,7 @@ class TestSimulateSubsetSum:
         assert by_core[5].intensity == DyadicIntensity(2, 3)
         assert by_core[5].witness == 0b001  # smallest of the two colliding masks
         assert timeline.total_paths == 8
-        assert timeline.total_intensity() == DyadicIntensity.one()
+        assert timeline.total_intensity() == DyadicIntensity(1, 0)
 
     def test_matches_brute_force_multiset(self):
         rng = random.Random(99)
@@ -159,14 +159,10 @@ class TestSimulateDifferential:
         assert timeline.total_paths == 1 << n
         assert timeline.event_count == len(cores)
         stride = max(1, len(cores) >> 10)
-        for core, count, wit in zip(
-            cores[::stride].tolist(), counts[::stride].tolist(), witnesses[::stride].tolist()
-        ):
-            assert timeline.multiplicity(core) == count
+        for core, wit in zip(cores[::stride].tolist(), witnesses[::stride].tolist()):
             assert timeline.witness_for(core) == wit
         present = set(cores.tolist())
         for miss in {-1, int(cores[-1]) + 1, *(c + 1 for c in cores[:64].tolist())} - present:
-            assert timeline.multiplicity(miss) == 0
             assert timeline.witness_for(miss) is None
         expected = tuple(
             ArrivalEvent(ExactMoment(c, n), DyadicIntensity.from_paths(k, n), k, w)
@@ -215,14 +211,13 @@ class TestImplicitTimeline:
         def lookups():
             return (
                 timeline.witness_for(12345),
-                timeline.multiplicity(12345),
                 timeline.witness_for(1 << 16),
                 timeline.total_paths,
                 timeline.event_count,
             )
 
         result, peak = self.peak_bytes(lookups)
-        assert result == (12345, 1, None, 1 << 16, 1 << 16)
+        assert result == (12345, None, 1 << 16, 1 << 16)
         assert timeline._counts is None and timeline._witnesses is None
         # one int64 array of 2**16 entries would take 512 KiB
         assert peak < 64 << 10
@@ -254,7 +249,7 @@ class TestImplicitTimeline:
         timeline = ArrivalTimeline.analytic_splitting(28)
         with mock.patch.object(ArrivalTimeline, "iter_events", side_effect=AssertionError("events read")):
             total, peak = self.peak_bytes(timeline.total_intensity)
-        assert total == DyadicIntensity.one()
+        assert total == DyadicIntensity(1, 0)
         assert peak < 64 << 10
         # the total follows the held path counts: 3/2 + 1/2
         coalesced = ArrivalTimeline(
@@ -307,7 +302,7 @@ class TestImplicitTimeline:
             ordered.cores[3] = 99
         assert ordered.witness_for(3) == 3
         ordered.counts[3] = 99
-        assert ordered.multiplicity(3) == 1
+        assert int(ordered.counts[3]) == 1
 
 
 class TestSimulationCap:
@@ -359,9 +354,9 @@ def trace_oracle(timeline, times, unit_delay, epsilon, rise_time):
     """Direct superposition at each sample point."""
     expected = np.zeros(len(times))
     for event in timeline.iter_events():
-        t = event.moment.physical_seconds(unit_delay, epsilon)
+        t = event.moment.core * unit_delay + event.moment.hops * epsilon
         inside = (times >= t) & (times < t + rise_time)
-        expected[inside] += event.intensity.as_float()
+        expected[inside] += float(Fraction(event.intensity.numerator, 1 << event.intensity.exponent))
     return expected
 
 
@@ -412,7 +407,8 @@ class TestSynthesizeTrace:
         )
         assert np.all(np.diff(trace.times) > 0)
         assert trace.times[1] - trace.times[0] == STEP
-        t_last = list(timeline.iter_events())[-1].moment.physical_seconds(2.0**-30, 2.0**-45)
+        last = list(timeline.iter_events())[-1].moment
+        t_last = last.core * 2.0**-30 + last.hops * 2.0**-45
         assert trace.times[-1] <= t_last + 2 * RISE < trace.times[-1] + STEP
 
     def test_parameter_validation(self):

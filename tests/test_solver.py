@@ -110,7 +110,7 @@ class TestSolveOracle:
             inst = SplitInstance(j + 1, pairs)
             assert solve_oracle(inst).solution_moment == (1 << j) - 1
             assert oracle_solution_masks(inst)[0] == (1 << j) - 1
-            assert not solve_oracle(inst.with_set((1 << j) - 1)).solvable
+            assert not solve_oracle(SplitInstance(inst.n, inst.family + ((1 << j) - 1,))).solvable
 
     def test_solution_masks_match_brute_force_across_blocks(self):
         # n = 11 and 17 span 2 and 9 blocks of the scan, the last cut short at 2**n
@@ -216,7 +216,7 @@ class TestOracleEquivalence:
         rng = random.Random(77)
         for _ in range(200):
             inst = random_instance(rng, max_n=10)
-            grown = inst.with_set(rng.randrange(1, 1 << inst.n))
+            grown = SplitInstance(inst.n, inst.family + (rng.randrange(1, 1 << inst.n),))
             if not solve_oracle(inst).solvable:
                 assert not solve_oracle(grown).solvable
 
