@@ -66,7 +66,6 @@ from .sim import (
 from .solver import (
     DEFAULT_ORACLE_CAP,
     Decision,
-    Method,
     SplitAnswer,
     oracle_solution_masks,
     solve_optical,
@@ -92,7 +91,6 @@ __all__ = [
     "FeasibilityReport",
     "FigureCheck",
     "MAX_UNIVERSE",
-    "Method",
     "MomentSet",
     "ParseError",
     "Partition",

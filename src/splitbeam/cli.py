@@ -9,6 +9,7 @@ fully deterministic. Human-readable output uses 1-based element indices.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import random
 import sys
@@ -18,6 +19,7 @@ from typing import Iterator
 
 from .core import (
     MAX_UNIVERSE,
+    _check_universe,
     format_mask,
     parse_split_instance,
     parse_subset_sum_instance,
@@ -32,7 +34,7 @@ from .feasibility import (
 )
 from .moments import blocked_moments_full, blocked_moments_literal
 from .sim import detect_subset_sum, simulate, synthesize_trace
-from .solver import Method, solve_optical, solve_oracle
+from .solver import solve_optical, solve_oracle
 
 
 def generate_split_instance_text(n: int, m: int, max_set_size: int, seed: int) -> str:
@@ -43,8 +45,7 @@ def generate_split_instance_text(n: int, m: int, max_set_size: int, seed: int) -
 
 def _split_instance_lines(n: int, m: int, max_set_size: int, seed: int) -> Iterator[str]:
     # the lines of generate_split_instance_text, each drawn when it is read
-    if not 1 <= n <= MAX_UNIVERSE:
-        raise ValueError(f"universe size must be in [1, {MAX_UNIVERSE}], got {n}")
+    _check_universe(n)
     if m < 0:
         raise ValueError("family count must be nonnegative")
     if max_set_size < 1:
@@ -66,8 +67,7 @@ def _read(path: str) -> str:
 
 def _cmd_solve(args) -> int:
     inst = parse_split_instance(_read(args.instance))
-    method = Method(args.method)
-    answer = solve_optical(inst) if method is Method.OPTICAL else solve_oracle(inst)
+    answer = solve_optical(inst) if args.method == "optical" else solve_oracle(inst)
     if not answer.solvable:
         print("NO-SPLIT")
         return 1
@@ -149,13 +149,8 @@ def _cmd_trace(args) -> int:
 
 
 def _print_report(rep) -> None:
-    print(f"n: {rep.n}")
-    print(f"min_cable_m: {rep.min_cable_m!r}")
-    print(f"longest_cable_m: {rep.longest_cable_m!r}")
-    print(f"total_cable_m: {rep.total_cable_m!r}")
-    print(f"solve_time_s: {rep.solve_time_s!r}")
-    print(f"relative_power: {rep.relative_power}")
-    print(f"build_cost_units: {rep.build_cost_units}")
+    for name, value in dataclasses.asdict(rep).items():
+        print(f"{name}: {value!r}")
 
 
 def _cmd_feasibility(args) -> int:

@@ -143,12 +143,7 @@ class SubsetSumInstance:
     def subset_sum(self, mask: SubsetMask) -> int:
         """Sum of the values selected by ``mask``."""
         _check_mask(mask, self.n)
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += self.values[low.bit_length() - 1]
-            mask ^= low
-        return total
+        return sum(self.values[i - 1] for i in mask_to_indices(mask))
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,8 @@ class DyadicIntensity:
 
     A beam is halved at every splitter, so every intensity in the model is
     a dyadic rational; keeping them exact makes conservation checks
-    bit-exact instead of float-approximate.
+    bit-exact instead of float-approximate. ``DyadicIntensity(paths, n)``
+    is the intensity of ``paths`` coalesced beams in an n-layer device.
     """
 
     numerator: int
@@ -223,11 +219,6 @@ class DyadicIntensity:
             exp -= shift
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "exponent", exp)
-
-    @classmethod
-    def from_paths(cls, paths: int, n: int) -> "DyadicIntensity":
-        """Intensity of ``paths`` coalesced beams in an n-layer device."""
-        return cls(paths, n)
 
     def __add__(self, other: "DyadicIntensity") -> "DyadicIntensity":
         if not isinstance(other, DyadicIntensity):

@@ -44,6 +44,7 @@ from .core import (
     SplitInstance,
     SubsetMask,
     _check_enumerable,
+    _check_mask,
     _check_universe,
     splits_family,
 )
@@ -73,7 +74,8 @@ _BLOCK_WORDS = 1 << 16
 
 class MomentSet:
     """An immutable set of integer moments in [0, 2**n): ``n`` and its
-    word patterns (see ``_packed_union``).
+    word patterns (see ``_packed_union``), each keyed (f_hi, want) and
+    ORed into the words w with w & f_hi == want.
 
     Bit j of word w stands for moment 64*w + j; for n < 6 the single
     word keeps every bit past 2**n clear. ``in`` ORs the one word it
@@ -159,13 +161,6 @@ class MomentSet:
         return f"MomentSet(n={self.n}, size={size}, {{{shown}{suffix}}})"
 
 
-def _check_packable(n: int) -> None:
-    # _packed_union, the one route to a MomentSet, passes here before it
-    # reads the family or allocates
-    _check_universe(n)
-    _check_enumerable(n, BITSET_MAX_N, "moment set")
-
-
 def _word_count(n: int) -> int:
     return 1 << max(n - 6, 0)
 
@@ -239,10 +234,13 @@ def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> M
     w contains f_hi = f >> 6 and j contains f_lo = f & 63, and k misses f
     iff w and j miss them. So the words whose index contains (misses)
     f_hi, 2**(n-6-|f_hi|) of them, each take one 64-bit pattern: the
-    in-word moments containing (missing) f_lo. The pattern is keyed
-    (f_hi, 1) for the containing words and (f_hi, 0) for the missing ones.
+    in-word moments containing (missing) f_lo. A pattern is keyed by the
+    bits its words fix within f_hi: (f_hi, f_hi) for the containing words
+    and (f_hi, 0) for the missing ones.
     """
-    _check_packable(n)
+    # checked before the family is read or anything is allocated
+    _check_universe(n)
+    _check_enumerable(n, BITSET_MAX_N, "moment set")
     low = (1 << min(n, 6)) - 1
     # one pattern per slice: family sets sharing f_hi (all of them for
     # n <= 6) share their slices, so each slice takes a single OR
@@ -252,28 +250,26 @@ def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> M
         missing = _spread(1, ~f & low)
         # f_lo shares no bit with the free elements, so shifting by it
         # ORs it into every in-word moment that misses f_lo
-        patterns[f_hi, 1] = patterns.get((f_hi, 1), 0) | missing << f_lo
+        patterns[f_hi, f_hi] = patterns.get((f_hi, f_hi), 0) | missing << f_lo
         if two_sided:
-            # with f_hi = 0 both slices are every word
-            side = (f_hi, 0 if f_hi else 1)
-            patterns[side] = patterns.get(side, 0) | missing
+            # with f_hi = 0 both slices are every word, under one key
+            patterns[f_hi, 0] = patterns.get((f_hi, 0), 0) | missing
     return MomentSet(n, _patterns=patterns)
 
 
 def _or_block(patterns: dict[tuple[int, int], int], lo: int, out: np.ndarray) -> None:
     """OR every pattern into its words among words [lo, lo + len(out)), held in ``out``.
 
-    Pattern (f_hi, fixed) belongs to the words w with w & f_hi equal to
-    f_hi (fixed 1) or to 0 (fixed 0). len(out) is a power of two and lo a
-    multiple of it, so the block fixes every index bit above the low
-    log2(len(out)) to lo's: a pattern whose fixed bits disagree there
-    misses the block. Otherwise its words in the block are its fixed low
-    bits plus every combination of the free ones, and each run of
-    consecutive free bits is one axis of a strided view of ``out``.
+    Pattern (f_hi, want) belongs to the words w with w & f_hi == want.
+    len(out) is a power of two and lo a multiple of it, so the block
+    fixes every index bit above the low log2(len(out)) to lo's: a
+    pattern whose fixed bits disagree there misses the block. Otherwise
+    its words in the block are its fixed low bits plus every combination
+    of the free ones, and each run of consecutive free bits is one axis
+    of a strided view of ``out``.
     """
     low = len(out) - 1
-    for (f_hi, fixed), pattern in patterns.items():
-        want = f_hi if fixed else 0
+    for (f_hi, want), pattern in patterns.items():
         if (lo ^ want) & f_hi & ~low:
             continue
         shape, strides = [], []
@@ -300,8 +296,7 @@ def superset_moments(f: SubsetMask, n: int) -> MomentSet:
     _check_universe(n)
     if f == 0:
         raise ValueError("family sets must be nonempty: every moment is a superset of the empty set")
-    if not 0 < f < (1 << n):
-        raise ValueError(f"mask {f} out of range for universe size {n}")
+    _check_mask(f, n)
     return _packed_union(n, (f,), two_sided=False)
 
 

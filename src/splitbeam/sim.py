@@ -8,9 +8,9 @@ Theta(2**n) in time and memory, which is the whole point of the device
 being simulated; devices of more than ``DEFAULT_SIM_CAP`` = 28 layers,
 which would not terminate at desk scale, are refused, and so is the
 enumeration of more than ``PATH_ENUM_CAP`` = 24 layers, which would need
-1 GiB or more. When the path delays come out distinct and in mask
-order, as the take delays 1, 2, 4, ... of set splitting make them, the
-buffer is the timeline and no sort is needed.
+1 GiB or more. When each take delay exceeds the sum of those before it,
+as set splitting's 1, 2, 4, ... do, the path delays come out distinct and
+in mask order: the buffer is the timeline and no sort is needed.
 
 Set-splitting devices force a fully predictable timeline (every moment in
 [0, 2**n) arrives exactly once), so above an enumeration threshold the
@@ -20,7 +20,9 @@ enumerated so tests exercise the model rather than the formula.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +62,8 @@ class ArrivalTimeline:
     delays, path multiplicities, smallest originating mask per delay),
     any of which may be implicit. No counts means one path per event,
     whose mask is the event's position: ``simulate`` keeps that form
-    whenever the enumerated sums come out distinct and in mask order. No
-    cores as well means the moments are exactly 0..2**n-1, the form a
+    whenever each take delay exceeds the sum of those before it. No cores
+    as well means the moments are exactly 0..2**n-1, the form a
     set-splitting timeline built analytically has. A read builds only
     what it returns and keeps nothing: ``cores``, ``counts`` and
     ``witnesses`` return the held array, which ``simulate`` makes
@@ -135,24 +137,22 @@ class ArrivalTimeline:
         return i if self._witnesses is None else int(self._witnesses[i])
 
     def iter_events(self):
-        if self._counts is None:
-            one_path = DyadicIntensity.from_paths(1, self.n)
-            cores = range(1 << self.n) if self._cores is None else self._cores
-            for mask, core in enumerate(cores):
-                yield ArrivalEvent(ExactMoment(int(core), self.n), one_path, 1, mask)
-            return
-        for core, count, wit in zip(self.cores, self._counts, self.witnesses):
+        # implicit arrays stream without being built
+        cores = range(1 << self.n) if self._cores is None else self._cores
+        counts = itertools.repeat(1) if self._counts is None else self._counts
+        witnesses = itertools.count() if self._witnesses is None else self._witnesses
+        for core, paths, wit in zip(cores, counts, witnesses):
             yield ArrivalEvent(
                 ExactMoment(int(core), self.n),
-                DyadicIntensity.from_paths(int(count), self.n),
-                int(count),
+                DyadicIntensity(int(paths), self.n),
+                int(paths),
                 int(wit),
             )
 
     def total_intensity(self) -> DyadicIntensity:
         """Exact dyadic sum of all event intensities (1 when nothing is lost):
         each event carries its path count over 2**n."""
-        return DyadicIntensity.from_paths(self.total_paths, self.n)
+        return DyadicIntensity(self.total_paths, self.n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArrivalTimeline):
@@ -178,10 +178,12 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
     """Propagate one source pulse through every path of the device.
 
     Evaluation is one pass in one thread: the delays of all 2**n paths,
-    in mask order in one buffer. One comparison checks whether they are
-    strictly increasing; then every path arrives alone and the buffer is
-    the timeline, with unit counts and witness = position left implicit.
-    Otherwise one sort coalesces them. The arrays the timeline holds are
+    in mask order in one buffer. When each take delay exceeds the sum of
+    those before it, the buffer is strictly increasing: two masks are
+    ordered by the highest layer where they differ, whose delay outweighs
+    all the layers below it. Then every path arrives alone and the buffer
+    is the timeline, with unit counts and witness = position left
+    implicit. Otherwise one sort coalesces them. The arrays the timeline holds are
     read-only. A device of more than ``DEFAULT_SIM_CAP`` layers, or one
     whose paths would be enumerated past ``PATH_ENUM_CAP`` layers, is
     refused with ``EnumerationLimitError`` before anything is allocated.
@@ -194,15 +196,12 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
     _check_enumerable(n, PATH_ENUM_CAP, "path enumeration")
 
     # sums[mask] is the core delay of the path taking the masked layers
+    delays = device.take_delays
     sums = np.empty(1 << n, dtype=np.int64)
     sums[0] = 0
-    for i, d in enumerate(device.take_delays):
+    for i, d in enumerate(delays):
         np.add(sums[: 1 << i], d, out=sums[1 << i : 2 << i])
-    # the middle pair compares the last take delay with the sum of all the
-    # others, where arbitrary delays fall out of order; it spares them the
-    # full pass
-    half = len(sums) >> 1
-    if sums[half] > sums[half - 1] and np.all(sums[1:] > sums[:-1]):
+    if all(map(operator.gt, delays, itertools.accumulate(delays, initial=0))):
         # distinct and in mask order: each event is one path, its mask the position
         sums.flags.writeable = False
         return ArrivalTimeline(n, device.kind, sums, None, None)

@@ -53,17 +53,11 @@ class Decision(Enum):
     UNSOLVABLE = "unsolvable"
 
 
-class Method(Enum):
-    OPTICAL = "optical"
-    ORACLE = "oracle"
-
-
 @dataclass(frozen=True)
 class SplitAnswer:
     decision: Decision
     partition: Partition | None
     solution_moment: int | None
-    method: Method
 
     @property
     def solvable(self) -> bool:
@@ -102,13 +96,11 @@ def solve_optical(inst: SplitInstance) -> SplitAnswer:
     blocked = blocked_moments_full(inst)
     k = blocked.first_absent()
     if k is None:
-        return SplitAnswer(Decision.UNSOLVABLE, None, None, Method.OPTICAL)
+        return SplitAnswer(Decision.UNSOLVABLE, None, None)
     mask = timeline.witness_for(k)
     if mask is None or not splits_family(inst.family, mask):
         raise AssertionError(f"optical pipeline produced an invalid witness for moment {k}")
-    return SplitAnswer(
-        Decision.SOLVABLE, Partition.from_mask(mask, inst.n), k, Method.OPTICAL
-    )
+    return SplitAnswer(Decision.SOLVABLE, Partition.from_mask(mask, inst.n), k)
 
 
 def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
@@ -142,10 +134,8 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
     for free in _free_masks(inst, cap):
         if free.size:
             m = int(free[0])
-            return SplitAnswer(
-                Decision.SOLVABLE, Partition.from_mask(m, inst.n), m, Method.ORACLE
-            )
-    return SplitAnswer(Decision.UNSOLVABLE, None, None, Method.ORACLE)
+            return SplitAnswer(Decision.SOLVABLE, Partition.from_mask(m, inst.n), m)
+    return SplitAnswer(Decision.UNSOLVABLE, None, None)
 
 
 def oracle_solution_masks(inst: SplitInstance) -> list[int]:

@@ -186,7 +186,7 @@ def test_criterion_5_simulation_invariants():
             assert timeline.event_count == 1 << n
             assert np.array_equal(timeline.cores, np.arange(1 << n))
             assert np.all(timeline.counts == 1)
-            per_event = DyadicIntensity.from_paths(1, n)
+            per_event = DyadicIntensity(1, n)
             total = DyadicIntensity(0, 0)
             for event in timeline.iter_events():
                 assert event.intensity == per_event

@@ -30,6 +30,18 @@ class TestSolveCommand:
         assert main(["solve", demo_file, "--method", "oracle"]) == 0
         assert capsys.readouterr().out == "SPLIT A1={1} A2={2,3,4} moment=1\n"
 
+    def test_method_picks_the_route(self, tmp_path, capsys):
+        # an odd cycle cannot be split; n = 25 is past the oracle's cap
+        # but within the optical route's
+        path = tmp_path / "cycle.txt"
+        path.write_text("n 25\nf 1 2\nf 2 3\nf 1 3\n")
+        assert main(["solve", str(path), "--method", "optical"]) == 1
+        assert capsys.readouterr().out == "NO-SPLIT\n"
+        assert main(["solve", str(path), "--method", "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "oracle cap 24" in captured.err
+
     def test_unsolvable(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
         path.write_text("n 3\nf 1\n")
@@ -245,9 +257,16 @@ class TestFeasibilityCommand:
     def test_report_for_n(self, capsys):
         assert main(["feasibility", "--n", "39"]) == 0
         out = capsys.readouterr().out
-        assert "min_cable_m: 0.0003" in out
-        assert "longest_cable_m: 82463372.0832" in out
-        assert "relative_power: 549755813888" in out
+        assert out.startswith(
+            "n: 39\n"
+            "min_cable_m: 0.0003\n"
+            "longest_cable_m: 82463372.0832\n"
+            "total_cable_m: 164926744.1895\n"
+            "solve_time_s: 0.549755813888\n"
+            "relative_power: 549755813888\n"
+            "build_cost_units: 21440476741632\n"
+            "check "
+        )
         assert "published=800000000.0 DIFFERS" in out
         assert "computed=0.0003 published=0.0003 agrees" in out
 

@@ -183,7 +183,7 @@ class TestDyadicIntensity:
         assert DyadicIntensity(0, 7) == DyadicIntensity(0, 0)
 
     def test_source_pulse_is_one(self):
-        one = DyadicIntensity.from_paths(1, 0)
+        one = DyadicIntensity(1, 0)
         assert Fraction(one.numerator, 1 << one.exponent) == 1
         assert str(one) == "1"
         assert str(DyadicIntensity(3, 3)) == "3/8"
@@ -192,7 +192,7 @@ class TestDyadicIntensity:
         # 2**n copies of 2**-n, summed in shuffled order, give exactly 1
         rng = random.Random(7)
         for n in range(1, 13):
-            parts = [DyadicIntensity.from_paths(1, n)] * (1 << n)
+            parts = [DyadicIntensity(1, n)] * (1 << n)
             rng.shuffle(parts)
             total = DyadicIntensity(0, 0)
             for p in parts:

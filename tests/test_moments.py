@@ -310,7 +310,7 @@ class TestMomentSetModel:
             assert ms == build() and build() == ms
             # the same patterns plus moment 0 (word 0 only) or plus moment
             # top (the last word only) differ from ms in one block at most
-            for key, k in (((top >> 6, 0), 0), ((top >> 6, 1), top)):
+            for key, k in (((top >> 6, 0), 0), ((top >> 6, top >> 6), top)):
                 plus = dict(ms._patterns)
                 plus[key] = plus.get(key, 0) | 1 << (k & 63)
                 plus = moments.MomentSet(n, _patterns=plus)

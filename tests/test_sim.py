@@ -155,6 +155,13 @@ class TestSimulateDifferential:
         n = device.n
         cores, counts, witnesses = brute_timeline_arrays(device.take_delays)
         timeline = simulate(device)
+        # superincreasing take delays are exactly those whose path sums come
+        # out distinct and in mask order, and exactly those simulate keeps
+        # in the ordered form, with no counts
+        delays = device.take_delays
+        superincreasing = all(d > sum(delays[:i]) for i, d in enumerate(delays))
+        assert np.array_equal(witnesses, np.arange(1 << n)) == superincreasing
+        assert (timeline._counts is None) == superincreasing
         # lookups first, while the implicit parts are still implicit
         assert timeline.total_paths == 1 << n
         assert timeline.event_count == len(cores)
@@ -165,7 +172,7 @@ class TestSimulateDifferential:
         for miss in {-1, int(cores[-1]) + 1, *(c + 1 for c in cores[:64].tolist())} - present:
             assert timeline.witness_for(miss) is None
         expected = tuple(
-            ArrivalEvent(ExactMoment(c, n), DyadicIntensity.from_paths(k, n), k, w)
+            ArrivalEvent(ExactMoment(c, n), DyadicIntensity(k, n), k, w)
             for c, k, w in zip(cores.tolist(), counts.tolist(), witnesses.tolist())
         )
         assert tuple(timeline.iter_events()) == expected

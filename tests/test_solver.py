@@ -12,7 +12,6 @@ import splitbeam.solver
 from splitbeam import (
     Decision,
     EnumerationLimitError,
-    Method,
     SplitInstance,
     SubsetSumInstance,
     build_subset_sum_device,
@@ -57,7 +56,6 @@ class TestSolveOptical:
     def test_worked_example(self, demo4):
         answer = solve_optical(demo4)
         assert answer.decision is Decision.SOLVABLE
-        assert answer.method is Method.OPTICAL
         assert answer.solution_moment == 1
         assert answer.partition.a1 == 0b0001
         assert answer.partition.a2 == 0b1110
@@ -85,7 +83,6 @@ class TestSolveOracle:
     def test_worked_example(self, demo4):
         answer = solve_oracle(demo4)
         assert answer.solvable
-        assert answer.method is Method.ORACLE
         assert answer.solution_moment == 1
 
     def test_solution_mask_set(self, demo4):
