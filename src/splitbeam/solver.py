@@ -106,19 +106,27 @@ def solve_optical(inst: SplitInstance) -> SplitAnswer:
 def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
     """The solution masks of each block of the ascending scan, in the
     narrowest unsigned type holding 2**n - 1, which every family set fits,
-    so ``free & f`` keeps it. Each set, smallest first, keeps only the
-    masks that split it; boolean indexing keeps them ascending."""
+    so ``masks & f`` keeps it. A block holds one flag per mask, and each
+    set, smallest first, clears the flags of the masks that do not split
+    it. Once every flag is clear the block's remaining sets are skipped,
+    and the free masks are picked out once, ascending."""
     n = inst.n
     _check_enumerable(n, cap, "oracle")
     dtype = np.min_scalar_type((1 << n) - 1)
     family = sorted(inst.family, key=int.bit_count)
     total, lo, block = 1 << n, 0, _ORACLE_FIRST_BLOCK
     while lo < total:
-        free = np.arange(lo, min(lo + block, total), dtype=dtype)
+        masks = np.arange(lo, min(lo + block, total), dtype=dtype)
+        free = np.ones(len(masks), bool)
         for f in family:
-            part = free & f
-            free = free[(part != f) & (part != 0)]
-        yield free
+            part = masks & f
+            part -= 1
+            # part is a submask of f, so part - 1 wraps only at 0: this reads 0 < part < f
+            free &= part < f - 1
+            # count_nonzero: a third of the fixed cost of .any() on small blocks
+            if not np.count_nonzero(free):
+                break
+        yield masks[free]
         lo += block
         block = min(2 * block, _ORACLE_BLOCK)
 
@@ -126,9 +134,10 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
 def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SplitAnswer:
     """Brute-force verifier: scan masks ascending, check containment directly.
 
-    Works block by block, one family set at a time over the surviving
-    masks, so the scan stays vectorized while still returning the first
-    solution in ascending mask order. It touches no devices, timelines,
+    Works block by block, one family set at a time over one flag per
+    mask, so the scan stays vectorized while still returning the first
+    solution in ascending mask order; a block whose masks are all
+    blocked skips its remaining sets. It touches no devices, timelines,
     or moment sets.
     """
     for free in _free_masks(inst, cap):
@@ -196,11 +205,14 @@ def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP)
     """Direct enumeration of all subset sums in one int64 array, no device involved.
 
     Entry ``mask`` of the array holds the sum of the values ``mask``
-    selects: it is doubled value by value in mask order, so the first
-    index holding the target is the smallest witness mask. The int64
-    sums are exact because ``SubsetSumInstance`` refuses values whose
-    sum reaches 2**63, and a target past that sum is answered before
-    anything is allocated.
+    selects: it is doubled value by value in mask order. Each doubling
+    writes the masks from ``2**i`` to ``2**(i+1) - 1`` and only those are
+    compared with the target: every smaller mask but 0 was compared in
+    an earlier step, and mask 0 sums to 0, below every target. So the
+    first hit is the smallest witness mask, and the scan stops there.
+    The int64 sums are exact because ``SubsetSumInstance`` refuses
+    values whose sum reaches 2**63, and a target past that sum is
+    answered before anything is allocated.
     """
     n = inst.n
     _check_enumerable(n, cap, "oracle")
@@ -210,9 +222,10 @@ def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP)
     sums = np.empty(1 << n, dtype=np.int64)
     sums[0] = 0
     for i, v in enumerate(inst.values):
-        np.add(sums[: 1 << i], v, out=sums[1 << i : 2 << i])
-    hit = sums == inst.target
-    mask = int(np.argmax(hit))
-    if not hit[mask]:
-        return SubsetSumDetection(False, None, moment)
-    return SubsetSumDetection(True, mask, moment)
+        half = sums[1 << i : 2 << i]
+        np.add(sums[: 1 << i], v, out=half)
+        hit = half == inst.target
+        k = int(np.argmax(hit))
+        if hit[k]:
+            return SubsetSumDetection(True, (1 << i) + k, moment)
+    return SubsetSumDetection(False, None, moment)

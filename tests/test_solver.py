@@ -41,8 +41,18 @@ def first_split_mask(inst):
     return None
 
 
+def split_masks(inst):
+    """Every split mask, ascending, by plain Python over range(2**n)."""
+    return [mask for mask in range(1 << inst.n) if mask_splits(inst.family, mask, inst.n)]
+
+
 def masked_sum(values, mask):
     return sum(v for i, v in enumerate(values) if (mask >> i) & 1)
+
+
+def smallest_witness(values, target):
+    """The smallest mask whose values sum to the target, by plain Python."""
+    return min((m for m in range(1 << len(values)) if masked_sum(values, m) == target), default=None)
 
 
 def random_instance(rng, max_n=12, max_sets=4):
@@ -116,8 +126,7 @@ class TestSolveOracle:
             for m in (1, 3, 6):
                 family = tuple(sum(1 << p for p in rng.sample(range(n), rng.randint(1, n))) for _ in range(m))
                 inst = SplitInstance(n, family)
-                expected = [k for k in range(1 << n) if mask_splits(family, k, n)]
-                assert oracle_solution_masks(inst) == expected
+                assert oracle_solution_masks(inst) == split_masks(inst)
 
     def test_solution_masks_scan_in_blocks(self):
         # {a_i, a_(i+1)} for every i forces the elements to alternate, so
@@ -144,12 +153,46 @@ class TestSolveOracle:
         family = tuple(sum(1 << p for p in rng.sample(range(n), rng.randint(2, 3))) for _ in range(3))
         inst = SplitInstance(n, family + ((1 << n) - 1,))
         assert {free.dtype for free in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)} == {np.dtype(dtype)}
-        expected = [k for k in range(1 << n) if mask_splits(inst.family, k, n)]
+        expected = split_masks(inst)
         masks = oracle_solution_masks(inst)
         assert masks == expected and masks[-1] > (1 << n) - 1024
         assert all(type(k) is int for k in masks)
         answer = solve_oracle(inst)
         assert answer.solution_moment == expected[0] and type(answer.solution_moment) is int
+
+    @pytest.mark.parametrize("n, dtype", [(8, np.uint8), (16, np.uint16), (17, np.uint32)])
+    def test_wrapped_comparison_at_the_mask_type_edges(self, n, dtype):
+        # a set f keeps a mask when (mask & f) - 1 < f - 1 in the mask type:
+        # f = 1 makes f - 1 = 0, a top-bit-only set is a singleton, and at
+        # n = 8 and 16 the full universe is the type's maximum
+        top, full = 1 << (n - 1), (1 << n) - 1
+        families = [(1,), (top,), (full,), (1, full), (top, full), (full, top | 1), (full, 0b11, top | 1)]
+        for family in families:
+            inst = SplitInstance(n, family)
+            assert {free.dtype for free in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)} == {np.dtype(dtype)}
+            expected = split_masks(inst)
+            assert oracle_solution_masks(inst) == expected
+            answer = solve_oracle(inst)
+            assert answer.solution_moment == (expected[0] if expected else None)
+            assert answer.solvable == bool(expected)
+
+    def test_blocks_blocked_before_the_last_set(self):
+        # a singleton or an odd cycle of pairs sorts before the larger sets
+        # and blocks every mask of every block; the ladder of pairs
+        # {b, n - 1} leaves only 2**(n-1) - 1 and 2**(n-1), so every other
+        # block is blocked before its larger sets are reached
+        rng = random.Random(12)
+        for n in (12, 13, 14):
+            larger = tuple(sum(1 << p for p in rng.sample(range(n), rng.randint(3, n))) for _ in range(4))
+            ladder = tuple((1 << b) | (1 << (n - 1)) for b in range(n - 1))
+            for front in ((1 << rng.randrange(n),), (0b11, 0b110, 0b101), (0b11 << 9, 0b110 << 9, 0b101 << 9), ladder):
+                for family in (front + larger, larger[:1] + front + larger[1:]):
+                    inst = SplitInstance(n, family)
+                    expected = split_masks(inst)
+                    assert oracle_solution_masks(inst) == expected
+                    assert solve_oracle(inst).solution_moment == (expected[0] if expected else None)
+            inst = SplitInstance(n, ladder)
+            assert oracle_solution_masks(inst) == split_masks(inst) == [(1 << (n - 1)) - 1, 1 << (n - 1)]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -248,7 +291,7 @@ class TestSubsetSumSolvers:
             piped = solve_subset_sum(inst)
             direct = subset_sum_oracle(inst)
             assert piped.found == direct.found
-            assert piped.witness == direct.witness
+            assert piped.witness == direct.witness == smallest_witness(values, target)
             if piped.found:
                 assert inst.subset_sum(piped.witness) == target
 
@@ -293,8 +336,26 @@ class TestSubsetSumSolvers:
         finally:
             tracemalloc.stop()
         assert not detection.found
-        # one int64 per mask (32 MiB) and one comparison flag per mask (4 MiB)
+        # one int64 per mask (32 MiB) and one comparison flag per mask of
+        # the last half written (2 MiB)
         assert peak < 40 << 20
+
+    @pytest.mark.parametrize("values, target", [
+        ((5, 3, 7), 7),  # witness exactly 1 << 2, the first mask of its step
+        ((1, 2, 3), 3),  # 0b011 is written before 0b100 and wins
+        ((1, 2, 4, 8), 8),
+        ((2, 4, 8, 1), 15),  # only the last mask of the last step hits
+        ((2, 4, 8, 1), 1),
+        ((6, 6, 6), 12),
+        ((7,), 7),
+        ((7,), 3),
+        ((2, 4, 6), 5),
+    ])
+    def test_oracle_returns_the_smallest_witness(self, values, target):
+        detection = subset_sum_oracle(SubsetSumInstance(values, target))
+        expected = smallest_witness(values, target)
+        assert detection.found == (expected is not None)
+        assert detection.witness == expected
 
     def test_sums_at_the_int64_edge(self):
         values = (1 << 62, 1 << 61, (1 << 61) - 1)
