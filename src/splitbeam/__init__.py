@@ -24,8 +24,6 @@ from .core import (
     mask_to_indices,
     parse_split_instance,
     parse_subset_sum_instance,
-    serialize_split_instance,
-    serialize_subset_sum_instance,
     splits_family,
 )
 from .device import (
@@ -49,7 +47,6 @@ from .moments import (
     blocked_moments_full,
     blocked_moments_literal,
     decode_moment,
-    is_solution_moment,
     superset_moments,
 )
 from .sim import (
@@ -67,7 +64,6 @@ from .solver import (
     DEFAULT_ORACLE_CAP,
     Decision,
     SplitAnswer,
-    oracle_solution_masks,
     solve_optical,
     solve_oracle,
     solve_subset_sum,
@@ -109,18 +105,14 @@ __all__ = [
     "decode_moment",
     "detect_subset_sum",
     "format_mask",
-    "is_solution_moment",
     "mask_to_indices",
     "max_n_for_cable",
     "max_n_for_total_time",
     "min_cable_length",
-    "oracle_solution_masks",
     "parse_split_instance",
     "parse_subset_sum_instance",
     "published_figure_checks",
     "report",
-    "serialize_split_instance",
-    "serialize_subset_sum_instance",
     "simulate",
     "solve_optical",
     "solve_oracle",

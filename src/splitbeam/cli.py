@@ -37,14 +37,10 @@ from .sim import detect_subset_sum, simulate, synthesize_trace
 from .solver import solve_optical, solve_oracle
 
 
-def generate_split_instance_text(n: int, m: int, max_set_size: int, seed: int) -> str:
-    """Deterministic random instance: sets drawn uniformly among nonempty
-    subsets of size at most ``max_set_size``. Same seed, same bytes."""
-    return "".join(_split_instance_lines(n, m, max_set_size, seed))
-
-
 def _split_instance_lines(n: int, m: int, max_set_size: int, seed: int) -> Iterator[str]:
-    # the lines of generate_split_instance_text, each drawn when it is read
+    """Deterministic random instance, each line drawn when it is read:
+    sets drawn uniformly among nonempty subsets of size at most
+    ``max_set_size``. Same seed, same bytes."""
     _check_universe(n)
     if m < 0:
         raise ValueError("family count must be nonnegative")

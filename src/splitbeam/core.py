@@ -296,13 +296,6 @@ def parse_split_instance(text: str | bytes) -> SplitInstance:
     return SplitInstance(n, tuple(family))
 
 
-def serialize_split_instance(inst: SplitInstance) -> str:
-    lines = [f"n {inst.n}"]
-    for f in inst.family:
-        lines.append("f " + " ".join(str(i) for i in mask_to_indices(f)))
-    return "\n".join(lines) + "\n"
-
-
 def parse_subset_sum_instance(text: str | bytes) -> SubsetSumInstance:
     """Parse the subset-sum format: a ``values`` line and a ``target`` line."""
     values: tuple[int, ...] | None = None
@@ -337,9 +330,3 @@ def parse_subset_sum_instance(text: str | bytes) -> SubsetSumInstance:
         return SubsetSumInstance(values, target)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def serialize_subset_sum_instance(inst: SubsetSumInstance) -> str:
-    return (
-        "values " + " ".join(str(v) for v in inst.values) + f"\ntarget {inst.target}\n"
-    )

@@ -77,11 +77,8 @@ def min_cable_length(p: PhysicalParams) -> float:
 
 def _floor_log2(q: Fraction) -> int:
     """Largest k with 2**k <= q, for q >= 1, computed in exact integer arithmetic."""
-    num, den = q.numerator, q.denominator
-    k = (num // den).bit_length() - 1
-    while (1 << (k + 1)) * den <= num:
-        k += 1
-    return k
+    # q < floor(q) + 1 <= 2**(k+1), so floor(q) has the answer's bit length
+    return (q.numerator // q.denominator).bit_length() - 1
 
 
 def max_n_for_total_time(total_time: float, p: PhysicalParams) -> int:

@@ -24,13 +24,13 @@ the 2**(n-6) uint64 words of the bitset, which is never held whole. A
 universe of more than ``BITSET_MAX_N`` = 28 elements is refused with
 ``EnumerationLimitError`` before anything is read or allocated. One
 kernel, ``_or_block``, ORs the patterns into any aligned block of words,
-and every read goes through it: ``in`` builds the one word it reads, and
-``len``, iteration, ``==``, ``repr`` and ``first_absent`` stream blocks
-of at most 512 KiB through one reused buffer. ``first_absent`` scans only
-the moments below 2**(n-1), where every set made here has its smallest
-hole if it has one, and stops at the first block with a clear bit, so a
-decision whose first solution lies early reads only the first 64 words
-and an unsolvable one reads half of them.
+and every read goes through it: ``len``, iteration, ``repr`` and
+``first_absent`` stream blocks of at most 512 KiB through one reused
+buffer. ``first_absent`` scans only the moments below 2**(n-1), where
+every set made here has its smallest hole if it has one, and stops at
+the first block with a clear bit, so a decision whose first solution
+lies early reads only the first 64 words and an unsolvable one reads
+half of them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .core import (
     _check_enumerable,
     _check_mask,
     _check_universe,
-    splits_family,
 )
 
 # The largest universe a moment set is built for: a full scan at n = 28
@@ -63,7 +62,7 @@ _WORD = np.dtype("<u8")
 _SCAN_BYTES = 1 << 14
 _DECODE_BYTES = 1 << 9
 
-# Every read but `in` streams aligned blocks of _BLOCK_WORDS words
+# Every read streams aligned blocks of _BLOCK_WORDS words
 # (512 KiB); first_absent looks at a prefix of _PREFIX_WORDS first, where
 # the first solution of most solvable instances lies. Smaller blocks make
 # a full scan pay the per-slice set-up of _or_block more often: with
@@ -78,8 +77,8 @@ class MomentSet:
     ORed into the words w with w & f_hi == want.
 
     Bit j of word w stands for moment 64*w + j; for n < 6 the single
-    word keeps every bit past 2**n clear. ``in`` ORs the one word it
-    reads, every other read one aligned block at a time (``_blocks``).
+    word keeps every bit past 2**n clear. Every read ORs one aligned
+    block at a time (``_blocks``).
     """
 
     __slots__ = ("n", "_patterns")
@@ -100,13 +99,6 @@ class MomentSet:
 
     def __len__(self) -> int:
         return sum(_count(block) for _, block in self._blocks(_spans(self.n)))
-
-    def __contains__(self, k: int) -> bool:
-        if not 0 <= k < (1 << self.n):
-            return False
-        word = np.zeros(1, dtype=_WORD)
-        _or_block(self._patterns, k >> 6, word)
-        return word.item(0) >> (k & 63) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         for lo, block in self._blocks(_spans(self.n)):
@@ -135,24 +127,6 @@ class MomentSet:
                 # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
                 return 64 * (lo + w) + (word ^ (word + 1)).bit_length() - 1
         return None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MomentSet):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        # Block by block in one buffer (a block of each set would hold
-        # 1 MiB at n = 28): two sets are equal iff each block of either
-        # holds as many members as the same block of both.
-        for lo, block in self._blocks(_spans(self.n)):
-            ours = _count(block)
-            _or_block(other._patterns, lo, block)
-            both = _count(block)
-            block.fill(0)
-            _or_block(other._patterns, lo, block)
-            if not ours == both == _count(block):
-                return False
-        return True
 
     def __repr__(self) -> str:
         size = len(self)  # a full scan, so taken once
@@ -319,13 +293,3 @@ def blocked_moments_full(inst: SplitInstance) -> MomentSet:
     the reflected moment.
     """
     return _packed_union(inst.n, inst.family, two_sided=True)
-
-
-def is_solution_moment(k: int, inst: SplitInstance) -> bool:
-    """True iff an arrival at moment ``k`` announces a valid split.
-
-    Checked directly on the decoded subset and its complement against the
-    raw family masks; equivalent to k not being in the full blocked set.
-    """
-    mask = decode_moment(k, inst.n)
-    return splits_family(inst.family, mask)

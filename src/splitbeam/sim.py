@@ -154,19 +154,6 @@ class ArrivalTimeline:
         each event carries its path count over 2**n."""
         return DyadicIntensity(self.total_paths, self.n)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArrivalTimeline):
-            return NotImplemented
-        if (self.n, self.kind, self.event_count) != (other.n, other.kind, other.event_count):
-            return False
-        # two implicit arrays of one length are equal; an implicit array
-        # is built only to compare it with a held one
-        return all(
-            (getattr(self, "_" + name) is None and getattr(other, "_" + name) is None)
-            or np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("cores", "counts", "witnesses")
-        )
-
     def __repr__(self) -> str:
         return (
             f"ArrivalTimeline(kind={self.kind.value}, n={self.n}, "

@@ -147,11 +147,6 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
     return SplitAnswer(Decision.UNSOLVABLE, None, None)
 
 
-def oracle_solution_masks(inst: SplitInstance) -> list[int]:
-    """Every solution mask, by the same exhaustive containment scan."""
-    return [m for free in _free_masks(inst, DEFAULT_ORACLE_CAP) for m in free.tolist()]
-
-
 def _half_chain(delays: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Distinct core delays of a sub-chain and the smallest mask reaching each.
 

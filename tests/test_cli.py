@@ -9,9 +9,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splitbeam import parse_split_instance
-from splitbeam.cli import generate_split_instance_text, main
+from splitbeam.cli import main
 
 DEMO = "n 4\nf 1 2\nf 1 3\n"
+
+
+def gen_text(capsys, n, m, max_set_size, seed):
+    """The instance text ``splitbeam gen`` writes."""
+    assert main(["gen", f"--n={n}", f"--m={m}", f"--max-set-size={max_set_size}", f"--seed={seed}"]) == 0
+    return capsys.readouterr().out
 
 
 @pytest.fixture
@@ -151,6 +157,19 @@ class TestSimulateCommand:
         out = capsys.readouterr().out.splitlines()
         assert "moment=5+3eps paths=2 intensity=1/4 witness={1}" in out
         assert out[-1].startswith("target=15 fluctuation at moment 15+3eps")
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [("1 " * 64, "at most 63 values supported, got 64"), (f"{(1 << 62) + 1} {(1 << 62) - 1}", "64-bit")],
+    )
+    def test_subset_sum_instance_refusals_fail_cleanly(self, tmp_path, capsys, values, message):
+        # SubsetSumInstance refuses these; the parser re-raises that as a ParseError
+        path = tmp_path / "ss.txt"
+        path.write_text(f"values {values}\ntarget 1\n")
+        assert main(["simulate", "--subset-sum-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_requires_exactly_one_source(self, demo_file, capsys):
         assert main(["simulate"]) == 2
@@ -357,10 +376,9 @@ class TestGenCommand:
         inst = parse_split_instance(capsys.readouterr().out)
         assert inst.n == 4 and inst.family == ()
 
-    def test_generated_instances_reparse(self):
+    def test_generated_instances_reparse(self, capsys):
         for seed in range(1000):
-            text = generate_split_instance_text(5, 3, 3, seed)
-            inst = parse_split_instance(text)
+            inst = parse_split_instance(gen_text(capsys, 5, 3, 3, seed))
             assert inst.n == 5
             assert len(inst.family) == 3
             assert all(1 <= f.bit_count() <= 3 for f in inst.family)
@@ -373,13 +391,15 @@ class TestGenCommand:
 
     def test_output_is_the_generated_text(self, capsys):
         expected = "# gen seed=7 n=6 m=3 max-set-size=3\nn 6\nf 2 4\nf 1 5 6\nf 1 5\n"
-        assert generate_split_instance_text(6, 3, 3, 7) == expected
+        assert gen_text(capsys, 6, 3, 3, 7) == expected
         for seed in range(20):
             n, m, size = 1 + seed % 9, seed % 6, 1 + seed % 4
-            assert main(["gen", f"--n={n}", f"--m={m}", f"--max-set-size={size}", f"--seed={seed}"]) == 0
-            assert capsys.readouterr().out == generate_split_instance_text(n, m, size, seed)
+            text = gen_text(capsys, n, m, size, seed)
+            assert text.startswith(f"# gen seed={seed} n={n} m={m} max-set-size={size}\nn {n}\n")
+            inst = parse_split_instance(text)
+            assert len(inst.family) == m and all(1 <= f.bit_count() <= size for f in inst.family)
 
-    def test_large_family_is_written_as_it_is_drawn(self, tmp_path, monkeypatch):
+    def test_large_family_is_written_as_it_is_drawn(self, tmp_path, monkeypatch, capsys):
         # 20000 sets make 138 KiB of text; holding its lines and
         # their join took 1.7 MiB
         path = tmp_path / "gen.txt"
@@ -393,7 +413,7 @@ class TestGenCommand:
             finally:
                 tracemalloc.stop()
         monkeypatch.undo()
-        assert path.read_text(encoding="utf-8") == generate_split_instance_text(8, 20000, 3, 1)
+        assert path.read_text(encoding="utf-8") == gen_text(capsys, 8, 20000, 3, 1)
         assert peak < 1 << 20
 
 
@@ -461,9 +481,8 @@ class TestExitCodeContract:
         # exit 0 <=> solvable, 1 <=> unsolvable, identical across methods
         for seed in range(40):
             n = 2 + seed % 7
-            text = generate_split_instance_text(n, seed % 5, 3, seed)
             path = tmp_path / f"inst{seed}.txt"
-            path.write_text(text)
+            path.write_text(gen_text(capsys, n, seed % 5, 3, seed))
             optical = main(["solve", str(path), "--method", "optical"])
             optical_out = capsys.readouterr().out
             oracle = main(["solve", str(path), "--method", "oracle"])

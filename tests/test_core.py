@@ -20,12 +20,19 @@ from splitbeam import (
     mask_to_indices,
     parse_split_instance,
     parse_subset_sum_instance,
-    serialize_split_instance,
-    serialize_subset_sum_instance,
     solve_optical,
     solve_oracle,
     splits_family,
 )
+
+
+def split_instance_text(inst):
+    """The instance in the ``n`` / ``f`` line format, written by the test."""
+    return "".join([f"n {inst.n}\n"] + [f"f {' '.join(map(str, mask_to_indices(f)))}\n" for f in inst.family])
+
+
+def subset_sum_text(inst):
+    return f"values {' '.join(map(str, inst.values))}\ntarget {inst.target}\n"
 
 
 class TestComplement:
@@ -211,6 +218,12 @@ class TestDyadicIntensity:
         assert Fraction(total.numerator, 1 << total.exponent) == Fraction(n1, 1 << e1) + Fraction(n2, 1 << e2)
         assert a + b == b + a
 
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), "1/2"])
+    def test_addition_refuses_other_operands(self, other):
+        # __add__ returns NotImplemented, so Python raises TypeError
+        with pytest.raises(TypeError, match="unsupported operand"):
+            DyadicIntensity(1, 1) + other
+
     @given(st.lists(st.tuples(st.integers(0, 1 << 40), st.integers(0, 60)), min_size=3, max_size=3))
     def test_addition_associative(self, triples):
         a, b, c = (DyadicIntensity(n, e) for n, e in triples)
@@ -262,7 +275,7 @@ class TestParseSplitInstance:
 
     def test_serialize_roundtrip_fixed(self):
         inst = parse_split_instance(VALID_DEMO)
-        assert parse_split_instance(serialize_split_instance(inst)) == inst
+        assert parse_split_instance(split_instance_text(inst)) == inst
 
     @given(st.data())
     def test_serialize_roundtrip_random(self, data):
@@ -271,7 +284,7 @@ class TestParseSplitInstance:
             st.lists(st.integers(1, (1 << n) - 1), min_size=0, max_size=6)
         )
         inst = SplitInstance(n, tuple(family))
-        assert parse_split_instance(serialize_split_instance(inst)) == inst
+        assert parse_split_instance(split_instance_text(inst)) == inst
 
 
 class TestParseSubsetSum:
@@ -294,6 +307,10 @@ class TestParseSubsetSum:
             ("values 1\ntarget 2\ntarget 2\n", "duplicate 'target'"),
             ("values 1\nvalues 2\ntarget 2\n", "duplicate 'values'"),
             ("bogus\n", "unknown directive"),
+            ("values 1\ntarget 5 6\n", "exactly 'target <int>'"),
+            # refused by SubsetSumInstance and re-raised as a parse error
+            ("values " + "1 " * 64 + "\ntarget 1\n", "at most 63 values supported, got 64"),
+            (f"values {(1 << 62) + 1} {(1 << 62) - 1}\ntarget 1\n", "must fit signed 64-bit"),
         ],
     )
     def test_diagnostics(self, text, pattern):
@@ -302,4 +319,4 @@ class TestParseSubsetSum:
 
     def test_serialize_roundtrip(self):
         inst = SubsetSumInstance((7, 1, 7), 8)
-        assert parse_subset_sum_instance(serialize_subset_sum_instance(inst)) == inst
+        assert parse_subset_sum_instance(subset_sum_text(inst)) == inst

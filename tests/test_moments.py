@@ -17,8 +17,8 @@ from splitbeam import (
     blocked_moments_literal,
     complement,
     decode_moment,
-    is_solution_moment,
     solve_optical,
+    splits_family,
     superset_moments,
 )
 from splitbeam import moments
@@ -160,19 +160,21 @@ class TestBlockedMoments:
 
 
 class TestIsSolutionMoment:
+    """A moment is a solution iff the subset it decodes splits the family."""
+
     def test_worked_example(self, demo4):
-        assert is_solution_moment(1, demo4)
-        assert not is_solution_moment(15, demo4)
+        assert splits_family(demo4.family, decode_moment(1, 4))
+        assert not splits_family(demo4.family, decode_moment(15, 4))
         # moment 2 puts {a2} on one side; the complement swallows {a1,a3}
-        assert not is_solution_moment(2, demo4)
+        assert not splits_family(demo4.family, decode_moment(2, 4))
 
     def test_equals_full_blocked_membership(self):
         rng = random.Random(14)
         for n in range(1, 11):
             inst = random_instance(rng, n)
-            blocked = blocked_moments_full(inst)
+            blocked = set(blocked_moments_full(inst))
             for k in range(1 << n):
-                assert is_solution_moment(k, inst) == (k not in blocked)
+                assert splits_family(inst.family, k) == (k not in blocked)
 
     def test_reflection_symmetry(self):
         rng = random.Random(15)
@@ -180,11 +182,12 @@ class TestIsSolutionMoment:
             inst = random_instance(rng, n)
             top = (1 << n) - 1
             for k in range(1 << n):
-                assert is_solution_moment(k, inst) == is_solution_moment(top - k, inst)
+                assert splits_family(inst.family, k) == splits_family(inst.family, top - k)
 
     def test_range_check(self, demo4):
+        # a moment past the window decodes to no subset of the universe
         with pytest.raises(ValueError):
-            is_solution_moment(16, demo4)
+            decode_moment(16, demo4.n)
 
 
 class TestMomentSet:
@@ -196,15 +199,10 @@ class TestMomentSet:
         small = superset_moments(top ^ 0b10, n)
         assert len(small) == 2
         assert list(small) == [top ^ 0b10, top]
-        assert top in small and top - 2 in small
-        for k in (-1, 0, 1, 2, 1 << (n - 1), top - 1, 1 << n):
-            assert k not in small
         big = blocked_moments_literal(SplitInstance(n, large_family))
         large = sorted({k for f in large_family for k in brute_supersets(f, n)})
         assert len(big) == len(large)
         assert list(big) == large
-        assert all(k in big for k in large)
-        assert 0 not in big and -1 not in big and (1 << n) not in big
         union = blocked_moments_literal(SplitInstance(n, (top ^ 0b10,) + large_family))
         assert list(union) == sorted({top ^ 0b10, top} | set(large))
 
@@ -236,15 +234,10 @@ class TestMomentSet:
         with pytest.raises(ValueError):
             superset_moments(-1, 3)
 
-    def test_same_size_in_every_block_is_not_equality(self):
-        # a1 and a2 each lie in half the moments of every word
-        for n in (2, 8, 20):
-            assert superset_moments(0b01, n) != superset_moments(0b10, n)
-
     def test_contains_and_iter(self):
         ms = superset_moments(0b11110, 5)
         assert list(ms) == [30, 31]
-        assert 30 in ms and 2 not in ms and 32 not in ms
+        assert words_of(ms).tolist() == [3 << 30]
 
 
 def model_subsets(mask):
@@ -265,8 +258,8 @@ def instance_from_free_sets(draw, universes=st.integers(1, 12)):
 
 @st.composite
 def pattern_set(draw, universes=st.integers(1, 12)):
-    """A builder of a fresh moment set by one of the three pattern routes,
-    with its members by brute force."""
+    """A moment set built by one of the three pattern routes, with its
+    members by brute force."""
     n = draw(universes)
     top = (1 << n) - 1
     # any nonempty mask, or one with few free elements (a small superset set)
@@ -279,10 +272,10 @@ def pattern_set(draw, universes=st.integers(1, 12)):
     route = draw(st.sampled_from(routes))
     if route == "superset":
         f = inst.family[0]
-        return (lambda: superset_moments(f, n)), set(brute_supersets(f, n))
+        return superset_moments(f, n), set(brute_supersets(f, n))
     if route == "literal":
-        return (lambda: blocked_moments_literal(inst)), set(brute_literal(inst))
-    return (lambda: blocked_moments_full(inst)), set(brute_full(inst))
+        return blocked_moments_literal(inst), set(brute_literal(inst))
+    return blocked_moments_full(inst), set(brute_full(inst))
 
 
 class TestMomentSetModel:
@@ -292,31 +285,18 @@ class TestMomentSetModel:
     @given(pattern_set(), st.sampled_from([(64, 1 << 16), (1, 2), (2, 8)]))
     def test_matches_python_set(self, case, sizes):
         # small block sizes put block boundaries within reach of every read
-        build, model = case
+        ms, model = case
         prefix, block = sizes
         with mock.patch.multiple(moments, _PREFIX_WORDS=prefix, _BLOCK_WORDS=block):
-            ms = build()
-            n, top = ms.n, (1 << ms.n) - 1
+            n = ms.n
             gap = next((k for k in range(1 << n) if k not in model), None)
-            probes = model | {-1, 0, 1, top, 1 << n}
             assert ms.first_absent() == gap
-            assert all((k in ms) == (k in model) for k in probes)
             assert len(ms) == len(model)
             assert list(ms) == sorted(model)
             words = words_of(ms)
             assert {k for k in range(1 << n) if int(words[k >> 6]) >> (k & 63) & 1} == model
             shown = ",".join(map(str, sorted(model)[:16])) + (",..." if len(model) > 16 else "")
             assert repr(ms) == f"MomentSet(n={n}, size={len(model)}, {{{shown}}})"
-            assert ms == build() and build() == ms
-            # the same patterns plus moment 0 (word 0 only) or plus moment
-            # top (the last word only) differ from ms in one block at most
-            for key, k in (((top >> 6, 0), 0), ((top >> 6, top >> 6), top)):
-                plus = dict(ms._patterns)
-                plus[key] = plus.get(key, 0) | 1 << (k & 63)
-                plus = moments.MomentSet(n, _patterns=plus)
-                assert (ms == plus) == (plus == ms) == (k in model)
-            assert (ms == superset_moments(top, n)) == (model == {top})
-            assert ms != blocked_moments_full(SplitInstance(n + 1))
 
     @settings(max_examples=200, deadline=None)
     @given(instance_from_free_sets(), st.randoms(use_true_random=False))
@@ -328,7 +308,7 @@ class TestMomentSetModel:
             route = superset_moments(f, n)
             assert list(route) == sorted(supersets)
             # a superset of f blocks no moment that f does not
-            assert route == blocked_moments_literal(SplitInstance(n, (f, f | rng.randrange(top + 1))))
+            assert list(route) == list(blocked_moments_literal(SplitInstance(n, (f, f | rng.randrange(top + 1)))))
             literal |= supersets
         full = literal | {top - k for k in literal}
         # the same blocked sets from other patterns: the family shuffled,
@@ -337,11 +317,9 @@ class TestMomentSetModel:
         rng.shuffle(family)
         same = SplitInstance(n, tuple(family + family[: rng.randint(0, len(family))]))
         for blocked, model in ((blocked_moments_literal, literal), (blocked_moments_full, full)):
-            routes = [blocked(inst), blocked(same)]
-            for route in routes:
+            for route in (blocked(inst), blocked(same)):
                 assert list(route) == sorted(model)
-                assert route == routes[0]
-        assert (blocked_moments_literal(inst) == blocked_moments_full(inst)) == (literal == full)
+        assert (list(blocked_moments_literal(inst)) == list(blocked_moments_full(inst))) == (literal == full)
 
     @settings(max_examples=100, deadline=None)
     @given(instance_from_free_sets(st.integers(29, 63)))
@@ -404,19 +382,6 @@ class TestPackedBuildMemory:
         assert list(ms) == [f, f | 1]
         assert peak < self.LIMIT
 
-    def test_contains_reads_one_word(self):
-        f = (1 << 28) - 2
-        ms = superset_moments(f, 28)
-        probes = [f, f | 1] + [i << 20 for i in range(98)]
-        tracemalloc.start()
-        try:
-            hits = sum(k in ms for k in probes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert hits == 2
-        assert peak < 1 << 20
-
     def test_repr_decodes_only_what_it_shows(self):
         # every one of the 2**n moments is blocked; listing them all to
         # show 16 would cost hundreds of MiB
@@ -439,20 +404,6 @@ class TestPackedBuildMemory:
         ms = superset_moments(f, 28)
         members, peak = self.peak_bytes(lambda: list(ms))
         assert members == [f, f | 1, f | 2, f | 3]
-        assert peak < self.LIMIT
-
-    def test_equality_of_two_sets(self):
-        # both block every moment, from different patterns, so every block
-        # is compared; the third lacks moment 0 only
-        covers = blocked_moments_full(SplitInstance(28, (0b1,)))
-        same = blocked_moments_full(SplitInstance(28, (0b10, 0b100)))
-        equal, peak = self.peak_bytes(lambda: covers == same)
-        assert equal
-        assert peak < self.LIMIT
-        all_but_zero = blocked_moments_literal(SplitInstance(28, tuple(1 << p for p in range(28))))
-        assert 0 not in all_but_zero
-        differ, peak = self.peak_bytes(lambda: all_but_zero == covers)
-        assert not differ
         assert peak < self.LIMIT
 
     def test_solvable_decision_at_28_builds_no_set(self):
@@ -604,7 +555,6 @@ class TestWordKernel:
         expected = 1 << 22 | 1 << 6 | 1
         ms = blocked_moments_full(inst)
         assert ms.first_absent() == expected
-        assert expected not in ms and expected - 1 in ms
         # the scan of the whole word array finds the same first clear bit
         words, w = words_of(ms), expected >> 6
         assert np.all(words[:w] == np.uint64((1 << 64) - 1))

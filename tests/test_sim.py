@@ -59,7 +59,7 @@ class TestSimulateSetSplitting:
             assert timeline.total_paths == 1 << n
             assert timeline.total_intensity() == DyadicIntensity(1, 0)
 
-    def test_analytic_matches_enumerated(self):
+    def test_analytic_matches_enumerated(self, timeline_fields):
         for n in (1, 3, 6, 10):
             device = build_set_splitting_device(n)
             enumerated = simulate(device)
@@ -73,7 +73,7 @@ class TestSimulateSetSplitting:
             assert list(analytic.iter_events()) == list(enumerated.iter_events())
             # neither the lookups nor the events materialise the arrays
             assert analytic.is_analytic
-            assert analytic == enumerated
+            assert timeline_fields(analytic) == timeline_fields(enumerated)
 
     def test_default_threshold_switches(self):
         assert not simulate(build_set_splitting_device(10)).is_analytic
@@ -271,30 +271,13 @@ class TestImplicitTimeline:
         assert answer.solvable and answer.validate_against(inst)
         assert peak < 1 << 20
 
-    def test_equality_of_analytic_timelines_builds_no_arrays(self):
-        a, b = ArrivalTimeline.analytic_splitting(20), ArrivalTimeline.analytic_splitting(20)
-        equal, peak = self.peak_bytes(lambda: a == b)
-        assert equal
-        assert peak < 1 << 20
-        assert a.is_analytic and b.is_analytic
-        assert a != ArrivalTimeline.analytic_splitting(19)
-        assert a.is_analytic
-
-    def test_equality_reads_implicit_and_held_arrays_alike(self):
-        def timeline(cores=None, counts=None, witnesses=None, kind=DeviceKind.SET_SPLITTING):
-            arrays = [None if a is None else np.array(a, dtype=np.int64) for a in (cores, counts, witnesses)]
-            return ArrivalTimeline(2, kind, *arrays)
-
-        analytic = timeline()
-        assert analytic == timeline([0, 1, 2, 3]) == timeline([0, 1, 2, 3], [1, 1, 1, 1], [0, 1, 2, 3])
-        assert analytic == timeline(None, [1, 1, 1, 1], None)
-        assert analytic != timeline([0, 1, 2, 4])
-        assert analytic != timeline(None, [1, 1, 1, 2])
-        assert analytic != timeline(None, None, [0, 1, 3, 2])
-        assert analytic != timeline(kind=DeviceKind.SUBSET_SUM)
-        assert timeline([0, 1, 2]) != timeline([0, 1, 2, 3])
-        assert analytic.is_analytic
-
+    def test_repr_counts_events_without_building_them(self):
+        coalesced = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))
+        assert repr(coalesced) == "ArrivalTimeline(kind=subset-sum, n=3, events=5)"
+        analytic = ArrivalTimeline.analytic_splitting(28)
+        text, peak = self.peak_bytes(lambda: repr(analytic))
+        assert text == "ArrivalTimeline(kind=set-splitting, n=28, events=268435456)"
+        assert peak < 64 << 10
 
     def test_held_arrays_are_read_only(self):
         timeline = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))

@@ -16,7 +16,6 @@ from splitbeam import (
     SubsetSumInstance,
     build_subset_sum_device,
     detect_subset_sum,
-    oracle_solution_masks,
     simulate,
     solve_optical,
     solve_oracle,
@@ -44,6 +43,12 @@ def first_split_mask(inst):
 def split_masks(inst):
     """Every split mask, ascending, by plain Python over range(2**n)."""
     return [mask for mask in range(1 << inst.n) if mask_splits(inst.family, mask, inst.n)]
+
+
+def free_masks(inst):
+    """Every mask the oracle's full scan leaves free, ascending."""
+    blocks = splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)
+    return [m for free in blocks for m in free.tolist()]
 
 
 def masked_sum(values, mask):
@@ -96,7 +101,7 @@ class TestSolveOracle:
         assert answer.solution_moment == 1
 
     def test_solution_mask_set(self, demo4):
-        assert oracle_solution_masks(demo4) == [1, 6, 9, 14]
+        assert free_masks(demo4) == split_masks(demo4) == [1, 6, 9, 14]
 
     def test_two_element_set_split(self):
         answer = solve_oracle(SplitInstance(2, (0b11,)))
@@ -116,7 +121,6 @@ class TestSolveOracle:
             pairs = tuple((1 << b) | (1 << j) for b in range(j))
             inst = SplitInstance(j + 1, pairs)
             assert solve_oracle(inst).solution_moment == (1 << j) - 1
-            assert oracle_solution_masks(inst)[0] == (1 << j) - 1
             assert not solve_oracle(SplitInstance(inst.n, inst.family + ((1 << j) - 1,))).solvable
 
     def test_solution_masks_match_brute_force_across_blocks(self):
@@ -126,7 +130,7 @@ class TestSolveOracle:
             for m in (1, 3, 6):
                 family = tuple(sum(1 << p for p in rng.sample(range(n), rng.randint(1, n))) for _ in range(m))
                 inst = SplitInstance(n, family)
-                assert oracle_solution_masks(inst) == split_masks(inst)
+                assert free_masks(inst) == split_masks(inst)
 
     def test_solution_masks_scan_in_blocks(self):
         # {a_i, a_(i+1)} for every i forces the elements to alternate, so
@@ -136,7 +140,7 @@ class TestSolveOracle:
         inst = SplitInstance(n, tuple(0b11 << i for i in range(n - 1)))
         tracemalloc.start()
         try:
-            masks = oracle_solution_masks(inst)
+            masks = free_masks(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -154,9 +158,8 @@ class TestSolveOracle:
         inst = SplitInstance(n, family + ((1 << n) - 1,))
         assert {free.dtype for free in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)} == {np.dtype(dtype)}
         expected = split_masks(inst)
-        masks = oracle_solution_masks(inst)
+        masks = free_masks(inst)
         assert masks == expected and masks[-1] > (1 << n) - 1024
-        assert all(type(k) is int for k in masks)
         answer = solve_oracle(inst)
         assert answer.solution_moment == expected[0] and type(answer.solution_moment) is int
 
@@ -171,7 +174,7 @@ class TestSolveOracle:
             inst = SplitInstance(n, family)
             assert {free.dtype for free in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)} == {np.dtype(dtype)}
             expected = split_masks(inst)
-            assert oracle_solution_masks(inst) == expected
+            assert free_masks(inst) == expected
             answer = solve_oracle(inst)
             assert answer.solution_moment == (expected[0] if expected else None)
             assert answer.solvable == bool(expected)
@@ -189,10 +192,10 @@ class TestSolveOracle:
                 for family in (front + larger, larger[:1] + front + larger[1:]):
                     inst = SplitInstance(n, family)
                     expected = split_masks(inst)
-                    assert oracle_solution_masks(inst) == expected
+                    assert free_masks(inst) == expected
                     assert solve_oracle(inst).solution_moment == (expected[0] if expected else None)
             inst = SplitInstance(n, ladder)
-            assert oracle_solution_masks(inst) == split_masks(inst) == [(1 << (n - 1)) - 1, 1 << (n - 1)]
+            assert free_masks(inst) == split_masks(inst) == [(1 << (n - 1)) - 1, 1 << (n - 1)]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -204,7 +207,7 @@ class TestSolveOracle:
         inst = SplitInstance(n, tuple(family))
         for other in (shuffled, sorted(family, key=int.bit_count, reverse=True)):
             again = SplitInstance(n, tuple(other))
-            assert oracle_solution_masks(again) == oracle_solution_masks(inst)
+            assert free_masks(again) == free_masks(inst)
             assert solve_oracle(again) == solve_oracle(inst)
 
     def test_unsolvable_full_scan_memory(self):
