@@ -10,7 +10,6 @@ one.
 """
 
 from .core import (
-    DyadicIntensity,
     EnumerationLimitError,
     ExactMoment,
     MAX_UNIVERSE,
@@ -47,7 +46,6 @@ from .moments import (
     blocked_moments_full,
     blocked_moments_literal,
     decode_moment,
-    superset_moments,
 )
 from .sim import (
     ArrivalEvent,
@@ -81,7 +79,6 @@ __all__ = [
     "Decision",
     "DelayDevice",
     "DeviceKind",
-    "DyadicIntensity",
     "EnumerationLimitError",
     "ExactMoment",
     "FeasibilityReport",
@@ -119,6 +116,5 @@ __all__ = [
     "solve_subset_sum",
     "splits_family",
     "subset_sum_oracle",
-    "superset_moments",
     "synthesize_trace",
 ]

@@ -5,6 +5,8 @@ set means element i is in the subset (element indices are 1-based in all
 text formats, 0-based as bit positions internally). The universe size is
 capped at 63 so every arrival moment fits exact unsigned 64-bit
 arithmetic; no arbitrary-precision layer is needed or wanted.
+Intensities are no type of their own: ``sim`` gives each arrival the
+exact ``fractions.Fraction`` paths / 2**n.
 """
 
 from __future__ import annotations
@@ -191,48 +193,6 @@ class ExactMoment:
 
     def __str__(self) -> str:
         return f"{self.core}+{self.hops}eps"
-
-
-@dataclass(frozen=True)
-class DyadicIntensity:
-    """Exact beam intensity ``numerator / 2**exponent``, kept in lowest terms.
-
-    A beam is halved at every splitter, so every intensity in the model is
-    a dyadic rational; keeping them exact makes conservation checks
-    bit-exact instead of float-approximate. ``DyadicIntensity(paths, n)``
-    is the intensity of ``paths`` coalesced beams in an n-layer device.
-    """
-
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        num, exp = self.numerator, self.exponent
-        if num < 0 or exp < 0:
-            raise ValueError("intensity components must be nonnegative")
-        if num == 0:
-            exp = 0
-        else:
-            trailing = (num & -num).bit_length() - 1
-            shift = min(trailing, exp)
-            num >>= shift
-            exp -= shift
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
-
-    def __add__(self, other: "DyadicIntensity") -> "DyadicIntensity":
-        if not isinstance(other, DyadicIntensity):
-            return NotImplemented
-        exp = max(self.exponent, other.exponent)
-        num = (self.numerator << (exp - self.exponent)) + (
-            other.numerator << (exp - other.exponent)
-        )
-        return DyadicIntensity(num, exp)
-
-    def __str__(self) -> str:
-        if self.exponent == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.exponent}"
 
 
 def _logical_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:

@@ -44,7 +44,6 @@ from .core import (
     SplitInstance,
     SubsetMask,
     _check_enumerable,
-    _check_mask,
     _check_universe,
 )
 
@@ -259,19 +258,6 @@ def _or_block(patterns: dict[tuple[int, int], int], lo: int, out: np.ndarray) ->
             tuple(reversed(shape)), _WORD, out, (want & low) * _WORD.itemsize, tuple(reversed(strides))
         )
         view |= pattern
-
-
-def superset_moments(f: SubsetMask, n: int) -> MomentSet:
-    """Moments whose decoded subset includes ``f``.
-
-    Exactly the 2**(n - popcount(f)) integers k with k & f == f: the
-    one-sided blocked set of the family {f}.
-    """
-    _check_universe(n)
-    if f == 0:
-        raise ValueError("family sets must be nonempty: every moment is a superset of the empty set")
-    _check_mask(f, n)
-    return _packed_union(n, (f,), two_sided=False)
 
 
 def blocked_moments_literal(inst: SplitInstance) -> MomentSet:

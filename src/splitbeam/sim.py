@@ -1,21 +1,24 @@
 """Exhaustive light-propagation simulation.
 
 Enumerates all 2**n source-to-destination paths of a device, coalesces
-simultaneous arrivals (same core delay) by summing their exact dyadic
-intensities, and can render the result as an oscilloscope-style sampled
-trace. Enumeration is one pass in one thread into one buffer and costs
-Theta(2**n) in time and memory, which is the whole point of the device
-being simulated; devices of more than ``DEFAULT_SIM_CAP`` = 28 layers,
-which would not terminate at desk scale, are refused, and so is the
-enumeration of more than ``PATH_ENUM_CAP`` = 24 layers, which would need
-1 GiB or more. When each take delay exceeds the sum of those before it,
-as set splitting's 1, 2, 4, ... do, the path delays come out distinct and
-in mask order: the buffer is the timeline and no sort is needed.
+simultaneous arrivals (same core delay) into one event whose exact
+intensity is the ``Fraction`` paths / 2**n, and can render the result
+as an oscilloscope-style sampled trace. Enumeration is one pass in one
+thread into one buffer and costs Theta(2**n) in time and memory, which
+is the whole point of the device being simulated; devices of more than
+``DEFAULT_SIM_CAP`` = 28 layers, which would not terminate at desk
+scale, are refused, and so is the enumeration of more than
+``PATH_ENUM_CAP`` = 24 layers, which would need 1 GiB or more. When
+each take delay exceeds the sum of those before it, as set splitting's
+1, 2, 4, ... do, the path delays come out distinct and in mask order:
+the buffer is the timeline and no sort is needed.
 
-Set-splitting devices force a fully predictable timeline (every moment in
-[0, 2**n) arrives exactly once), so above an enumeration threshold the
-timeline is generated analytically; below it the paths are genuinely
-enumerated so tests exercise the model rather than the formula.
+Take delays 1, 2, ..., 2**(n-1), the set-splitting device's, force a
+fully predictable timeline (every moment in [0, 2**n) arrives exactly
+once), so from ``DEFAULT_ANALYTIC_THRESHOLD`` layers on such a timeline
+is generated analytically; below it the paths are genuinely enumerated
+so tests exercise the model rather than the formula. The choice reads
+the delays, not the device's kind.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .core import (
-    DyadicIntensity,
     EnumerationLimitError,
     ExactMoment,
     SubsetMask,
@@ -50,7 +53,7 @@ class ArrivalEvent:
     """All beams reaching the destination at one exact moment."""
 
     moment: ExactMoment
-    intensity: DyadicIntensity
+    intensity: Fraction
     paths: int
     witness: SubsetMask
 
@@ -63,10 +66,10 @@ class ArrivalTimeline:
     any of which may be implicit. No counts means one path per event,
     whose mask is the event's position: ``simulate`` keeps that form
     whenever each take delay exceeds the sum of those before it. No cores
-    as well means the moments are exactly 0..2**n-1, the form a
-    set-splitting timeline built analytically has. A read builds only
-    what it returns and keeps nothing: ``cores``, ``counts`` and
-    ``witnesses`` return the held array, which ``simulate`` makes
+    as well means the moments are exactly 0..2**n-1, the form a timeline
+    of take delays 1, 2, ..., 2**(n-1) built analytically has. A read
+    builds only what it returns and keeps nothing: ``cores``, ``counts``
+    and ``witnesses`` return the held array, which ``simulate`` makes
     read-only, or a new one for an implicit array, and ``iter_events``
     streams the events one at a time.
     """
@@ -86,10 +89,6 @@ class ArrivalTimeline:
         self._cores = cores
         self._counts = counts
         self._witnesses = witnesses
-
-    @classmethod
-    def analytic_splitting(cls, n: int) -> "ArrivalTimeline":
-        return cls(n, DeviceKind.SET_SPLITTING, None, None, None)
 
     @property
     def is_analytic(self) -> bool:
@@ -144,15 +143,10 @@ class ArrivalTimeline:
         for core, paths, wit in zip(cores, counts, witnesses):
             yield ArrivalEvent(
                 ExactMoment(int(core), self.n),
-                DyadicIntensity(int(paths), self.n),
+                Fraction(int(paths), 1 << self.n),
                 int(paths),
                 int(wit),
             )
-
-    def total_intensity(self) -> DyadicIntensity:
-        """Exact dyadic sum of all event intensities (1 when nothing is lost):
-        each event carries its path count over 2**n."""
-        return DyadicIntensity(self.total_paths, self.n)
 
     def __repr__(self) -> str:
         return (
@@ -170,7 +164,10 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
     ordered by the highest layer where they differ, whose delay outweighs
     all the layers below it. Then every path arrives alone and the buffer
     is the timeline, with unit counts and witness = position left
-    implicit. Otherwise one sort coalesces them. The arrays the timeline holds are
+    implicit. Otherwise one sort coalesces them. From
+    ``DEFAULT_ANALYTIC_THRESHOLD`` layers on, take delays 1, 2, ...,
+    2**(n-1) give the analytic timeline, whatever the device's kind, and
+    nothing is enumerated. The arrays the timeline holds are
     read-only. A device of more than ``DEFAULT_SIM_CAP`` layers, or one
     whose paths would be enumerated past ``PATH_ENUM_CAP`` layers, is
     refused with ``EnumerationLimitError`` before anything is allocated.
@@ -178,12 +175,12 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
     n = device.n
     _check_enumerable(n, DEFAULT_SIM_CAP, "simulation")
 
-    if device.kind is DeviceKind.SET_SPLITTING and n >= DEFAULT_ANALYTIC_THRESHOLD:
-        return ArrivalTimeline.analytic_splitting(n)
+    delays = device.take_delays
+    if n >= DEFAULT_ANALYTIC_THRESHOLD and delays == tuple(1 << i for i in range(n)):
+        return ArrivalTimeline(n, device.kind, None, None, None)
     _check_enumerable(n, PATH_ENUM_CAP, "path enumeration")
 
     # sums[mask] is the core delay of the path taking the masked layers
-    delays = device.take_delays
     sums = np.empty(1 << n, dtype=np.int64)
     sums[0] = 0
     for i, d in enumerate(delays):

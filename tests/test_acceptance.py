@@ -8,12 +8,12 @@ the sub-millisecond ones are measured as best-of-five steady-state runs.
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 
 from splitbeam import (
     Decision,
-    DyadicIntensity,
     PhysicalParams,
     SplitInstance,
     SubsetSumInstance,
@@ -33,7 +33,6 @@ from splitbeam import (
     solve_subset_sum,
     splits_family,
     subset_sum_oracle,
-    superset_moments,
 )
 
 DEMO = SplitInstance(4, (0b0011, 0b0101))
@@ -78,8 +77,8 @@ def test_criterion_1_golden_example_reproduction():
 
         def work():
             return (
-                superset_moments(0b0011, 4),
-                superset_moments(0b0101, 4),
+                blocked_moments_literal(SplitInstance(4, (0b0011,))),
+                blocked_moments_literal(SplitInstance(4, (0b0101,))),
                 blocked_moments_literal(DEMO),
                 solve_optical(DEMO),
             )
@@ -186,12 +185,12 @@ def test_criterion_5_simulation_invariants():
             assert timeline.event_count == 1 << n
             assert np.array_equal(timeline.cores, np.arange(1 << n))
             assert np.all(timeline.counts == 1)
-            per_event = DyadicIntensity(1, n)
-            total = DyadicIntensity(0, 0)
+            per_event = Fraction(1, 1 << n)
+            total = Fraction(0)
             for event in timeline.iter_events():
                 assert event.intensity == per_event
-                total = total + event.intensity
-            assert total == DyadicIntensity(1, 0)
+                total += event.intensity
+            assert total == 1
         assert time.perf_counter() - start < 30
 
 
@@ -250,11 +249,11 @@ def test_criterion_7_property_suite():
         # superset cardinality formula
         for n in range(1, 13):
             for f in range(1, 1 << n):
-                assert len(superset_moments(f, n)) == 1 << (n - f.bit_count())
+                assert len(blocked_moments_literal(SplitInstance(n, (f,)))) == 1 << (n - f.bit_count())
         for _ in range(200):
             n = rng.randint(13, 20)
             f = rng.randrange(1, 1 << n)
-            assert len(superset_moments(f, n)) == 1 << (n - f.bit_count())
+            assert len(blocked_moments_literal(SplitInstance(n, (f,)))) == 1 << (n - f.bit_count())
 
         # monotonicity: adding a family set never creates a solution
         for _ in range(300):

@@ -9,17 +9,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitbeam import (
-    DyadicIntensity,
+    DelayDevice,
+    DeviceKind,
     ExactMoment,
     ParseError,
     Partition,
     SplitInstance,
     SubsetSumInstance,
+    build_set_splitting_device,
+    build_subset_sum_device,
     complement,
     format_mask,
     mask_to_indices,
     parse_split_instance,
     parse_subset_sum_instance,
+    simulate,
     solve_optical,
     solve_oracle,
     splits_family,
@@ -184,54 +188,31 @@ class TestExactMoment:
 
 
 class TestDyadicIntensity:
+    """Every event carries the exact ``Fraction`` paths / 2**n, in lowest terms."""
+
     def test_normalization(self):
-        assert DyadicIntensity(2, 3) == DyadicIntensity(1, 2)
-        assert DyadicIntensity(4, 2) == DyadicIntensity(1, 0)
-        assert DyadicIntensity(0, 7) == DyadicIntensity(0, 0)
+        # two of a 3-layer device's eight paths arrive at 5: 2/8 is 1/4
+        timeline = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))
+        by_core = {e.moment.core: e.intensity for e in timeline.iter_events()}
+        assert (by_core[5].numerator, by_core[5].denominator) == (1, 4)
+        assert (by_core[0].numerator, by_core[0].denominator) == (1, 8)
 
     def test_source_pulse_is_one(self):
-        one = DyadicIntensity(1, 0)
-        assert Fraction(one.numerator, 1 << one.exponent) == 1
-        assert str(one) == "1"
-        assert str(DyadicIntensity(3, 3)) == "3/8"
+        # zero delays coalesce every path back into the whole source pulse
+        (whole,) = simulate(DelayDevice(DeviceKind.SUBSET_SUM, (0, 0, 0))).iter_events()
+        assert whole.intensity == 1 and whole.paths == 8
+        assert str(whole.intensity) == "1"
+        events = list(simulate(DelayDevice(DeviceKind.SUBSET_SUM, (1, 1, 1))).iter_events())
+        assert [str(e.intensity) for e in events] == ["1/8", "3/8", "3/8", "1/8"]
 
     def test_halving_sums_back_to_one(self):
-        # 2**n copies of 2**-n, summed in shuffled order, give exactly 1
+        # 2**n arrivals of 2**-n each, summed in shuffled order, give exactly 1
         rng = random.Random(7)
         for n in range(1, 13):
-            parts = [DyadicIntensity(1, n)] * (1 << n)
+            parts = [e.intensity for e in simulate(build_set_splitting_device(n)).iter_events()]
+            assert parts == [Fraction(1, 1 << n)] * (1 << n)
             rng.shuffle(parts)
-            total = DyadicIntensity(0, 0)
-            for p in parts:
-                total = total + p
-            assert total == DyadicIntensity(1, 0)
-
-    @given(
-        st.integers(0, 1 << 70),
-        st.integers(0, 90),
-        st.integers(0, 1 << 70),
-        st.integers(0, 90),
-    )
-    def test_addition_matches_fractions(self, n1, e1, n2, e2):
-        a, b = DyadicIntensity(n1, e1), DyadicIntensity(n2, e2)
-        total = a + b
-        assert Fraction(total.numerator, 1 << total.exponent) == Fraction(n1, 1 << e1) + Fraction(n2, 1 << e2)
-        assert a + b == b + a
-
-    @pytest.mark.parametrize("other", [1, Fraction(1, 2), "1/2"])
-    def test_addition_refuses_other_operands(self, other):
-        # __add__ returns NotImplemented, so Python raises TypeError
-        with pytest.raises(TypeError, match="unsupported operand"):
-            DyadicIntensity(1, 1) + other
-
-    @given(st.lists(st.tuples(st.integers(0, 1 << 40), st.integers(0, 60)), min_size=3, max_size=3))
-    def test_addition_associative(self, triples):
-        a, b, c = (DyadicIntensity(n, e) for n, e in triples)
-        assert (a + b) + c == a + (b + c)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DyadicIntensity(-1, 0)
+            assert sum(parts) == 1
 
 
 VALID_DEMO = "n 4\nf 1 2\nf 1 3\n"

@@ -1,11 +1,12 @@
 """The exactness contract: no float in any decision.
 
-The modules a decision runs through (instances, devices, moment sets and
-both solver routes) hold integer moments and dyadic intensities only.
-This reads their source and refuses every way a float gets in: a float
-literal, true division, ``float``, the ``math`` module and float dtypes.
-The simulator's trace rendering and the physical envelope use floats on
-purpose and are not checked.
+The modules a decision runs through (instances, devices, the simulator,
+moment sets and both solver routes) hold integer moments and dyadic
+intensities only. This reads their source and refuses every way a float
+gets in: a float literal, true division, ``float``, the ``math`` module
+and float dtypes. The simulator's trace rendering (``Trace`` and
+``synthesize_trace``) and the physical envelope use floats on purpose
+and are not checked.
 """
 
 import ast
@@ -16,16 +17,32 @@ import pytest
 
 import splitbeam
 
-DECISION_MODULES = ("core.py", "device.py", "moments.py", "solver.py")
+DECISION_MODULES = ("core.py", "device.py", "sim.py", "moments.py", "solver.py")
+# the float rendering of a timeline, skipped by name
+RENDERING = {"sim.py": {"Trace", "synthesize_trace"}}
 
 _FLOAT_NAME = re.compile(r"float\d*")
 _FLOAT_DTYPE = re.compile(r"[<>=|]?(float\d*|f\d+)")
 
 
-def float_uses(source):
-    """(line, construct) for every float construct in ``source``."""
+def module_tree(module):
+    return ast.parse((Path(splitbeam.__file__).parent / module).read_text(encoding="utf-8"))
+
+
+def decision_code(module):
+    """The parsed source of ``module`` without its top-level rendering definitions."""
+    tree = module_tree(module)
+    skipped = RENDERING.get(module, set())
+    kept = [node for node in tree.body if getattr(node, "name", None) not in skipped]
+    assert len(tree.body) - len(kept) == len(skipped)
+    tree.body = kept
+    return tree
+
+
+def float_uses(tree):
+    """(line, construct) for every float construct in the parsed ``tree``."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             found.append((node.lineno, "float literal"))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _FLOAT_DTYPE.fullmatch(node.value):
@@ -43,8 +60,14 @@ def float_uses(source):
 
 @pytest.mark.parametrize("module", DECISION_MODULES)
 def test_decision_modules_hold_no_float(module):
-    source = (Path(splitbeam.__file__).parent / module).read_text(encoding="utf-8")
-    assert float_uses(source) == []
+    assert float_uses(decision_code(module)) == []
+
+
+def test_only_the_rendering_is_skipped():
+    # the trace rendering is exactly where sim.py's floats are
+    whole = module_tree("sim.py")
+    rendering = ast.Module([node for node in whole.body if getattr(node, "name", None) in RENDERING["sim.py"]], [])
+    assert float_uses(whole) == float_uses(rendering) != []
 
 
 @pytest.mark.parametrize(
@@ -63,4 +86,4 @@ def test_decision_modules_hold_no_float(module):
 )
 def test_checker_catches_a_planted_float(snippet, construct):
     source = f"def decide(a, b, k):\n    '''k // 2 stays an int.'''\n    {snippet}\n    return a // b\n"
-    assert float_uses(source) == [(3, construct)]
+    assert float_uses(ast.parse(source)) == [(3, construct)]

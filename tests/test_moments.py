@@ -1,4 +1,4 @@
-"""Moment decoding, superset enumeration, blocked sets, the packed moment set."""
+"""Moment decoding, superset moments, blocked sets, the packed moment set."""
 
 import itertools
 import random
@@ -19,9 +19,14 @@ from splitbeam import (
     decode_moment,
     solve_optical,
     splits_family,
-    superset_moments,
 )
 from splitbeam import moments
+
+
+def supersets_of(f, n):
+    """The moments whose subset contains ``f``: the one-sided blocked set
+    of the family {f}."""
+    return blocked_moments_literal(SplitInstance(n, (f,)))
 
 
 def brute_supersets(f, n):
@@ -84,38 +89,38 @@ class TestDecodeEncode:
 
 class TestSupersetMoments:
     def test_first_family_set(self):
-        assert list(superset_moments(0b0011, 4)) == [3, 7, 11, 15]
+        assert list(supersets_of(0b0011, 4)) == [3, 7, 11, 15]
 
     def test_second_family_set(self):
-        assert list(superset_moments(0b0101, 4)) == [5, 7, 13, 15]
+        assert list(supersets_of(0b0101, 4)) == [5, 7, 13, 15]
 
     def test_full_mask_is_own_only_superset(self):
-        assert list(superset_moments(0b1111, 4)) == [15]
+        assert list(supersets_of(0b1111, 4)) == [15]
 
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError, match="nonempty"):
-            superset_moments(0, 4)
+            supersets_of(0, 4)
 
     def test_matches_brute_force(self):
         for n in range(1, 11):
             for f in range(1, 1 << n):
-                assert list(superset_moments(f, n)) == brute_supersets(f, n)
+                assert list(supersets_of(f, n)) == brute_supersets(f, n)
 
     def test_cardinality_formula(self):
         for n in range(1, 11):
             for f in range(1, 1 << n):
-                assert len(superset_moments(f, n)) == 1 << (n - f.bit_count())
+                assert len(supersets_of(f, n)) == 1 << (n - f.bit_count())
 
     def test_sparse_universe_path(self):
         # n above the bitset limit is refused even for a set of 8 moments
         n = 40
         f = (1 << n) - 1 - 0b111  # 37 of 40 elements
         with pytest.raises(EnumerationLimitError, match="n=40 exceeds the moment set cap 28"):
-            superset_moments(f, n)
+            supersets_of(f, n)
 
     def test_sparse_universe_cap(self):
         with pytest.raises(EnumerationLimitError, match="too large"):
-            superset_moments(0b1, 40)
+            supersets_of(0b1, 40)
 
 
 class TestBlockedMoments:
@@ -196,7 +201,7 @@ class TestMomentSet:
         # a family set with one free element has 2 supersets; the literal
         # set of a family is the union of the supersets of its sets
         top = (1 << n) - 1
-        small = superset_moments(top ^ 0b10, n)
+        small = supersets_of(top ^ 0b10, n)
         assert len(small) == 2
         assert list(small) == [top ^ 0b10, top]
         big = blocked_moments_literal(SplitInstance(n, large_family))
@@ -212,7 +217,7 @@ class TestMomentSet:
     def test_small_and_large_contents_huge_universe(self):
         top = (1 << 40) - 1
         for route in (
-            lambda: superset_moments(top ^ 0b10, 40),
+            lambda: supersets_of(top ^ 0b10, 40),
             lambda: blocked_moments_literal(SplitInstance(40, (0b1, 0b110 << 4))),
         ):
             with pytest.raises(EnumerationLimitError, match="moment set cap 28"):
@@ -224,18 +229,18 @@ class TestMomentSet:
         # {a1, a2} on either side blocks 0 and 3
         assert blocked_moments_full(SplitInstance(2, (0b11,))).first_absent() == 1
         assert blocked_moments_literal(SplitInstance(2, (0b10,))).first_absent() == 0
-        assert superset_moments(0b01, 2).first_absent() == 0
+        assert supersets_of(0b01, 2).first_absent() == 0
         with pytest.raises(EnumerationLimitError):
             blocked_moments_full(SplitInstance(40, (0b01,)))
 
     def test_rejects_out_of_range_members(self):
         with pytest.raises(ValueError):
-            superset_moments(8, 3)
+            supersets_of(8, 3)
         with pytest.raises(ValueError):
-            superset_moments(-1, 3)
+            supersets_of(-1, 3)
 
     def test_contains_and_iter(self):
-        ms = superset_moments(0b11110, 5)
+        ms = supersets_of(0b11110, 5)
         assert list(ms) == [30, 31]
         assert words_of(ms).tolist() == [3 << 30]
 
@@ -272,7 +277,7 @@ def pattern_set(draw, universes=st.integers(1, 12)):
     route = draw(st.sampled_from(routes))
     if route == "superset":
         f = inst.family[0]
-        return superset_moments(f, n), set(brute_supersets(f, n))
+        return supersets_of(f, n), set(brute_supersets(f, n))
     if route == "literal":
         return blocked_moments_literal(inst), set(brute_literal(inst))
     return blocked_moments_full(inst), set(brute_full(inst))
@@ -305,7 +310,7 @@ class TestMomentSetModel:
         literal = set()
         for f in inst.family:
             supersets = {f | s for s in model_subsets(top ^ f)}
-            route = superset_moments(f, n)
+            route = supersets_of(f, n)
             assert list(route) == sorted(supersets)
             # a superset of f blocks no moment that f does not
             assert list(route) == list(blocked_moments_literal(SplitInstance(n, (f, f | rng.randrange(top + 1)))))
@@ -324,7 +329,7 @@ class TestMomentSetModel:
     @settings(max_examples=100, deadline=None)
     @given(instance_from_free_sets(st.integers(29, 63)))
     def test_every_route_refuses_universes_past_the_bitset(self, inst):
-        routes = [lambda f=f: superset_moments(f, inst.n) for f in inst.family]
+        routes = [lambda f=f: supersets_of(f, inst.n) for f in inst.family]
         routes += [lambda: blocked_moments_literal(inst), lambda: blocked_moments_full(inst)]
         for route in routes:
             with pytest.raises(EnumerationLimitError, match="exceeds the moment set cap 28"):
@@ -346,7 +351,7 @@ class TestRefusalPastTheBitset:
             yield
 
         build = {
-            "superset": lambda: superset_moments(0b1, n),
+            "superset": lambda: supersets_of(0b1, n),
             "literal": lambda: blocked_moments_literal(inst),
             "full": lambda: blocked_moments_full(inst),
             "unread_family": lambda: moments._packed_union(n, unreadable(), two_sided=True),
@@ -378,7 +383,7 @@ class TestPackedBuildMemory:
 
     def test_superset_moments_small_set(self):
         f = (1 << 28) - 2
-        ms, peak = self.peak_bytes(lambda: superset_moments(f, 28))
+        ms, peak = self.peak_bytes(lambda: supersets_of(f, 28))
         assert list(ms) == [f, f | 1]
         assert peak < self.LIMIT
 
@@ -401,7 +406,7 @@ class TestPackedBuildMemory:
 
     def test_listing_a_small_set(self):
         f = (1 << 28) - 4
-        ms = superset_moments(f, 28)
+        ms = supersets_of(f, 28)
         members, peak = self.peak_bytes(lambda: list(ms))
         assert members == [f, f | 1, f | 2, f | 3]
         assert peak < self.LIMIT
@@ -490,7 +495,7 @@ class TestWordKernel:
         assert list(full) == brute_full(inst)
         built = [literal, full]
         for f in inst.family:
-            supersets = superset_moments(f, inst.n)
+            supersets = supersets_of(f, inst.n)
             assert list(supersets) == brute_supersets(f, inst.n)
             built.append(supersets)
         for ms in built:

@@ -1,5 +1,6 @@
 """Simulation: arrival timelines, coalescing, detection, trace synthesis."""
 
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -16,7 +17,6 @@ from splitbeam import (
     ArrivalTimeline,
     DelayDevice,
     DeviceKind,
-    DyadicIntensity,
     EnumerationLimitError,
     ExactMoment,
     SplitInstance,
@@ -41,13 +41,18 @@ def brute_subset_sums(values):
     return out
 
 
+def analytic_splitting(n):
+    """The analytic timeline of an n-layer set-splitting device, at any n."""
+    return ArrivalTimeline(n, DeviceKind.SET_SPLITTING, None, None, None)
+
+
 class TestSimulateSetSplitting:
     def test_two_layers(self):
         timeline = simulate(build_set_splitting_device(2))
         events = list(timeline.iter_events())
         assert [e.moment.core for e in events] == [0, 1, 2, 3]
         assert all(e.moment.hops == 2 for e in events)
-        assert all(e.intensity == DyadicIntensity(1, 2) for e in events)
+        assert all(e.intensity == Fraction(1, 4) for e in events)
         assert all(e.paths == 1 for e in events)
         assert [e.witness for e in events] == [0, 1, 2, 3]
 
@@ -57,13 +62,13 @@ class TestSimulateSetSplitting:
             assert timeline.event_count == 1 << n
             assert np.array_equal(timeline.cores, np.arange(1 << n))
             assert timeline.total_paths == 1 << n
-            assert timeline.total_intensity() == DyadicIntensity(1, 0)
+            assert sum(e.intensity for e in timeline.iter_events()) == 1
 
     def test_analytic_matches_enumerated(self, timeline_fields):
         for n in (1, 3, 6, 10):
             device = build_set_splitting_device(n)
             enumerated = simulate(device)
-            analytic = ArrivalTimeline.analytic_splitting(n)
+            analytic = analytic_splitting(n)
             assert not enumerated.is_analytic
             assert analytic.witness_for(n) == n
             assert analytic.witness_for(1 << n) is None
@@ -79,23 +84,41 @@ class TestSimulateSetSplitting:
         assert not simulate(build_set_splitting_device(10)).is_analytic
         assert simulate(build_set_splitting_device(17)).is_analytic
 
+    def test_analytic_form_follows_the_delays_not_the_kind(self, timeline_fields):
+        # 17 layers of delay 5 arrive at 0, 5, ..., 85 whatever the device is called
+        n = DEFAULT_ANALYTIC_THRESHOLD
+        labelled = simulate(DelayDevice(DeviceKind.SET_SPLITTING, (5,) * n))
+        twin = simulate(DelayDevice(DeviceKind.SUBSET_SUM, (5,) * n))
+        assert not labelled.is_analytic
+        assert labelled.event_count == 18
+        assert labelled.cores.tolist() == list(range(0, 90, 5))
+        assert labelled.counts.tolist() == [math.comb(n, k) for k in range(n + 1)]
+        assert labelled.witness_for(3) is None
+        assert timeline_fields(labelled)[2:] == timeline_fields(twin)[2:]
+        # delays 1, 2, ..., 2**(n-1) are analytic whatever the device is called
+        powers = DelayDevice(DeviceKind.SUBSET_SUM, tuple(1 << i for i in range(n)))
+        timeline = simulate(powers)
+        assert timeline.is_analytic and timeline.kind is DeviceKind.SUBSET_SUM
+        assert detect_subset_sum(timeline, 12345).witness == 12345
+        assert simulate(build_set_splitting_device(22)).is_analytic
+
 
 class TestSimulateSubsetSum:
     def test_distinct_sums(self):
         timeline = simulate(build_subset_sum_device(SubsetSumInstance((1, 2), 3)))
         events = list(timeline.iter_events())
         assert [e.moment.core for e in events] == [0, 1, 2, 3]
-        assert all(e.intensity == DyadicIntensity(1, 2) for e in events)
+        assert all(e.intensity == Fraction(1, 4) for e in events)
 
     def test_collision_path_counts(self):
         timeline = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))
         by_core = {e.moment.core: e for e in timeline.iter_events()}
         assert sorted(by_core) == [0, 5, 10, 15, 20]
         assert by_core[5].paths == 2
-        assert by_core[5].intensity == DyadicIntensity(2, 3)
+        assert by_core[5].intensity == Fraction(2, 8)
         assert by_core[5].witness == 0b001  # smallest of the two colliding masks
         assert timeline.total_paths == 8
-        assert timeline.total_intensity() == DyadicIntensity(1, 0)
+        assert sum(e.intensity for e in by_core.values()) == 1
 
     def test_matches_brute_force_multiset(self):
         rng = random.Random(99)
@@ -172,7 +195,7 @@ class TestSimulateDifferential:
         for miss in {-1, int(cores[-1]) + 1, *(c + 1 for c in cores[:64].tolist())} - present:
             assert timeline.witness_for(miss) is None
         expected = tuple(
-            ArrivalEvent(ExactMoment(c, n), DyadicIntensity(k, n), k, w)
+            ArrivalEvent(ExactMoment(c, n), Fraction(k, 1 << n), k, w)
             for c, k, w in zip(cores.tolist(), counts.tolist(), witnesses.tolist())
         )
         assert tuple(timeline.iter_events()) == expected
@@ -200,6 +223,32 @@ class TestSimulateDifferential:
             timeline = self.check_against_brute_force(build_set_splitting_device(n))
             # genuinely enumerated, not the analytic formula
             assert not timeline.is_analytic
+
+
+@st.composite
+def timelines(draw):
+    """A timeline of each form: enumerated in mask order, coalesced by the
+    sort, or analytic."""
+    if draw(st.booleans()):
+        return analytic_splitting(draw(st.integers(1, 10)))
+    return simulate(draw(enumerated_devices()))
+
+
+class TestIntensityContract:
+    @settings(max_examples=150, deadline=None)
+    @given(timelines())
+    @example(simulate(build_set_splitting_device(4)))
+    @example(simulate(DelayDevice(DeviceKind.SUBSET_SUM, (5, 5, 10))))
+    @example(analytic_splitting(4))
+    def test_intensities_are_exact_dyadic_fractions_summing_to_one(self, timeline):
+        n = timeline.n
+        total = Fraction(0)
+        for event in timeline.iter_events():
+            assert type(event.intensity) is Fraction
+            assert event.intensity == Fraction(event.paths, 1 << n)
+            assert (1 << n) % event.intensity.denominator == 0
+            total += event.intensity
+        assert total == 1
 
 
 class TestImplicitTimeline:
@@ -230,13 +279,13 @@ class TestImplicitTimeline:
         assert peak < 64 << 10
 
     def test_properties_build_implicit_arrays_and_keep_nothing(self):
-        for timeline in (simulate(build_set_splitting_device(5)), ArrivalTimeline.analytic_splitting(5)):
+        for timeline in (simulate(build_set_splitting_device(5)), analytic_splitting(5)):
             assert timeline.counts.tobytes() == np.ones(32, dtype=np.int64).tobytes()
             assert timeline.witnesses.tobytes() == np.arange(32, dtype=np.int64).tobytes()
             assert timeline.cores.tobytes() == np.arange(32, dtype=np.int64).tobytes()
             assert timeline._counts is None and timeline._witnesses is None
 
-        timeline = ArrivalTimeline.analytic_splitting(20)
+        timeline = analytic_splitting(20)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -252,17 +301,21 @@ class TestImplicitTimeline:
         assert after - before < 64 << 10
 
     def test_total_intensity_reads_no_event(self):
-        # 2**28 events, each its own path: a per-event sum would take hours
-        timeline = ArrivalTimeline.analytic_splitting(28)
+        # the total intensity is total_paths / 2**n; over 2**28 events, each
+        # its own path, a per-event sum would take hours
+        def total_intensity(timeline):
+            return Fraction(timeline.total_paths, 1 << timeline.n)
+
+        timeline = analytic_splitting(28)
         with mock.patch.object(ArrivalTimeline, "iter_events", side_effect=AssertionError("events read")):
-            total, peak = self.peak_bytes(timeline.total_intensity)
-        assert total == DyadicIntensity(1, 0)
+            total, peak = self.peak_bytes(lambda: total_intensity(timeline))
+        assert total == 1
         assert peak < 64 << 10
         # the total follows the held path counts: 3/2 + 1/2
         coalesced = ArrivalTimeline(
             1, DeviceKind.SUBSET_SUM, *(np.array(a, dtype=np.int64) for a in ([0, 3], [3, 1], [0, 1]))
         )
-        assert coalesced.total_intensity() == DyadicIntensity(2, 0)
+        assert total_intensity(coalesced) == 2 == sum(e.intensity for e in coalesced.iter_events())
 
     def test_solve_optical_at_16_peaks_under_one_mib(self):
         inst = SplitInstance(16, (0b111, 0b11 << 3, 0b101 << 8, 0b1010101 << 9))
@@ -274,7 +327,7 @@ class TestImplicitTimeline:
     def test_repr_counts_events_without_building_them(self):
         coalesced = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))
         assert repr(coalesced) == "ArrivalTimeline(kind=subset-sum, n=3, events=5)"
-        analytic = ArrivalTimeline.analytic_splitting(28)
+        analytic = analytic_splitting(28)
         text, peak = self.peak_bytes(lambda: repr(analytic))
         assert text == "ArrivalTimeline(kind=set-splitting, n=28, events=268435456)"
         assert peak < 64 << 10
@@ -346,7 +399,7 @@ def trace_oracle(timeline, times, unit_delay, epsilon, rise_time):
     for event in timeline.iter_events():
         t = event.moment.core * unit_delay + event.moment.hops * epsilon
         inside = (times >= t) & (times < t + rise_time)
-        expected[inside] += float(Fraction(event.intensity.numerator, 1 << event.intensity.exponent))
+        expected[inside] += float(event.intensity)
     return expected
 
 

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import splitbeam.solver
 from splitbeam import (
+    ArrivalTimeline,
     Decision,
     EnumerationLimitError,
     SplitInstance,
@@ -92,6 +94,14 @@ class TestSolveOptical:
     def test_cap(self):
         with pytest.raises(EnumerationLimitError, match="simulation cap"):
             solve_optical(SplitInstance(29, (0b11,)))
+
+    @pytest.mark.parametrize("witness", [0, None])
+    def test_refuses_a_witness_that_does_not_split(self, demo4, witness):
+        # the timeline's mask at moment 1 is re-checked against the family:
+        # the empty side splits nothing, and no arrival gives no mask
+        with mock.patch.object(ArrivalTimeline, "witness_for", return_value=witness):
+            with pytest.raises(AssertionError, match="invalid witness for moment 1$"):
+                solve_optical(demo4)
 
 
 class TestSolveOracle:
