@@ -2,8 +2,9 @@
 
 Verbs: solve, simulate, moments, trace, feasibility, gen. Exit codes:
 0 = solvable (or command succeeded), 1 = unsolvable, 2 = usage or input
-error. All randomness lives in ``gen`` and is seeded; every other verb is
-fully deterministic. Human-readable output uses 1-based element indices.
+error, 141 = the reader closed stdout early (128 + SIGPIPE). All
+randomness lives in ``gen`` and is seeded; every other verb is fully
+deterministic. Human-readable output uses 1-based element indices.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import random
 import sys
 from itertools import islice
@@ -241,7 +243,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early, which is not bad input. Point
+        # stdout at devnull so the flush at exit does not raise again, and
+        # exit as a writer killed by SIGPIPE would: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,15 @@
 
 Two routes decide set splitting: the optical pipeline (build the delay
 device, simulate every path, classify arrival moments against the full
-blocked set) and a deliberately dumb brute-force oracle that scans all
-masks and drops each one a raw family set contains or misses, touching
-no devices, timelines, or moment sets. Equality of the two on small
-instances is the correctness argument. Subset sum gets the same pair.
+blocked set) and a brute-force oracle that drops each mask a raw family
+set contains or misses, reading only the raw family masks and touching
+no devices, timelines, or moment sets. The oracle tests the first 2**15
+masks directly. Past them, every aligned block of 2**15 masks runs
+through the same low 15 bits, so each set's test on those bits is a
+packed bit table built once per scan and ANDed into each block's flags;
+the tables hold at most 384 MiB, 12 KiB per distinct low part of a set.
+Equality of the two routes on small instances is the correctness
+argument. Subset sum gets the same pair.
 
 A subset-sum decision watches a single moment at the destination, so
 ``solve_subset_sum`` does not simulate the whole device. It cuts the
@@ -42,10 +47,13 @@ from .moments import blocked_moments_full
 from .sim import DEFAULT_SIM_CAP, SubsetSumDetection, simulate
 
 DEFAULT_ORACLE_CAP = 24
-# Blocks grow from the first size to the full one, so an early solution
-# costs a small block and a full scan still runs in large ones.
+# Blocks grow from the first size to the full one, aligned, so an early
+# solution costs a small block and a full scan still runs in large ones.
 _ORACLE_FIRST_BLOCK = 1 << 10
 _ORACLE_BLOCK = 1 << 15
+# every low pattern of a full block, the input of each of its tables
+_LOW_PATTERNS = np.arange(_ORACLE_BLOCK, dtype=np.uint16)
+_LOW_PATTERNS.flags.writeable = False
 
 
 class Decision(Enum):
@@ -103,19 +111,48 @@ def solve_optical(inst: SplitInstance) -> SplitAnswer:
     return SplitAnswer(Decision.SOLVABLE, Partition.from_mask(mask, inst.n), k)
 
 
+def _low_table(f_lo: int, avoid_zero: bool, avoid_full: bool) -> np.ndarray:
+    """One bit per low pattern j in [0, 2**15), packed little-endian into
+    512 uint64 words: set when ``j & f_lo`` avoids 0 (if asked) and
+    ``f_lo`` (if asked)."""
+    part = _LOW_PATTERNS & f_lo
+    ok = np.ones(_ORACLE_BLOCK, bool)
+    if avoid_zero:
+        ok &= part != 0
+    if avoid_full:
+        ok &= part != f_lo
+    return np.packbits(ok, bitorder="little").view("<u8")
+
+
 def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
     """The solution masks of each block of the ascending scan, in the
-    narrowest unsigned type holding 2**n - 1, which every family set fits,
-    so ``masks & f`` keeps it. A block holds one flag per mask, and each
-    set, smallest first, clears the flags of the masks that do not split
-    it. Once every flag is clear the block's remaining sets are skipped,
-    and the free masks are picked out once, ascending."""
+    narrowest unsigned type holding 2**n - 1, which every family set fits.
+
+    The first 2**15 masks are tested directly, in aligned blocks of 1024,
+    1024, 2048, ... 16384 masks, so an early solution costs a small block:
+    a block holds one flag per mask, and each set, smallest first, clears
+    the flags of the masks that do not split it. Once every flag is clear
+    the block's remaining sets are skipped.
+
+    Every later block holds 2**15 masks ``lo + j`` sharing their high bits
+    ``lo`` and running through every low pattern j. Split each set as
+    ``f = f_hi + f_lo`` at bit 15, so ``mask & f = (lo & f_hi) + (j & f_lo)``.
+    With ``h = lo & f_hi`` strictly between 0 and f_hi every mask of the
+    block splits f, and the set is skipped. Otherwise the mask splits f
+    when ``j & f_lo`` avoids 0 (if h = 0) and f_lo (if h = f_hi), which
+    depends on j alone: that test is a table of one bit per j, built once
+    per scan on first use and ANDed into the block's 512 words of flags.
+    Each distinct low part needs at most 3 tables of 4 KiB, so the tables
+    of a scan hold at most 3 * 2**15 * 4 KiB = 384 MiB, reached only by
+    tens of thousands of sets. Free masks are picked out, ascending, only
+    from a block with a flag set. Only ``inst.n`` and the raw family masks
+    are read."""
     n = inst.n
     _check_enumerable(n, cap, "oracle")
     dtype = np.min_scalar_type((1 << n) - 1)
     family = sorted(inst.family, key=int.bit_count)
     total, lo, block = 1 << n, 0, _ORACLE_FIRST_BLOCK
-    while lo < total:
+    while lo < min(total, _ORACLE_BLOCK):
         masks = np.arange(lo, min(lo + block, total), dtype=dtype)
         free = np.ones(len(masks), bool)
         for f in family:
@@ -128,17 +165,42 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
                 break
         yield masks[free]
         lo += block
-        block = min(2 * block, _ORACLE_BLOCK)
+        block = lo
+    low = _ORACLE_BLOCK - 1
+    parts = [(f - (f & low), f & low) for f in family]
+    tables: dict[tuple[int, bool, bool], np.ndarray] = {}
+    all_free = np.full(_ORACLE_BLOCK // 64, (1 << 64) - 1, "<u8")
+    while lo < total:
+        free = all_free.copy()
+        for f_hi, f_lo in parts:
+            h = lo & f_hi
+            if 0 < h < f_hi:
+                continue
+            key = (f_lo, h == 0, h == f_hi)
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = _low_table(*key)
+            free &= table
+            if not np.count_nonzero(free):
+                break
+        if np.count_nonzero(free):
+            j = np.flatnonzero(np.unpackbits(free.view(np.uint8), bitorder="little"))
+            yield (j + lo).astype(dtype)
+        else:
+            yield np.empty(0, dtype)
+        lo += _ORACLE_BLOCK
 
 
 def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SplitAnswer:
     """Brute-force verifier: scan masks ascending, check containment directly.
 
-    Works block by block, one family set at a time over one flag per
-    mask, so the scan stays vectorized while still returning the first
-    solution in ascending mask order; a block whose masks are all
-    blocked skips its remaining sets. It touches no devices, timelines,
-    or moment sets.
+    Works block by block over one flag per mask, so the scan stays
+    vectorized while still returning the first solution in ascending mask
+    order. The first 2**15 masks are tested one set at a time on the masks
+    themselves; past them each set's test on the low 15 mask bits is a
+    packed table built once per scan (see ``_free_masks``). A block whose
+    masks are all blocked skips its remaining sets. It reads only the raw
+    family masks and touches no devices, timelines, or moment sets.
     """
     for free in _free_masks(inst, cap):
         if free.size:

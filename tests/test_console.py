@@ -50,12 +50,15 @@ SUBSET_SUM_TIMELINE = (
 )
 
 
-def splitbeam(*args, cwd):
+def command(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "splitbeam.cli", *args], cwd=cwd, env=env, capture_output=True, timeout=300
-    )
+    return [sys.executable, "-m", "splitbeam.cli", *args], env
+
+
+def splitbeam(*args, cwd):
+    argv, env = command(*args)
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +153,15 @@ def test_simulate_set_splitting(workdir):
 
 def test_simulate_past_the_enumeration_cap_is_refused(workdir):
     expect_refusal(splitbeam("simulate", "--subset-sum-file", "ss25.txt", cwd=workdir))
+
+
+def test_simulate_into_a_closed_pipe(workdir):
+    # a reader that stops after one line is not bad input: the writer
+    # prints nothing more and exits 141 = 128 + SIGPIPE, as `| head -1` sees
+    argv, env = command("simulate", "--set-splitting-n", "20")
+    with subprocess.Popen(argv, cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"events=1048576 total_paths=1048576\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
+    assert stderr == b""

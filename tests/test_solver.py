@@ -220,6 +220,20 @@ class TestSolveOracle:
             assert free_masks(again) == free_masks(inst)
             assert solve_oracle(again) == solve_oracle(inst)
 
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_family_order_and_duplicates_do_not_matter_past_the_direct_masks(self, data):
+        # n = 16 and 17 reach the blocks tested through low-bit tables
+        n = data.draw(st.integers(16, 17))
+        family = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))
+        duplicates = data.draw(st.lists(st.sampled_from(family), max_size=2)) if family else []
+        shuffled = data.draw(st.permutations(family + duplicates))
+        inst = SplitInstance(n, tuple(family))
+        for other in (shuffled, sorted(family, key=int.bit_count, reverse=True)):
+            again = SplitInstance(n, tuple(other))
+            assert free_masks(again) == free_masks(inst)
+            assert solve_oracle(again) == solve_oracle(inst)
+
     def test_unsolvable_full_scan_memory(self):
         # an odd cycle of pairs cannot be two-coloured, so all 2**22 masks
         # are scanned; a block of them is 128 KiB as uint32
@@ -236,6 +250,75 @@ class TestSolveOracle:
             tracemalloc.stop()
         assert answer.decision is Decision.UNSOLVABLE
         assert peak < 1 << 20
+
+
+def table_path_families(n):
+    """Families whose sets meet the blocks past the first 2**15 masks in
+    every way: a set's high part (bits 15 and up) is empty, wholly inside
+    a block's high bits, wholly outside them, or cut by them."""
+    top, full = 1 << (n - 1), (1 << n) - 1
+    above = full >> 15 << 15
+    return {
+        "below and above bit 15": (0b1011 << 2, above),
+        "below and above, with a pair": (0b1011 << 2, above, 0b11 << 13),
+        "straddling": ((1 << 14) | (1 << 15) | top, 0b111 << 13, 0b11 | (1 << 15) | top, 0b101 | top),
+        "shared low part": (0b10110 | (1 << 15), 0b10110 | top, 0b10110 | (1 << 15) | top, 0b10110),
+        "singleton at bit 14": (1 << 14,),
+        "singleton at bit 15": (1 << 15,),
+        "singleton at bit n-1": (top,),
+        "singletons among sets": (0b11 << 13, 1 << 14, 0b101 | top),
+        "full universe": (full,),
+        "full universe and straddling sets": (full, 0b1001 | (1 << 15), 0b110 | top),
+    }
+
+
+class TestOracleTablePath:
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    @pytest.mark.parametrize("name", list(table_path_families(16)))
+    def test_free_masks_match_brute_force(self, n, name):
+        inst = SplitInstance(n, table_path_families(n)[name])
+        expected = split_masks(inst)
+        assert free_masks(inst) == expected
+        answer = solve_oracle(inst)
+        assert answer.solution_moment == (expected[0] if expected else None)
+
+    def test_free_masks_keep_the_mask_type_and_aligned_blocks(self):
+        # the empty family leaves every mask free, so the block sizes show:
+        # direct blocks up to 2**15, then one table block per 2**15 masks
+        for n, dtype in ((16, np.uint16), (17, np.uint32), (18, np.uint32)):
+            sizes = [1024, 1024, 2048, 4096, 8192, 16384] + [1 << 15] * ((1 << (n - 15)) - 1)
+            for family in ((), *table_path_families(n).values()):
+                blocks = list(splitbeam.solver._free_masks(SplitInstance(n, family), splitbeam.solver.DEFAULT_ORACLE_CAP))
+                assert {free.dtype for free in blocks} == {np.dtype(dtype)}
+                assert len(blocks) == len(sizes)
+                if not family:
+                    assert [len(free) for free in blocks] == sizes
+                    assert np.array_equal(np.concatenate(blocks), np.arange(1 << n))
+
+    def test_table_memory_per_distinct_low_part(self, monkeypatch):
+        # every set's high part is bit 16, so the blocks at 2**15 and at
+        # 2**16 and 3 * 2**15 each need a table per low part, and neither
+        # kind ever clears every flag: 2 tables of 4 KiB per low part
+        rng = random.Random(17)
+        lows = rng.sample(range(1, 1 << 15), 2000)
+        inst = SplitInstance(17, tuple((1 << 16) | f_lo for f_lo in lows))
+        built = []
+
+        def counted(*key):
+            built.append(key)
+            return low_table(*key)
+
+        low_table = splitbeam.solver._low_table
+        monkeypatch.setattr(splitbeam.solver, "_low_table", counted)
+        tracemalloc.start()
+        try:
+            free = sum(block.size for block in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert free > 0
+        assert len(built) == len(set(built)) == 2 * len(lows)
+        assert peak < len(lows) * (12 << 10) + (1 << 20)
 
 
 class TestOracleEquivalence:
