@@ -7,8 +7,12 @@ set contains or misses, reading only the raw family masks and touching
 no devices, timelines, or moment sets. The oracle tests the first 2**15
 masks directly. Past them, every aligned block of 2**15 masks runs
 through the same low 15 bits, so each set's test on those bits is a
-packed bit table built once per scan and ANDed into each block's flags;
-the tables hold at most 384 MiB, 12 KiB per distinct low part of a set.
+packed bit table built once per scan and ANDed into the flags; the
+tables hold at most 384 MiB, 12 KiB per distinct low part of a set.
+These blocks are decided in aligned runs whose length doubles, each
+run keeping one group of flags for all its blocks that agree on the
+high bits the sets tested so far vary: at most c groups of 4 KiB for
+the run [c, 2c), so 1 MiB at n = 24 and 16 MiB at n = 28.
 Equality of the two routes on small instances is the correctness
 argument. Subset sum gets the same pair.
 
@@ -134,19 +138,30 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
     the flags of the masks that do not split it. Once every flag is clear
     the block's remaining sets are skipped.
 
-    Every later block holds 2**15 masks ``lo + j`` sharing their high bits
-    ``lo`` and running through every low pattern j. Split each set as
-    ``f = f_hi + f_lo`` at bit 15, so ``mask & f = (lo & f_hi) + (j & f_lo)``.
-    With ``h = lo & f_hi`` strictly between 0 and f_hi every mask of the
-    block splits f, and the set is skipped. Otherwise the mask splits f
-    when ``j & f_lo`` avoids 0 (if h = 0) and f_lo (if h = f_hi), which
-    depends on j alone: that test is a table of one bit per j, built once
-    per scan on first use and ANDed into the block's 512 words of flags.
-    Each distinct low part needs at most 3 tables of 4 KiB, so the tables
-    of a scan hold at most 3 * 2**15 * 4 KiB = 384 MiB, reached only by
-    tens of thousands of sets. Free masks are picked out, ascending, only
-    from a block with a flag set. Only ``inst.n`` and the raw family masks
-    are read."""
+    Every later block r holds the 2**15 masks ``(r << 15) + j``, one per
+    low pattern j. Split each set as ``f = (f_hi << 15) + f_lo`` at bit
+    15, so ``mask & f = ((r & f_hi) << 15) + (j & f_lo)``. With
+    ``h = r & f_hi`` strictly between 0 and f_hi every mask of the block
+    splits f, and the set is skipped. Otherwise the mask splits f when
+    ``j & f_lo`` avoids 0 (if h = 0) and f_lo (if h = f_hi), which depends
+    on j alone: that test is a table of one bit per j, built once per scan
+    on first use and ANDed into 512 words of flags. Each distinct low part
+    needs at most 3 tables of 4 KiB, so the tables of a scan hold at most
+    3 * 2**15 * 4 KiB = 384 MiB, reached only by tens of thousands of sets.
+
+    These blocks are decided in aligned runs [c, 2c), c = 1, 2, 4, ...
+    Block ``r = c + t`` of a run has ``h = (f_hi & c) + (t & f_hi)``, so it
+    meets the sets only through t & high, where high is the OR of the
+    varying bits ``f_hi & (c - 1)`` of the sets tested so far. The run
+    keeps one group of flags per value of t & high, starting from a
+    single group; a set bringing a new bit to high splits each group in
+    two, a group whose flags are all clear is dropped, and the run stops
+    testing sets once no group is left. An odd cycle of pairs thus clears
+    a whole run with a few ANDs. A run holds at most c groups of 4 KiB:
+    1 MiB at n = 24, 16 MiB at n = 28. Each block then yields its group's
+    free masks, ascending, or none if its group was dropped. Runs double,
+    so a solution stops the scan inside the run that holds it. Only
+    ``inst.n`` and the raw family masks are read."""
     n = inst.n
     _check_enumerable(n, cap, "oracle")
     dtype = np.min_scalar_type((1 << n) - 1)
@@ -166,29 +181,44 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
         yield masks[free]
         lo += block
         block = lo
-    low = _ORACLE_BLOCK - 1
-    parts = [(f - (f & low), f & low) for f in family]
+    # f_hi is a set's high part in block units: block r meets it as r & f_hi
+    parts = [(f >> 15, f & (_ORACLE_BLOCK - 1)) for f in family]
     tables: dict[tuple[int, bool, bool], np.ndarray] = {}
-    all_free = np.full(_ORACLE_BLOCK // 64, (1 << 64) - 1, "<u8")
-    while lo < total:
-        free = all_free.copy()
+    none = np.empty(0, dtype)
+    c = 1
+    while c << 15 < total:
+        # the run of blocks c + t, t < c: one group of flags per t & high
+        high = 0
+        groups = {0: np.full(_ORACLE_BLOCK // 64, (1 << 64) - 1, "<u8")}
         for f_hi, f_lo in parts:
-            h = lo & f_hi
-            if 0 < h < f_hi:
-                continue
-            key = (f_lo, h == 0, h == f_hi)
-            table = tables.get(key)
-            if table is None:
-                table = tables[key] = _low_table(*key)
-            free &= table
-            if not np.count_nonzero(free):
+            varying = f_hi & (c - 1)
+            new = varying & ~high
+            while new:
+                bit = new & -new
+                groups.update({g | bit: flags.copy() for g, flags in groups.items()})
+                new ^= bit
+            high |= varying
+            for g, flags in list(groups.items()):
+                h = (f_hi & c) | (g & varying)
+                if 0 < h < f_hi:
+                    continue
+                key = (f_lo, h == 0, h == f_hi)
+                table = tables.get(key)
+                if table is None:
+                    table = tables[key] = _low_table(*key)
+                flags &= table
+                if not np.count_nonzero(flags):
+                    del groups[g]
+            if not groups:
                 break
-        if np.count_nonzero(free):
-            j = np.flatnonzero(np.unpackbits(free.view(np.uint8), bitorder="little"))
-            yield (j + lo).astype(dtype)
-        else:
-            yield np.empty(0, dtype)
-        lo += _ORACLE_BLOCK
+        for t in range(c):
+            flags = groups.get(t & high)
+            if flags is None:
+                yield none
+                continue
+            j = np.flatnonzero(np.unpackbits(flags.view(np.uint8), bitorder="little"))
+            yield (j + ((c + t) << 15)).astype(dtype)
+        c <<= 1
 
 
 def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SplitAnswer:
@@ -197,10 +227,16 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
     Works block by block over one flag per mask, so the scan stays
     vectorized while still returning the first solution in ascending mask
     order. The first 2**15 masks are tested one set at a time on the masks
-    themselves; past them each set's test on the low 15 mask bits is a
-    packed table built once per scan (see ``_free_masks``). A block whose
-    masks are all blocked skips its remaining sets. It reads only the raw
-    family masks and touches no devices, timelines, or moment sets.
+    themselves, and a block whose masks are all blocked skips its
+    remaining sets. Past them each set's test on the low 15 mask bits is a
+    packed table built once per scan, and the blocks are decided in runs
+    [c, 2c) of doubling length, one group of flags per set of blocks the
+    sets tested so far cannot tell apart (see ``_free_masks``): a group
+    whose flags are all clear is dropped, and a run with no group left
+    skips its remaining sets. A run holds at most c groups of 4 KiB, 1 MiB
+    at the default cap n = 24, and the tables at most 384 MiB. It reads
+    only the raw family masks and touches no devices, timelines, or moment
+    sets.
     """
     for free in _free_masks(inst, cap):
         if free.size:

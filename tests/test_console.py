@@ -25,6 +25,12 @@ INSTANCES = {
     # pairs {b, 12} for b < 12 and the set {12, ..., 20}: the smallest
     # split is {12}, mask 2048, past the oracle's first 1024-mask block
     "n20-sat": "n 20\n" + "".join(f"f {b} 12\n" for b in range(1, 12)) + "f " + " ".join(map(str, range(12, 21))) + "\n",
+    # n = 24, an odd cycle on elements 16, 20 and 24, whose bits all lie
+    # past bit 14: the oracle scans every run of table blocks to its cap
+    "n24-cycle": "n 24\nf 16 20\nf 20 24\nf 16 24\n",
+    # pairs {b, 24} for b < 24: the smallest split is {1, ..., 23}, mask
+    # 2**23 - 1, the last block of the oracle's run before the last
+    "n24-ladder": "n 24\n" + "".join(f"f {b} 24\n" for b in range(1, 24)),
     # {a1}: no split, so the optical route scans all 2**21 words of the
     # lower half; the oracle refuses n > 24
     "n28-a1": "n 28\nf 1\n",
@@ -82,7 +88,15 @@ def expect_refusal(result):
 
 @pytest.mark.parametrize(
     "name, code",
-    [("inst", None), ("n20", 1), ("n20-cycle", 1), ("n20-sat", 0), ("n7", 1)],
+    [
+        ("inst", None),
+        ("n20", 1),
+        ("n20-cycle", 1),
+        ("n20-sat", 0),
+        ("n7", 1),
+        ("n24-cycle", 1),
+        ("n24-ladder", 0),
+    ],
 )
 def test_solve_methods_agree_byte_for_byte(workdir, name, code):
     optical = splitbeam("solve", f"{name}.txt", "--method", "optical", cwd=workdir)
@@ -94,6 +108,8 @@ def test_solve_methods_agree_byte_for_byte(workdir, name, code):
     assert optical.stdout == oracle.stdout
     if name == "n20-sat":
         assert oracle.stdout.endswith(b" moment=2048\n")
+    if name == "n24-ladder":
+        assert oracle.stdout.endswith(b" moment=8388607\n")
 
 
 def test_solve_past_the_oracle_cap(workdir):

@@ -272,6 +272,44 @@ def table_path_families(n):
     }
 
 
+def run_group_families(n):
+    """Families meeting the runs of table blocks [c, 2c) in every way: a
+    set's high part (bits 15 and up, block bit k being mask bit 15 + k) is
+    only a run's fixed top bit c, only its varying bits below c, or both,
+    and a set brings a new varying bit after some groups have emptied."""
+    top = 1 << (n - 1)
+    mid = 1 << min(n - 2, 17)
+    return {
+        # each high part is one bit: the fixed top bit of the last run
+        # (top) or of an earlier one (mid)
+        "fixed top bit only": (top | 0b1011, top | (0b110 << 3), top | (1 << 14), mid | 0b101, 0b11 << 5),
+        # bits 15 and 16 are block bits 0 and 1, both varying in the runs
+        # from c = 4 on, which n >= 18 reaches
+        "varying bits only": ((0b11 << 15) | 0b101, (1 << 16) | 0b1100, (1 << 15) | 0b11, (1 << 15) | (1 << 16)),
+        "fixed and varying bits": (top | (1 << 15) | 0b110, top | (0b11 << 15) | 1, top | (1 << 16) | 0b1010, top | (1 << 15)),
+        # the pair {15, n - 1} empties the group with block bit 0 set in
+        # the last run (its low part is empty); from n = 18 the larger set
+        # then brings block bit 1, which that run varies
+        "new bit after a group emptied": ((1 << 15) | top, (1 << 16) | 0b11, (0b11 << 15) | 0b1100 | top),
+    }
+
+
+def random_triples(rng, n, m):
+    return tuple(sum(1 << p for p in rng.sample(range(n), 3)) for _ in range(m))
+
+
+def table_keys_below(family, end):
+    """The low tables blocks 1, ..., end - 1 may ask for, by plain Python."""
+    keys = set()
+    for r in range(1, end):
+        for f in family:
+            f_hi, f_lo = f >> 15, f & 0x7FFF
+            h = r & f_hi
+            if not 0 < h < f_hi:
+                keys.add((f_lo, h == 0, h == f_hi))
+    return keys
+
+
 class TestOracleTablePath:
     @pytest.mark.parametrize("n", [16, 17, 18])
     @pytest.mark.parametrize("name", list(table_path_families(16)))
@@ -294,6 +332,56 @@ class TestOracleTablePath:
                 if not family:
                     assert [len(free) for free in blocks] == sizes
                     assert np.array_equal(np.concatenate(blocks), np.arange(1 << n))
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    @pytest.mark.parametrize("name", list(run_group_families(17)))
+    def test_run_groups_match_brute_force(self, n, name):
+        inst = SplitInstance(n, run_group_families(n)[name])
+        expected = split_masks(inst)
+        assert free_masks(inst) == expected
+        assert solve_oracle(inst).solution_moment == (expected[0] if expected else None)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            # pairs {b, 23}: the smallest split is 2**23 - 1, the last block
+            # of the run [128, 256)
+            tuple((1 << b) | (1 << 23) for b in range(23)),
+            # 40 three-element sets; the smallest split is 3900868, in the
+            # run [64, 128)
+            random_triples(random.Random(1), 24, 40),
+        ],
+        ids=["pair ladder", "random triples"],
+    )
+    def test_late_solution_decides_no_later_run(self, monkeypatch, family):
+        inst = SplitInstance(24, family)
+        expected = solve_optical(inst)
+        first = expected.solution_moment
+        assert first is not None and first >= 1 << 19
+        end = 2 << ((first >> 15).bit_length() - 1)  # the end of the run holding it
+        built = []
+
+        def counted(*key):
+            built.append(key)
+            return low_table(*key)
+
+        low_table = splitbeam.solver._low_table
+        monkeypatch.setattr(splitbeam.solver, "_low_table", counted)
+        tracemalloc.start()
+        try:
+            answer = solve_oracle(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer == expected
+        assert peak < 1 << 20
+        # every table built serves a block of the answer's run or an earlier
+        # one, while the full scan builds some only later runs need
+        assert set(built) <= table_keys_below(family, end)
+        built.clear()
+        for _ in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP):
+            pass
+        assert set(built) - table_keys_below(family, end)
 
     def test_table_memory_per_distinct_low_part(self, monkeypatch):
         # every set's high part is bit 16, so the blocks at 2**15 and at
