@@ -14,7 +14,10 @@ run keeping one group of flags for all its blocks that agree on the
 high bits the sets tested so far vary: at most c groups of 4 KiB for
 the run [c, 2c), so 1 MiB at n = 24 and 16 MiB at n = 28.
 Equality of the two routes on small instances is the correctness
-argument. Subset sum gets the same pair.
+argument. Subset sum gets the same pair. Its oracle compares every
+mask's sum with the target, ascending, as a 2**13-entry table of low
+sums against the target minus each sum of the remaining values, 2**16
+masks at a time, so a full scan holds about 0.14 MiB at n = 24.
 
 A subset-sum decision watches a single moment at the destination, so
 ``solve_subset_sum`` does not simulate the whole device. It cuts the
@@ -58,6 +61,10 @@ _ORACLE_BLOCK = 1 << 15
 # every low pattern of a full block, the input of each of its tables
 _LOW_PATTERNS = np.arange(_ORACLE_BLOCK, dtype=np.uint16)
 _LOW_PATTERNS.flags.writeable = False
+# the subset-sum oracle's low table holds the sums of 2**13 masks (64 KiB),
+# and each comparison covers 2**16 masks (a 64 KiB flag buffer)
+_SUBSET_ORACLE_LOW_BITS = 13
+_SUBSET_ORACLE_CHUNK = 1 << 16
 
 
 class Decision(Enum):
@@ -294,31 +301,46 @@ def solve_subset_sum(inst: SubsetSumInstance) -> SubsetSumDetection:
     return SubsetSumDetection(True, witness, moment)
 
 
-def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SubsetSumDetection:
-    """Direct enumeration of all subset sums in one int64 array, no device involved.
+def _subset_sums(values: tuple[int, ...]) -> np.ndarray:
+    """The 2**len(values) subset sums as int64, entry ``mask`` holding the
+    sum of the values ``mask`` selects, doubled value by value."""
+    sums = np.empty(1 << len(values), dtype=np.int64)
+    sums[0] = 0
+    for i, v in enumerate(values):
+        np.add(sums[: 1 << i], v, out=sums[1 << i : 2 << i])
+    return sums
 
-    Entry ``mask`` of the array holds the sum of the values ``mask``
-    selects: it is doubled value by value in mask order. Each doubling
-    writes the masks from ``2**i`` to ``2**(i+1) - 1`` and only those are
-    compared with the target: every smaller mask but 0 was compared in
-    an earlier step, and mask 0 sums to 0, below every target. So the
-    first hit is the smallest witness mask, and the scan stops there.
-    The int64 sums are exact because ``SubsetSumInstance`` refuses
-    values whose sum reaches 2**63, and a target past that sum is
-    answered before anything is allocated.
+
+def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SubsetSumDetection:
+    """Direct comparison of every subset sum with the target, no device involved.
+
+    Mask ``(h << b) | l`` splits into its low b = min(n, 13) bits l and
+    its high bits h. Two small tables are doubled value by value: ``low``,
+    the 2**b sums of the first b values (64 KiB), and ``need``, the target
+    minus each sum of the remaining values. The mask sums to the target
+    exactly when ``low[l] == need[h]``. Rows of ``need`` are compared
+    with all of ``low`` in ascending mask order, 2**16 masks at a time
+    into one reused flag buffer, so every mask is compared once while the
+    working set stays cache-sized, and the first hit is the smallest
+    witness mask. The int64 sums and differences are exact because
+    ``SubsetSumInstance`` refuses values whose sum reaches 2**63, and a
+    target past that sum is answered before anything is allocated.
     """
     n = inst.n
     _check_enumerable(n, cap, "oracle")
     moment = ExactMoment(inst.target, n)
     if inst.target > sum(inst.values):
         return SubsetSumDetection(False, None, moment)
-    sums = np.empty(1 << n, dtype=np.int64)
-    sums[0] = 0
-    for i, v in enumerate(inst.values):
-        half = sums[1 << i : 2 << i]
-        np.add(sums[: 1 << i], v, out=half)
-        hit = half == inst.target
+    b = min(n, _SUBSET_ORACLE_LOW_BITS)
+    low = _subset_sums(inst.values[:b])
+    need = _subset_sums(inst.values[b:])
+    np.subtract(inst.target, need, out=need)
+    rows = min(len(need), _SUBSET_ORACLE_CHUNK >> b)
+    flags = np.empty((rows, 1 << b), dtype=bool)
+    for r in range(0, len(need), rows):
+        part = need[r : r + rows, None]
+        hit = np.equal(low, part, out=flags[: len(part)])
         k = int(np.argmax(hit))
-        if hit[k]:
-            return SubsetSumDetection(True, (1 << i) + k, moment)
+        if hit.flat[k]:
+            return SubsetSumDetection(True, (r << b) + k, moment)
     return SubsetSumDetection(False, None, moment)

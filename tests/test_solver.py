@@ -62,6 +62,24 @@ def smallest_witness(values, target):
     return min((m for m in range(1 << len(values)) if masked_sum(values, m) == target), default=None)
 
 
+def one_array_scan(values, target):
+    """The smallest witness by filling one int64 array of all 2**n subset
+    sums, entry mask holding the sum mask selects, doubled value by value;
+    each doubling compares only the half it writes."""
+    if target > sum(values):
+        return None
+    sums = np.empty(1 << len(values), dtype=np.int64)
+    sums[0] = 0
+    for i, v in enumerate(values):
+        half = sums[1 << i : 2 << i]
+        np.add(sums[: 1 << i], v, out=half)
+        hit = half == target
+        k = int(np.argmax(hit))
+        if hit[k]:
+            return (1 << i) + k
+    return None
+
+
 def random_instance(rng, max_n=12, max_sets=4):
     n = rng.randint(1, max_n)
     m = rng.randint(0, max_sets)
@@ -508,10 +526,11 @@ class TestSubsetSumSolvers:
         assert not detection.found
         assert peak < 1 << 20
 
-    def test_oracle_full_scan_memory(self):
+    @staticmethod
+    def full_scan_peak(n):
         # all values even, target odd and inside [0, sum]: no subset hits,
-        # so every one of the 2**22 sums is built and compared
-        values = tuple(2 * (i + 1) for i in range(22))
+        # so every one of the 2**n sums is compared
+        values = tuple(2 * (i + 1) for i in range(n))
         inst = SubsetSumInstance(values, sum(values) - 1)
         tracemalloc.start()
         try:
@@ -520,9 +539,16 @@ class TestSubsetSumSolvers:
         finally:
             tracemalloc.stop()
         assert not detection.found
-        # one int64 per mask (32 MiB) and one comparison flag per mask of
-        # the last half written (2 MiB)
-        assert peak < 40 << 20
+        return peak
+
+    def test_oracle_full_scan_memory(self):
+        # the 2**13 low sums (64 KiB), the 2**9 needed ones (4 KiB) and one
+        # flag per mask of a 2**16-mask comparison (64 KiB)
+        assert self.full_scan_peak(22) < 1 << 20
+
+    def test_oracle_full_scan_memory_at_the_cap(self):
+        # at n = 24 only the needed sums grow, to 2**11 (16 KiB)
+        assert self.full_scan_peak(24) < 1 << 20
 
     @pytest.mark.parametrize("values, target", [
         ((5, 3, 7), 7),  # witness exactly 1 << 2, the first mask of its step
@@ -590,6 +616,106 @@ class TestSubsetSumSolvers:
         assert detection.found and inst.subset_sum(detection.witness) == inst.target
         assert detection.witness <= mask
         assert paths == [1 << 20, 1 << 20]
+
+
+class TestSubsetSumOracleBlocks:
+    """The oracle splits a mask at bit 13 into a low-table column and a
+    needed-sum row, and compares 2**16 masks at a time; these instances
+    put witnesses on both sides of each split."""
+
+    def test_random_instances_match_the_one_array_scan(self):
+        rng = random.Random(25)
+        for n in range(13, 19):
+            for width in (8, 20, 40):
+                values = tuple(rng.randint(1, 1 << width) for _ in range(n))
+                for _ in range(3):
+                    if rng.random() < 0.5:
+                        target = masked_sum(values, rng.randrange(1, 1 << n))
+                    else:
+                        target = rng.randint(1, sum(values) + 1)
+                    detection = subset_sum_oracle(SubsetSumInstance(values, target))
+                    expected = one_array_scan(values, target)
+                    assert detection.found == (expected is not None)
+                    assert detection.witness == expected
+
+    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("mask", [(1 << 13) - 1, 1 << 13, (1 << 16) - 1, 1 << 16, -1])
+    def test_planted_witness_at_a_split(self, n, mask):
+        # the last mask of the low table, the first of its second row, the
+        # last mask of the first comparison, the first of the second, and
+        # the last mask of all; wide random values leave one witness
+        mask &= (1 << n) - 1
+        rng = random.Random(n)
+        values = tuple(rng.randint(1, 1 << 40) for _ in range(n))
+        inst = SubsetSumInstance(values, masked_sum(values, mask))
+        detection = subset_sum_oracle(inst)
+        assert detection.found
+        assert detection.witness == one_array_scan(values, inst.target) == mask
+
+    def test_many_hits_give_the_smallest(self):
+        # values in 1..3 reach every target in many ways, so one comparison
+        # holds several hits, in several rows, and the first must win
+        rng = random.Random(3)
+        for n in (13, 14, 16, 17, 18):
+            values = tuple(rng.randint(1, 3) for _ in range(n))
+            for target in (1, 2, 3, values[0] + values[13 % n], sum(values) // 2, sum(values) - 1, sum(values)):
+                detection = subset_sum_oracle(SubsetSumInstance(values, target))
+                assert detection.found
+                assert detection.witness == one_array_scan(values, target)
+                assert masked_sum(values, detection.witness) == target
+
+    @pytest.mark.parametrize("n", [14, 17])
+    def test_sums_at_the_int64_edge(self, n):
+        # the large values sit in the low table and in the needed sums, and
+        # all values sum to 2**63 - 1, so both tables reach the int64 edge
+        rng = random.Random(n)
+        small = [rng.randint(1, 1000) for _ in range(n - 3)]
+        values = [1 << 62] + small[:12] + [1 << 61] + small[12:]
+        values.append((1 << 63) - 1 - sum(values))
+        values = tuple(values)
+        assert len(values) == n and sum(values) == (1 << 63) - 1
+        full = (1 << n) - 1
+        masks = (full, full ^ 1, full ^ (1 << 13), 1, 1 << 13, 1 << (n - 1), (1 << (n - 1)) | 1, (1 << 13) | 1)
+        for target in [masked_sum(values, m) for m in masks] + [(1 << 63) - 2, 1 << 63]:
+            detection = subset_sum_oracle(SubsetSumInstance(values, target))
+            expected = one_array_scan(values, target)
+            assert detection.witness == expected
+            assert detection.found == (expected is not None)
+            if detection.found:
+                assert masked_sum(values, detection.witness) == target
+
+
+def test_oracles_never_reach_the_optical_route(monkeypatch, demo4):
+    # both oracles answer with every device, simulation, blocked-set and
+    # half-chain entry point of the solver made to raise
+    ladder = SplitInstance(17, tuple((1 << b) | (1 << 16) for b in range(16)))
+    cycle = SplitInstance(16, (0b11, 0b110, 0b101, 0b1111 << 12))
+    split_cases = [demo4, ladder, cycle]
+    split_expected = [1, (1 << 16) - 1, None]
+    rng = random.Random(17)
+    values = tuple(rng.randint(1, 1 << 30) for _ in range(17))
+    sum_cases = [
+        SubsetSumInstance((5, 3, 7), 10),
+        SubsetSumInstance((2, 4, 6), 5),
+        SubsetSumInstance(values, masked_sum(values, (1 << 16) | 5)),
+        SubsetSumInstance(tuple(2 * v for v in values), 2 * sum(values) - 1),
+    ]
+    sum_expected = [one_array_scan(inst.values, inst.target) for inst in sum_cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle reached the optical route")
+
+    for name in ("simulate", "build_set_splitting_device", "build_subset_sum_device", "blocked_moments_full", "_half_chain"):
+        monkeypatch.setattr(splitbeam.solver, name, refuse)
+    with pytest.raises(AssertionError, match="optical route"):
+        solve_optical(demo4)
+    with pytest.raises(AssertionError, match="optical route"):
+        solve_subset_sum(sum_cases[0])
+    for inst, expected in zip(split_cases, split_expected):
+        assert solve_oracle(inst).solution_moment == expected
+    for inst, expected in zip(sum_cases, sum_expected):
+        assert subset_sum_oracle(inst).witness == expected
+    assert sum_expected[1:] == [None, (1 << 16) | 5, None]
 
 
 def assert_routes_agree(inst, timeline):
