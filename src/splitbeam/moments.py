@@ -23,14 +23,19 @@ family set contributes one 64-bit in-word pattern for a strided slice of
 the 2**(n-6) uint64 words of the bitset, which is never held whole. A
 universe of more than ``BITSET_MAX_N`` = 28 elements is refused with
 ``EnumerationLimitError`` before anything is read or allocated. One
-kernel, ``_or_block``, ORs the patterns into any aligned block of words,
-and every read goes through it: ``len``, iteration, ``repr`` and
-``first_absent`` stream blocks of at most 512 KiB through one reused
-buffer. ``first_absent`` scans only the moments below 2**(n-1), where
-every set made here has its smallest hole if it has one, and stops at
-the first block with a clear bit, so a decision whose first solution
-lies early reads only the first 64 words and an unsolvable one reads
-half of them.
+kernel, ``_classes``, takes any aligned block of words as classes: a
+word depends on its index only through the index bits the patterns fix,
+so it keeps one word per class of those bits, splitting the classes
+only when a pattern fixes a new bit, and stops a block once every class
+word is full. Every read goes through it: ``len`` counts the class
+words, iteration and ``repr`` copy the block's words out of them a slice
+at a time, and ``first_absent`` reads the smallest hole from the
+classes, all in one reused buffer of at most 512 KiB. ``first_absent``
+scans only the moments below 2**(n-1), where every set made here has
+its smallest hole if it has one, and stops at the first block with a
+hole, so a decision whose first solution lies early reads only the
+first word or the first 64, and an odd cycle of pairs proves each block
+in a few class words.
 """
 
 from __future__ import annotations
@@ -55,17 +60,21 @@ BITSET_MAX_N = 28
 # view of a block the same little-endian bitset on every host.
 _WORD = np.dtype("<u8")
 
-# Iteration scans each block's bytes in slices of _SCAN_BYTES and decodes
-# at most _DECODE_BYTES nonzero bytes (4096 members) at a time, so listing
-# a set of any size or density holds well under 1 MiB.
+# Iteration copies each block's words out of its classes in slices of
+# _SCAN_BYTES and decodes at most _DECODE_BYTES nonzero bytes (4096
+# members) at a time, so listing a set of any size or density holds well
+# under 1 MiB.
 _SCAN_BYTES = 1 << 14
 _DECODE_BYTES = 1 << 9
 
-# Every read streams aligned blocks of _BLOCK_WORDS words
-# (512 KiB); first_absent looks at a prefix of _PREFIX_WORDS first, where
-# the first solution of most solvable instances lies. Smaller blocks make
-# a full scan pay the per-slice set-up of _or_block more often: with
-# 2**12-word blocks an unsolvable n = 22 decision took 2.4x as long.
+# Every read takes aligned blocks of _BLOCK_WORDS words, whose classes
+# hold at most 512 KiB. first_absent looks at the first word and then at
+# the first _PREFIX_WORDS words before them, where the first solution of
+# most solvable instances lies: a word has one class, so each pattern is
+# one OR, and a prefix has at most 64 classes. Each block applies the
+# patterns that reach it once, so smaller blocks make a full scan repeat
+# that work more often: with 2**12-word blocks the scan of an unsolvable
+# n = 22 decision took about 5x as long, and {a1} at n = 28 about 20x.
 _PREFIX_WORDS = 1 << 6
 _BLOCK_WORDS = 1 << 16
 
@@ -76,8 +85,8 @@ class MomentSet:
     ORed into the words w with w & f_hi == want.
 
     Bit j of word w stands for moment 64*w + j; for n < 6 the single
-    word keeps every bit past 2**n clear. Every read ORs one aligned
-    block at a time (``_blocks``).
+    word keeps every bit past 2**n clear. Every read takes one aligned
+    block of words at a time as the classes of its words (``_blocks``).
     """
 
     __slots__ = ("n", "_patterns")
@@ -86,24 +95,36 @@ class MomentSet:
         self.n = n
         self._patterns = _patterns
 
-    def _blocks(self, spans: Iterable[tuple[int, int]]) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, words [lo, lo + size)) for each (lo, size) of ``spans``,
-        ORed from the patterns into one buffer that the next block reuses."""
+    def _blocks(
+        self, spans: Iterable[tuple[int, int]]
+    ) -> Iterator[tuple[int, int, np.ndarray, dict[int, int]]]:
+        """(lo, size, words, places) for each (lo, size) of ``spans``: the
+        class words of words [lo, lo + size) and their places (see
+        ``_classes``), held in one buffer that the next block reuses."""
         buffer = np.empty(min(_word_count(self.n), _BLOCK_WORDS), dtype=_WORD)
+        full = _full_word(self.n)
         for lo, size in spans:
-            block = buffer[:size]
-            block.fill(0)
-            _or_block(self._patterns, lo, block)
-            yield lo, block
+            places = _classes(self._patterns, lo, size, buffer, full)
+            yield lo, size, buffer[: 1 << len(places)], places
 
     def __len__(self) -> int:
-        return sum(_count(block) for _, block in self._blocks(_spans(self.n)))
+        # each class word stands for size >> len(places) words of the block
+        blocks = self._blocks(_spans(self.n))
+        return sum(_count(words) * (size >> len(places)) for _, size, words, places in blocks)
 
     def __iter__(self) -> Iterator[int]:
-        for lo, block in self._blocks(_spans(self.n)):
+        step = min(_word_count(self.n), _BLOCK_WORDS, _SCAN_BYTES // _WORD.itemsize)
+        out = np.empty(step, dtype=_WORD)
+        for lo, size, words, places in self._blocks(_spans(self.n)):
             # an empty block has no member, and decoding would walk all its bytes
-            if block.any():
-                yield from _bit_positions(block, lo)
+            if not words.any():
+                continue
+            for start in range(0, size, step):
+                # each word of the slice copied from the class word standing for it
+                ascending = _ascending(words, places, step - 1, start)
+                out.reshape(ascending.shape)[...] = ascending
+                if out.any():
+                    yield from _bit_positions(out, lo + start)
 
     def first_absent(self) -> int | None:
         """Smallest moment of [0, 2**n) not in the set, or None if it
@@ -116,15 +137,18 @@ class MomentSet:
         two-sided set holds k iff it holds its reflection 2**n - 1 - k, so
         a hole in the upper half has a mirror hole in the lower one. A
         one-sided set never holds moment 0, because every family set is
-        nonempty.
+        nonempty. A block's smallest hole lies in its class word with a
+        clear bit whose class has the smallest word index.
         """
         full = _full_word(self.n)
-        for lo, block in self._blocks(_scan_blocks(self.n - 1)):
-            w = int((block != np.uint64(full)).argmax())
-            word = block.item(w)
+        for lo, _, words, places in self._blocks(_scan_blocks(self.n - 1)):
+            bits = sum(places)
+            ascending = _ascending(words, places, bits, 0)
+            c = int(np.not_equal(ascending, full, order="C").argmax())
+            word = ascending.item(c)
             if word != full:
                 # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
-                return 64 * (lo + w) + (word ^ (word + 1)).bit_length() - 1
+                return 64 * (lo + _deposit(c, bits)) + (word ^ (word + 1)).bit_length() - 1
         return None
 
     def __repr__(self) -> str:
@@ -154,26 +178,27 @@ def _spans(n: int) -> Iterator[tuple[int, int]]:
 
 
 def _scan_blocks(n: int) -> Iterator[tuple[int, int]]:
-    # the first _PREFIX_WORDS words of a universe of n elements, then the
-    # blocks that tile its words (the first repeats the prefix, 64 words
-    # of 2**16); first_absent passes n - 1: the lower half of its words
-    if _word_count(n) > _PREFIX_WORDS:
-        yield 0, _PREFIX_WORDS
+    # the first word and the first _PREFIX_WORDS words of a universe of n
+    # elements, then the blocks that tile its words (the first repeats the
+    # prefix, 64 words of 2**16); first_absent passes n - 1: the lower
+    # half of its words
+    for size in (1, _PREFIX_WORDS):
+        if _word_count(n) > size:
+            yield 0, size
     yield from _spans(n)
 
 
 def _bit_positions(words: np.ndarray, lo: int) -> Iterator[int]:
     # the members in words [lo, lo + len(words)): unpack only the nonzero
-    # bytes, so a sparse block never expands to a byte per moment, and only
-    # a slice of them at a time, so a dense one never lists every member
+    # bytes, so a sparse slice never expands to a byte per moment, and only
+    # _DECODE_BYTES of them at a time, so a dense one never lists every member
     packed = words.view(np.uint8)
+    nonzero = np.flatnonzero(packed)
     bit = np.arange(8) + 64 * lo
-    for start in range(0, len(packed), _SCAN_BYTES):
-        nonzero = np.flatnonzero(packed[start : start + _SCAN_BYTES])
-        for i in range(0, len(nonzero), _DECODE_BYTES):
-            at = nonzero[i : i + _DECODE_BYTES] + start
-            flags = np.unpackbits(packed[at, None], axis=1, bitorder="little")
-            yield from (at[:, None] * 8 + bit)[flags == 1].tolist()
+    for i in range(0, len(nonzero), _DECODE_BYTES):
+        at = nonzero[i : i + _DECODE_BYTES]
+        flags = np.unpackbits(packed[at, None], axis=1, bitorder="little")
+        yield from (at[:, None] * 8 + bit)[flags == 1].tolist()
 
 
 def decode_moment(k: int, n: int) -> SubsetMask:
@@ -216,9 +241,11 @@ def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> M
     _check_enumerable(n, BITSET_MAX_N, "moment set")
     low = (1 << min(n, 6)) - 1
     # one pattern per slice: family sets sharing f_hi (all of them for
-    # n <= 6) share their slices, so each slice takes a single OR
+    # n <= 6) share their slices, so each slice takes a single OR. The
+    # sets go fewest f_hi bits first, and the keys keep that order: it is
+    # the order in which _classes applies the patterns
     patterns: dict[tuple[int, int], int] = {}
-    for f in family:
+    for f in sorted(family, key=lambda f: (f >> 6).bit_count()):
         f_lo, f_hi = f & 63, f >> 6
         missing = _spread(1, ~f & low)
         # f_lo shares no bit with the free elements, so shifting by it
@@ -230,34 +257,111 @@ def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> M
     return MomentSet(n, _patterns=patterns)
 
 
-def _or_block(patterns: dict[tuple[int, int], int], lo: int, out: np.ndarray) -> None:
-    """OR every pattern into its words among words [lo, lo + len(out)), held in ``out``.
+def _lattice(words: np.ndarray, bits: int, offset: int) -> np.ndarray:
+    """The entries words[offset + s], for every submask s of ``bits``, as
+    a view with one axis per run of consecutive bits."""
+    shape = strides = ()
+    while bits:
+        start = bits & -bits
+        # adding start carries through the run to the bit just above it
+        stop = (bits + start) & ~bits
+        shape = (stop // start,) + shape
+        strides = (start * _WORD.itemsize,) + strides
+        bits ^= stop - start
+    return np.ndarray(shape, _WORD, words, offset * _WORD.itemsize, strides)
+
+
+def _ascending(words: np.ndarray, places: dict[int, int], span: int, base: int) -> np.ndarray:
+    """The class word of each word index base + s of a block, for every
+    submask s of ``span`` (base shares no bit with it), in ascending order
+    of s: a view of ``words`` with one axis per bit of span, broadcast
+    along the bits that are not class bits."""
+    strides = ()
+    while span:
+        bit = span & -span
+        strides = (places.get(bit, 0) * _WORD.itemsize,) + strides
+        span ^= bit
+    offset = sum(at for bit, at in places.items() if base & bit) if base else 0
+    return np.ndarray((2,) * len(strides), _WORD, words, offset * _WORD.itemsize, strides)
+
+
+def _deposit(c: int, bits: int) -> int:
+    # the c-th submask of bits, ascending: bit i of c goes to the i-th bit of bits
+    s = 0
+    while c:
+        bit = bits & -bits
+        if c & 1:
+            s |= bit
+        c >>= 1
+        bits ^= bit
+    return s
+
+
+def _classes(
+    patterns: dict[tuple[int, int], int], lo: int, size: int, buffer: np.ndarray, full: int
+) -> dict[int, int]:
+    """Put the words [lo, lo + size) into ``buffer`` as classes, and
+    return their places: each word-index bit that the patterns reaching
+    the block fix there, mapped to the bit of a class index that stands
+    for it.
 
     Pattern (f_hi, want) belongs to the words w with w & f_hi == want.
-    len(out) is a power of two and lo a multiple of it, so the block
-    fixes every index bit above the low log2(len(out)) to lo's: a
-    pattern whose fixed bits disagree there misses the block. Otherwise
-    its words in the block are its fixed low bits plus every combination
-    of the free ones, and each run of consecutive free bits is one axis
-    of a strided view of ``out``.
+    size is a power of two and lo a multiple of it, so the block fixes
+    every index bit above the low log2(size) to lo's: a pattern whose
+    fixed bits disagree there misses the block. Within the block a word
+    depends on its index only through the bits that the patterns fix, so
+    one class word stands for all the words that agree on them: the class
+    words are buffer[:2**len(places)], and class c holds the words whose
+    index has bit ``bit`` set iff c has bit ``places[bit]`` set. A pattern
+    ORs into the classes its fixed bits select: a strided view of the
+    class words, or one class word when it fixes every class bit. A
+    pattern that fixes new bits first repeats the class words after
+    themselves once per new combination, each new bit taking the next
+    class bit. Patterns come fewest f_hi bits first, and before the class
+    words grow the block stops if every one is already full, so an odd
+    cycle of three pairs proves a block in at most 8 class words, before
+    any set with more f_hi bits is applied.
     """
-    low = len(out) - 1
+    low = size - 1
+    places: dict[int, int] = {}
+    bits = seen = 0
+    count = 1
+    buffer[0] = 0
     for (f_hi, want), pattern in patterns.items():
         if (lo ^ want) & f_hi & ~low:
             continue
-        shape, strides = [], []
-        free = low & ~f_hi
-        while free:
-            start = free & -free
-            # adding start carries through the run to the bit just above it
-            stop = (free + start) & ~free
-            shape.append(stop // start)
-            strides.append(start * _WORD.itemsize)
-            free ^= stop - start
-        view = np.ndarray(
-            tuple(reversed(shape)), _WORD, out, (want & low) * _WORD.itemsize, tuple(reversed(strides))
-        )
-        view |= pattern
+        fixed = f_hi & low
+        new = fixed & ~bits
+        if new:
+            # seen is the union of the class words: no class is full before it is
+            if seen == full and buffer[:count].min() == full:
+                break
+            # each new bit takes the next class bit, so the class words
+            # repeat 2**|new| - 1 times in the words after them
+            bits |= new
+            grown = count << new.bit_count()
+            buffer[count:grown].reshape(-1, count)[...] = buffer[:count]
+            while new:
+                bit = new & -new
+                places[bit] = count
+                count *= 2
+                new ^= bit
+        select = value = 0
+        while fixed:
+            bit = fixed & -fixed
+            at = places[bit]
+            select |= at
+            if want & bit:
+                value |= at
+            fixed ^= bit
+        if select == count - 1:
+            # the pattern fixes every class bit: one class word
+            buffer[value] = buffer.item(value) | pattern
+        else:
+            classes = _lattice(buffer, count - 1 & ~select, value)
+            classes |= pattern
+        seen |= pattern
+    return places
 
 
 def blocked_moments_literal(inst: SplitInstance) -> MomentSet:

@@ -53,7 +53,7 @@ from .device import (
 from .moments import blocked_moments_full
 from .sim import DEFAULT_SIM_CAP, SubsetSumDetection, simulate
 
-DEFAULT_ORACLE_CAP = 24
+DEFAULT_ORACLE_CAP = 28
 # Blocks grow from the first size to the full one, aligned, so an early
 # solution costs a small block and a full scan still runs in large ones.
 _ORACLE_FIRST_BLOCK = 1 << 10
@@ -101,9 +101,12 @@ def solve_optical(inst: SplitInstance) -> SplitAnswer:
     blocked set, and reports the smallest arrival moment outside it. A
     set-splitting timeline arrives at every moment of [0, 2**n), so the
     smallest unblocked moment is the smallest solution arrival. The
-    blocked set is never built whole here: ``first_absent`` fills it one
-    block of words at a time and stops at the first block with a hole,
-    holding at most 512 KiB. It watches only the moments below 2**(n-1):
+    blocked set is never built whole here: ``first_absent`` takes it one
+    block of words at a time, as one word per class of the word-index
+    bits the family fixes there, holding at most 512 KiB, and stops at
+    the first block with a hole. A block whose class words all fill
+    stops early, so an odd cycle of pairs is proved in a few words per
+    block. It watches only the moments below 2**(n-1):
     a split and its complement, moments k and 2**n - 1 - k, are both
     splits, so the smallest one lies there if any exists, and an
     unsolvable instance is proven by half the words. Universes of more
@@ -240,8 +243,8 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
     [c, 2c) of doubling length, one group of flags per set of blocks the
     sets tested so far cannot tell apart (see ``_free_masks``): a group
     whose flags are all clear is dropped, and a run with no group left
-    skips its remaining sets. A run holds at most c groups of 4 KiB, 1 MiB
-    at the default cap n = 24, and the tables at most 384 MiB. It reads
+    skips its remaining sets. A run holds at most c groups of 4 KiB, 16
+    MiB at the default cap n = 28, and the tables at most 384 MiB. It reads
     only the raw family masks and touches no devices, timelines, or moment
     sets.
     """

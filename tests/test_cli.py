@@ -37,16 +37,15 @@ class TestSolveCommand:
         assert capsys.readouterr().out == "SPLIT A1={1} A2={2,3,4} moment=1\n"
 
     def test_method_picks_the_route(self, tmp_path, capsys):
-        # an odd cycle cannot be split; n = 25 is past the oracle's cap
-        # but within the optical route's
+        # an odd cycle cannot be split; n = 29 is past both routes' caps,
+        # and each route refuses it by its own cap
         path = tmp_path / "cycle.txt"
-        path.write_text("n 25\nf 1 2\nf 2 3\nf 1 3\n")
-        assert main(["solve", str(path), "--method", "optical"]) == 1
-        assert capsys.readouterr().out == "NO-SPLIT\n"
-        assert main(["solve", str(path), "--method", "oracle"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "oracle cap 24" in captured.err
+        path.write_text("n 29\nf 1 2\nf 2 3\nf 1 3\n")
+        for method, cap in (("optical", "simulation cap 28"), ("oracle", "oracle cap 28")):
+            assert main(["solve", str(path), "--method", method]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert cap in captured.err
 
     def test_unsolvable(self, tmp_path, capsys):
         path = tmp_path / "one.txt"

@@ -31,8 +31,9 @@ INSTANCES = {
     # pairs {b, 24} for b < 24: the smallest split is {1, ..., 23}, mask
     # 2**23 - 1, the last block of the oracle's run before the last
     "n24-ladder": "n 24\n" + "".join(f"f {b} 24\n" for b in range(1, 24)),
-    # {a1}: no split, so the optical route scans all 2**21 words of the
-    # lower half; the oracle refuses n > 24
+    # {a1} at the cap both routes share: no split, so the optical route
+    # scans all 2**21 words of the lower half, one class word per block,
+    # and the oracle every run of table blocks
     "n28-a1": "n 28\nf 1\n",
     # an odd cycle of pairs at n = 7: the lower half is exactly one word
     "n7": "n 7\nf 1 2\nf 2 3\nf 1 3\n",
@@ -96,6 +97,7 @@ def expect_refusal(result):
         ("n7", 1),
         ("n24-cycle", 1),
         ("n24-ladder", 0),
+        ("n28-a1", 1),
     ],
 )
 def test_solve_methods_agree_byte_for_byte(workdir, name, code):
@@ -110,12 +112,6 @@ def test_solve_methods_agree_byte_for_byte(workdir, name, code):
         assert oracle.stdout.endswith(b" moment=2048\n")
     if name == "n24-ladder":
         assert oracle.stdout.endswith(b" moment=8388607\n")
-
-
-def test_solve_past_the_oracle_cap(workdir):
-    optical = splitbeam("solve", "n28-a1.txt", "--method", "optical", cwd=workdir)
-    assert optical.returncode == 1
-    assert optical.stdout == b"NO-SPLIT\n"
 
 
 def test_moments(workdir):

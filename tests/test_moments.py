@@ -48,12 +48,49 @@ def brute_full(inst):
     return out
 
 
+def reference_fill(patterns, lo, out):
+    """OR every pattern into its words among words [lo, lo + len(out)),
+    held in ``out``: the fill that the class scan replaced, kept as the
+    reference it is checked against.
+
+    Pattern (f_hi, want) belongs to the words w with w & f_hi == want.
+    len(out) is a power of two and lo a multiple of it, so a pattern
+    whose fixed bits disagree with lo's above the block misses it;
+    otherwise each run of its free low bits is one axis of a strided view
+    of ``out``.
+    """
+    low = len(out) - 1
+    for (f_hi, want), pattern in patterns.items():
+        if (lo ^ want) & f_hi & ~low:
+            continue
+        shape, strides = [], []
+        free = low & ~f_hi
+        while free:
+            start = free & -free
+            stop = (free + start) & ~free
+            shape.append(stop // start)
+            strides.append(start * 8)
+            free ^= stop - start
+        view = np.ndarray(tuple(reversed(shape)), "<u8", out, (want & low) * 8, tuple(reversed(strides)))
+        view |= pattern
+
+
 def words_of(ms):
-    """The whole word array of ``ms``, ORed from its patterns in one call:
-    the reference that the streamed reads are checked against."""
+    """The whole word array of ``ms``, ORed from its patterns by the
+    reference fill: what the class scan's reads are checked against."""
     words = np.zeros(1 << max(ms.n - 6, 0), dtype="<u8")
-    moments._or_block(ms._patterns, 0, words)
+    reference_fill(ms._patterns, 0, words)
     return words
+
+
+def kernel_words(ms, lo, size):
+    """Words [lo, lo + size) of ``ms`` as the class kernel leaves them:
+    word lo + i is the class word whose index is the sum, in plain Python,
+    of the places of i's bits."""
+    buffer = np.empty(size, dtype="<u8")
+    places = moments._classes(ms._patterns, lo, size, buffer, moments._full_word(ms.n))
+    assert len(places) <= (size - 1).bit_length()
+    return [int(buffer[sum(at for bit, at in places.items() if i & bit)]) for i in range(size)]
 
 
 def random_instance(rng, n, max_sets=4):
@@ -413,7 +450,7 @@ class TestPackedBuildMemory:
 
     def test_solvable_decision_at_28_builds_no_set(self):
         # the first solution lies in the first words, so the scan stops
-        # after the 64-word prefix instead of building 32 MiB
+        # in the first word or the 64-word prefix instead of building 32 MiB
         rng = random.Random(3)
         inst = SplitInstance(28, tuple(sum(1 << p for p in rng.sample(range(28), 8)) for _ in range(6)))
         answer, peak = self.peak_bytes(lambda: solve_optical(inst))
@@ -430,12 +467,13 @@ class TestPackedBuildMemory:
 
     def test_unsolvable_decision_at_28_scans_only_the_lower_half(self):
         # a split and its complement are both splits, so no hole below
-        # moment 2**27 proves there is none: no word from 2**21 on is ORed
+        # moment 2**27 proves there is none: no block from word 2**21 on
+        # is taken
         inst = SplitInstance(28, (0b1,))
-        with mock.patch.object(moments, "_or_block", wraps=moments._or_block) as or_block:
+        with mock.patch.object(moments, "_classes", wraps=moments._classes) as classes:
             answer = solve_optical(inst)
         assert not answer.solvable
-        assert max(lo + len(out) for (_, lo, out), _ in or_block.call_args_list) <= 1 << 21
+        assert max(lo + size for (_, lo, size, *_), _ in classes.call_args_list) == 1 << 21
 
     def test_iteration_decodes_only_occupied_blocks(self):
         # {a2, ..., a28} blocks the moments holding all of a2..a28 or none
@@ -507,16 +545,15 @@ class TestWordKernel:
     @example(SplitInstance(14, (1 << 7 | 1 << 9,)), True)
     @example(SplitInstance(14, (1 << 7 | 1 << 9,)), False)
     def test_every_aligned_block_matches_the_built_words(self, inst, two_sided):
+        # the class words of every aligned block, copied out to the words
+        # they stand for, are the reference fill's words
         ms = moments._packed_union(inst.n, inst.family, two_sided=two_sided)
-        patterns = dict(ms._patterns)
         words = words_of(ms)
         total = len(words)
         size = 1
         while size <= total:
             for lo in range(0, total, size):
-                out = np.zeros(size, dtype=words.dtype)
-                moments._or_block(patterns, lo, out)
-                assert np.array_equal(out, words[lo : lo + size])
+                assert kernel_words(ms, lo, size) == words[lo : lo + size].tolist()
             size *= 2
 
     @pytest.mark.parametrize("prefix, block", [(64, 1 << 16), (1, 2), (2, 8)])
@@ -566,3 +603,80 @@ class TestWordKernel:
         word = int(words[w])
         assert (~word & (word + 1)).bit_length() - 1 == expected & 63
         assert solve_optical(inst).solution_moment == expected
+
+
+class TestClassScan:
+    """The class kernel, ``moments._classes``, against the reference fill
+    and plain-Python brute force, and the class words it needs."""
+
+    @pytest.mark.parametrize("prefix, block", [(64, 1 << 16), (1, 2), (2, 8)])
+    @settings(max_examples=100, deadline=None)
+    @given(inst=word_kernel_instance(), two_sided=st.booleans())
+    # odd cycles of pairs on word-index bits (a8, a10, a13) and across
+    # the word boundary (a1, a8, a14): the classes fill before the later
+    # sets split them; top_pairs puts the hole on the lower half's last word
+    @example(
+        inst=SplitInstance(14, (1 << 7 | 1 << 9, 1 << 9 | 1 << 12, 1 << 7 | 1 << 12, (1 << 14) - 2)),
+        two_sided=True,
+    )
+    @example(inst=SplitInstance(14, (1 | 1 << 7, 1 << 7 | 1 << 13, 1 | 1 << 13, 0b111 << 8)), two_sided=True)
+    @example(inst=top_pairs(11), two_sided=True)
+    def test_reads_match_the_reference_and_brute_force(self, prefix, block, inst, two_sided):
+        ms = moments._packed_union(inst.n, inst.family, two_sided=two_sided)
+        words = words_of(ms)
+        reference = [k for k in range(1 << inst.n) if int(words[k >> 6]) >> (k & 63) & 1]
+        members = (brute_full if two_sided else brute_literal)(inst)
+        assert reference == members
+        blocked = set(members)
+        gap = next((k for k in range(1 << inst.n) if k not in blocked), None)
+        shown = ",".join(map(str, members[:16])) + (",..." if len(members) > 16 else "")
+        with mock.patch.multiple(moments, _PREFIX_WORDS=prefix, _BLOCK_WORDS=block):
+            assert ms.first_absent() == gap
+            assert len(ms) == len(members)
+            assert list(ms) == members
+            assert repr(ms) == f"MomentSet(n={inst.n}, size={len(members)}, {{{shown}}})"
+
+    @staticmethod
+    def class_words_per_block(read):
+        """The result of ``read()`` and the number of class words of each
+        block the kernel took for it."""
+        sizes = []
+        kernel = moments._classes
+
+        def counted(patterns, lo, size, buffer, full):
+            places = kernel(patterns, lo, size, buffer, full)
+            sizes.append(1 << len(places))
+            return places
+
+        with mock.patch.object(moments, "_classes", counted):
+            return read(), sizes
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            (0b1,),
+            (1 << 7,),
+            # an odd cycle on a13, a18 and a22, word-index bits 6, 11 and 15
+            (1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21),
+        ],
+        ids=["a1", "a8", "high cycle"],
+    )
+    def test_unsolvable_families_at_28_take_at_most_8_class_words(self, family):
+        # the first word, the prefix and the 32 blocks below moment 2**27
+        # are all scanned
+        inst = SplitInstance(28, family)
+        answer, sizes = self.class_words_per_block(lambda: solve_optical(inst))
+        assert not answer.solvable
+        assert len(sizes) == 34
+        assert max(sizes) <= 8
+
+    def test_a_block_stops_once_every_class_word_is_full(self):
+        # the odd cycle on a8, a10 and a15 fills its 8 classes; the two
+        # large sets fix 16 word-index bits, but come after it and are
+        # never applied, so no block splits into more classes
+        cycle = (1 << 7 | 1 << 9, 1 << 9 | 1 << 14, 1 << 7 | 1 << 14)
+        large = (((1 << 22) - 1) ^ 0b1011, sum(1 << p for p in range(6, 22, 2)) | 1)
+        inst = SplitInstance(22, large + cycle)
+        answer, sizes = self.class_words_per_block(lambda: solve_optical(inst))
+        assert not answer.solvable
+        assert max(sizes) == 8

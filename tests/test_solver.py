@@ -138,8 +138,8 @@ class TestSolveOracle:
         assert answer.partition.a1 == 0b01 and answer.partition.a2 == 0b10
 
     def test_cap(self):
-        with pytest.raises(EnumerationLimitError, match="oracle cap"):
-            solve_oracle(SplitInstance(25, (0b11,)))
+        with pytest.raises(EnumerationLimitError, match="oracle cap 28"):
+            solve_oracle(SplitInstance(29, (0b11,)))
 
     def test_first_solution_past_the_first_blocks(self):
         # pairs {b, j} for every b < j force element j apart from all lower
@@ -453,6 +453,49 @@ class TestOracleEquivalence:
             else:
                 assert mask_splits(inst.family, optical.partition.a1, inst.n)
 
+    @staticmethod
+    def check_routes_agree(inst):
+        optical = solve_optical(inst)
+        oracle = solve_oracle(inst)
+        assert optical.decision == oracle.decision
+        assert optical.solution_moment == oracle.solution_moment
+        assert optical.validate_against(inst) and oracle.validate_against(inst)
+        if optical.solvable:
+            # no smaller mask among the first 2**12 splits the family
+            below = range(min(optical.solution_moment, 1 << 12))
+            assert not any(mask_splits(inst.family, m, inst.n) for m in below)
+        return optical
+
+    @pytest.mark.parametrize("n", [25, 28])
+    @pytest.mark.parametrize("family", ["a1", "a8", "top cycle", "fano"])
+    def test_structured_families_past_24(self, n, family):
+        # families whose blocked set spans several 2**16-word blocks of the
+        # class scan: {a1}, {a8}, an odd cycle of seven pairs on the top
+        # bits (21-27 at n = 28), and the Fano plane, which no two sides
+        # split, spread over the bits
+        fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+        sets = {
+            "a1": (1,),
+            "a8": (1 << 7,),
+            "top cycle": tuple(1 << (n - 7 + i) | 1 << (n - 7 + (i + 1) % 7) for i in range(7)),
+            "fano": tuple(sum(1 << p * (n - 1) // 6 for p in line) for line in fano),
+        }[family]
+        inst = SplitInstance(n, sets)
+        assert not self.check_routes_agree(inst).solvable
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(25, 28).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=5),
+            )
+        )
+    )
+    def test_random_families_past_24(self, case):
+        n, sets = case
+        self.check_routes_agree(SplitInstance(n, tuple(sum(1 << p for p in s) for s in sets)))
+
     def test_monotonicity_adding_sets(self):
         # growing the family can only destroy solutions, never create them
         rng = random.Random(77)
@@ -500,8 +543,8 @@ class TestSubsetSumSolvers:
     def test_oracle_cap(self):
         tracemalloc.start()
         try:
-            with pytest.raises(EnumerationLimitError, match="oracle cap 24"):
-                subset_sum_oracle(SubsetSumInstance(tuple([1] * 25), 1))
+            with pytest.raises(EnumerationLimitError, match="oracle cap 28"):
+                subset_sum_oracle(SubsetSumInstance(tuple([1] * 29), 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
