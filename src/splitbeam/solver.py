@@ -4,20 +4,20 @@ Two routes decide set splitting: the optical pipeline (build the delay
 device, simulate every path, classify arrival moments against the full
 blocked set) and a brute-force oracle that drops each mask a raw family
 set contains or misses, reading only the raw family masks and touching
-no devices, timelines, or moment sets. The oracle tests the first 2**15
-masks directly. Past them, every aligned block of 2**15 masks runs
-through the same low 15 bits, so each set's test on those bits is a
-packed bit table built once per scan and ANDed into the flags; the
-tables hold at most 384 MiB, 12 KiB per distinct low part of a set.
-These blocks are decided in aligned runs whose length doubles, each
-run keeping one group of flags for all its blocks that agree on the
-high bits the sets tested so far vary: at most c groups of 4 KiB for
-the run [c, 2c), so 1 MiB at n = 24 and 16 MiB at n = 28.
-Equality of the two routes on small instances is the correctness
-argument. Subset sum gets the same pair. Its oracle compares every
-mask's sum with the target, ascending, as a 2**13-entry table of low
-sums against the target minus each sum of the remaining values, 2**16
-masks at a time, so a full scan holds about 0.14 MiB at n = 24.
+no devices, timelines, or moment sets. The oracle decides aligned units
+of 2**12 masks, one bit of a Python int per mask. Every unit runs
+through the same low 12 bits, so each set's test on those bits is a bit
+table built once per scan and ANDed into the flags; the tables hold at
+most 6 MiB, 1.5 KiB per distinct low part of a set. Unit 0 is decided
+alone, then aligned runs of units whose length doubles, each run keeping
+one group of flags for all its units that agree on the high bits the
+sets tested so far vary: at most c groups of 512 B for the run [c, 2c),
+so 16 MiB at n = 28. Equality of the two routes on small instances is
+the correctness argument. Subset sum gets the same pair. Its oracle
+compares every mask's sum with the target, ascending, as a 2**13-entry
+table of low sums against the target minus each sum of the remaining
+values, 2**16 masks at a time, so a full scan holds about 0.14 MiB at
+n = 24.
 
 A subset-sum decision watches a single moment at the destination, so
 ``solve_subset_sum`` does not simulate the whole device. It cuts the
@@ -54,13 +54,10 @@ from .moments import blocked_moments_full
 from .sim import DEFAULT_SIM_CAP, SubsetSumDetection, simulate
 
 DEFAULT_ORACLE_CAP = 28
-# Blocks grow from the first size to the full one, aligned, so an early
-# solution costs a small block and a full scan still runs in large ones.
-_ORACLE_FIRST_BLOCK = 1 << 10
-_ORACLE_BLOCK = 1 << 15
-# every low pattern of a full block, the input of each of its tables
-_LOW_PATTERNS = np.arange(_ORACLE_BLOCK, dtype=np.uint16)
-_LOW_PATTERNS.flags.writeable = False
+# the set-splitting oracle decides 2**12 masks at a time, one Python int of
+# flags (512 B) per unit: 2**10 slowed families of hundreds of sets at
+# n = 28, and 2**15 slowed the early answers of the benchmark workloads
+_ORACLE_UNIT_BITS = 12
 # the subset-sum oracle's low table holds the sums of 2**13 masks (64 KiB),
 # and each comparison covers 2**16 masks (a 64 KiB flag buffer)
 _SUBSET_ORACLE_LOW_BITS = 13
@@ -125,91 +122,68 @@ def solve_optical(inst: SplitInstance) -> SplitAnswer:
     return SplitAnswer(Decision.SOLVABLE, Partition.from_mask(mask, inst.n), k)
 
 
-def _low_table(f_lo: int, avoid_zero: bool, avoid_full: bool) -> np.ndarray:
-    """One bit per low pattern j in [0, 2**15), packed little-endian into
-    512 uint64 words: set when ``j & f_lo`` avoids 0 (if asked) and
-    ``f_lo`` (if asked)."""
-    part = _LOW_PATTERNS & f_lo
-    ok = np.ones(_ORACLE_BLOCK, bool)
-    if avoid_zero:
-        ok &= part != 0
-    if avoid_full:
-        ok &= part != f_lo
-    return np.packbits(ok, bitorder="little").view("<u8")
+def _low_table(f_lo: int, avoid_zero: bool, avoid_full: bool) -> int:
+    """One bit per low pattern j < 2**12, as a Python int: set when
+    ``j & f_lo`` avoids 0 (if asked) and ``f_lo`` (if asked)."""
+    # the patterns with j & f_lo == 0, doubled once per free low bit
+    zero = 1
+    for b in range(_ORACLE_UNIT_BITS):
+        if not f_lo >> b & 1:
+            zero |= zero << (1 << b)
+    # shifted by f_lo they become the patterns that contain f_lo
+    out = (zero if avoid_zero else 0) | (zero << f_lo if avoid_full else 0)
+    return ((1 << (1 << _ORACLE_UNIT_BITS)) - 1) ^ out
 
 
-def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
-    """The solution masks of each block of the ascending scan, in the
-    narrowest unsigned type holding 2**n - 1, which every family set fits.
+def _free_masks(inst: SplitInstance, cap: int) -> Iterator[int]:
+    """The solution masks, ascending, as Python ints, found unit by unit.
 
-    The first 2**15 masks are tested directly, in aligned blocks of 1024,
-    1024, 2048, ... 16384 masks, so an early solution costs a small block:
-    a block holds one flag per mask, and each set, smallest first, clears
-    the flags of the masks that do not split it. Once every flag is clear
-    the block's remaining sets are skipped.
+    Unit r holds the 2**12 masks ``(r << 12) + j``, one per low pattern j
+    (only the 2**n masks when n < 12), and its flags are one Python int
+    of a bit per mask. Split each set as ``f = (f_hi << 12) + f_lo``, so
+    ``mask & f = ((r & f_hi) << 12) + (j & f_lo)``. With ``h = r & f_hi``
+    strictly between 0 and f_hi every mask of the unit splits f, and the
+    set is skipped. Otherwise the mask splits f when ``j & f_lo`` avoids 0
+    (if h = 0) and f_lo (if h = f_hi), which depends on j alone: that test
+    is a table of one bit per j, built once per scan on first use and
+    ANDed into the flags. Each distinct low part needs at most 3 tables of
+    512 B, so the tables of a scan hold at most 3 * 2**12 * 512 B = 6 MiB.
 
-    Every later block r holds the 2**15 masks ``(r << 15) + j``, one per
-    low pattern j. Split each set as ``f = (f_hi << 15) + f_lo`` at bit
-    15, so ``mask & f = ((r & f_hi) << 15) + (j & f_lo)``. With
-    ``h = r & f_hi`` strictly between 0 and f_hi every mask of the block
-    splits f, and the set is skipped. Otherwise the mask splits f when
-    ``j & f_lo`` avoids 0 (if h = 0) and f_lo (if h = f_hi), which depends
-    on j alone: that test is a table of one bit per j, built once per scan
-    on first use and ANDed into 512 words of flags. Each distinct low part
-    needs at most 3 tables of 4 KiB, so the tables of a scan hold at most
-    3 * 2**15 * 4 KiB = 384 MiB, reached only by tens of thousands of sets.
-
-    These blocks are decided in aligned runs [c, 2c), c = 1, 2, 4, ...
-    Block ``r = c + t`` of a run has ``h = (f_hi & c) + (t & f_hi)``, so it
-    meets the sets only through t & high, where high is the OR of the
-    varying bits ``f_hi & (c - 1)`` of the sets tested so far. The run
-    keeps one group of flags per value of t & high, starting from a
-    single group; a set bringing a new bit to high splits each group in
-    two, a group whose flags are all clear is dropped, and the run stops
-    testing sets once no group is left. An odd cycle of pairs thus clears
-    a whole run with a few ANDs. A run holds at most c groups of 4 KiB:
-    1 MiB at n = 24, 16 MiB at n = 28. Each block then yields its group's
-    free masks, ascending, or none if its group was dropped. Runs double,
-    so a solution stops the scan inside the run that holds it. Only
+    Unit 0 is decided alone, then the aligned runs [c, 2c), c = 1, 2, 4,
+    ... Unit ``r = c + t`` of a run has ``h = (f_hi & c) + (t & f_hi)``,
+    so it meets the sets only through t & high, where high is the OR of
+    the varying bits ``f_hi & (c - 1)`` of the sets tested so far. The sets
+    are tested smallest first, and the run keeps one group of flags per
+    value of t & high, starting from a single group; a set bringing a new
+    bit to high splits each group in two, a group whose flags are all
+    clear is dropped, and the run stops testing sets once no group is
+    left. An odd cycle of pairs thus clears a whole run with a few ANDs. A
+    run holds at most c groups of 512 B, 16 MiB at n = 28. Each unit of
+    the run then yields its group's free masks, ascending. Runs double, so
+    a solution stops the scan inside the run that holds it. Only
     ``inst.n`` and the raw family masks are read."""
     n = inst.n
     _check_enumerable(n, cap, "oracle")
-    dtype = np.min_scalar_type((1 << n) - 1)
-    family = sorted(inst.family, key=int.bit_count)
-    total, lo, block = 1 << n, 0, _ORACLE_FIRST_BLOCK
-    while lo < min(total, _ORACLE_BLOCK):
-        masks = np.arange(lo, min(lo + block, total), dtype=dtype)
-        free = np.ones(len(masks), bool)
-        for f in family:
-            part = masks & f
-            part -= 1
-            # part is a submask of f, so part - 1 wraps only at 0: this reads 0 < part < f
-            free &= part < f - 1
-            # count_nonzero: a third of the fixed cost of .any() on small blocks
-            if not np.count_nonzero(free):
-                break
-        yield masks[free]
-        lo += block
-        block = lo
-    # f_hi is a set's high part in block units: block r meets it as r & f_hi
-    parts = [(f >> 15, f & (_ORACLE_BLOCK - 1)) for f in family]
-    tables: dict[tuple[int, bool, bool], np.ndarray] = {}
-    none = np.empty(0, dtype)
-    c = 1
-    while c << 15 < total:
-        # the run of blocks c + t, t < c: one group of flags per t & high
+    u = _ORACLE_UNIT_BITS
+    # f_hi is a set's high part in units: unit r meets it as r & f_hi
+    parts = [(f >> u, f & ((1 << u) - 1)) for f in sorted(inst.family, key=int.bit_count)]
+    units = 1 << max(n - u, 0)
+    tables: dict[tuple[int, bool, bool], int] = {}
+    start, size = 0, 1
+    while start < units:
+        # the run of units start + t, t < size: one group of flags per t & high
         high = 0
-        groups = {0: np.full(_ORACLE_BLOCK // 64, (1 << 64) - 1, "<u8")}
+        groups = {0: (1 << (1 << min(n, u))) - 1}
         for f_hi, f_lo in parts:
-            varying = f_hi & (c - 1)
+            varying = f_hi & (size - 1)
             new = varying & ~high
             while new:
                 bit = new & -new
-                groups.update({g | bit: flags.copy() for g, flags in groups.items()})
+                groups.update({g | bit: flags for g, flags in groups.items()})
                 new ^= bit
             high |= varying
             for g, flags in list(groups.items()):
-                h = (f_hi & c) | (g & varying)
+                h = (f_hi & start) | (g & varying)
                 if 0 < h < f_hi:
                     continue
                 key = (f_lo, h == 0, h == f_hi)
@@ -217,42 +191,40 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[np.ndarray]:
                 if table is None:
                     table = tables[key] = _low_table(*key)
                 flags &= table
-                if not np.count_nonzero(flags):
+                if flags:
+                    groups[g] = flags
+                else:
                     del groups[g]
             if not groups:
                 break
-        for t in range(c):
-            flags = groups.get(t & high)
-            if flags is None:
-                yield none
-                continue
-            j = np.flatnonzero(np.unpackbits(flags.view(np.uint8), bitorder="little"))
-            yield (j + ((c + t) << 15)).astype(dtype)
-        c <<= 1
+        for t in range(size if groups else 0):
+            flags = groups.get(t & high, 0)
+            while flags:
+                low = flags & -flags
+                yield ((start + t) << u) + low.bit_length() - 1
+                flags ^= low
+        start += size
+        size = start
 
 
 def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SplitAnswer:
     """Brute-force verifier: scan masks ascending, check containment directly.
 
-    Works block by block over one flag per mask, so the scan stays
-    vectorized while still returning the first solution in ascending mask
-    order. The first 2**15 masks are tested one set at a time on the masks
-    themselves, and a block whose masks are all blocked skips its
-    remaining sets. Past them each set's test on the low 15 mask bits is a
-    packed table built once per scan, and the blocks are decided in runs
-    [c, 2c) of doubling length, one group of flags per set of blocks the
-    sets tested so far cannot tell apart (see ``_free_masks``): a group
-    whose flags are all clear is dropped, and a run with no group left
-    skips its remaining sets. A run holds at most c groups of 4 KiB, 16
-    MiB at the default cap n = 28, and the tables at most 384 MiB. It reads
-    only the raw family masks and touches no devices, timelines, or moment
-    sets.
+    Works on units of 2**12 masks, one bit of a Python int per mask, and
+    returns the first solution in ascending mask order. Each set's test on
+    the low 12 mask bits is a table built once per scan. Unit 0 is decided
+    alone, then the units go in runs [c, 2c) of doubling length, one
+    group of flags per set of units the sets tested so far cannot tell
+    apart (see ``_free_masks``): a group whose flags are all clear is
+    dropped, and a run with no group left skips its remaining sets. A run
+    holds at most c groups of 512 B, 16 MiB at the default cap n = 28,
+    and the tables at most 6 MiB. It reads only the raw family masks and
+    touches no devices, timelines, or moment sets.
     """
-    for free in _free_masks(inst, cap):
-        if free.size:
-            m = int(free[0])
-            return SplitAnswer(Decision.SOLVABLE, Partition.from_mask(m, inst.n), m)
-    return SplitAnswer(Decision.UNSOLVABLE, None, None)
+    m = next(_free_masks(inst, cap), None)
+    if m is None:
+        return SplitAnswer(Decision.UNSOLVABLE, None, None)
+    return SplitAnswer(Decision.SOLVABLE, Partition.from_mask(m, inst.n), m)
 
 
 def _half_chain(delays: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:

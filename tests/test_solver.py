@@ -49,8 +49,7 @@ def split_masks(inst):
 
 def free_masks(inst):
     """Every mask the oracle's full scan leaves free, ascending."""
-    blocks = splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)
-    return [m for free in blocks for m in free.tolist()]
+    return list(splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP))
 
 
 def masked_sum(values, mask):
@@ -152,7 +151,7 @@ class TestSolveOracle:
             assert not solve_oracle(SplitInstance(inst.n, inst.family + ((1 << j) - 1,))).solvable
 
     def test_solution_masks_match_brute_force_across_blocks(self):
-        # n = 11 and 17 span 2 and 9 blocks of the scan, the last cut short at 2**n
+        # n = 3 and 11 fit below one unit of the scan, n = 17 spans 32 units
         rng = random.Random(13)
         for n in (3, 11, 17):
             for m in (1, 3, 6):
@@ -177,30 +176,28 @@ class TestSolveOracle:
         assert all(mask_splits(inst.family, k, n) for k in masks)
         assert peak < 2 << 20
 
-    @pytest.mark.parametrize("n, dtype", [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)])
-    def test_solution_masks_where_the_mask_type_widens(self, n, dtype):
-        # at n = 8 and 16 the last block ends exactly at the top of the
-        # uint8 or uint16 range; the full universe is a set too
+    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    def test_solution_masks_with_the_full_universe(self, n):
+        # n = 8 and 9 fit inside one unit's start flags, n = 16 and 17 end
+        # on the last of 16 and 32 units; the full universe is a set too
         rng = random.Random(n)
         family = tuple(sum(1 << p for p in rng.sample(range(n), rng.randint(2, 3))) for _ in range(3))
         inst = SplitInstance(n, family + ((1 << n) - 1,))
-        assert {free.dtype for free in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)} == {np.dtype(dtype)}
         expected = split_masks(inst)
         masks = free_masks(inst)
         assert masks == expected and masks[-1] > (1 << n) - 1024
         answer = solve_oracle(inst)
         assert answer.solution_moment == expected[0] and type(answer.solution_moment) is int
 
-    @pytest.mark.parametrize("n, dtype", [(8, np.uint8), (16, np.uint16), (17, np.uint32)])
-    def test_wrapped_comparison_at_the_mask_type_edges(self, n, dtype):
-        # a set f keeps a mask when (mask & f) - 1 < f - 1 in the mask type:
-        # f = 1 makes f - 1 = 0, a top-bit-only set is a singleton, and at
-        # n = 8 and 16 the full universe is the type's maximum
+    @pytest.mark.parametrize("n", [8, 16, 17])
+    def test_singletons_and_the_full_universe(self, n):
+        # f = 1 is a singleton of the low part; a top-bit-only set has an
+        # empty low part past one unit, so its tables clear every flag; the
+        # full universe cuts every unit but the first and the last
         top, full = 1 << (n - 1), (1 << n) - 1
         families = [(1,), (top,), (full,), (1, full), (top, full), (full, top | 1), (full, 0b11, top | 1)]
         for family in families:
             inst = SplitInstance(n, family)
-            assert {free.dtype for free in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)} == {np.dtype(dtype)}
             expected = split_masks(inst)
             assert free_masks(inst) == expected
             answer = solve_oracle(inst)
@@ -241,7 +238,7 @@ class TestSolveOracle:
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
     def test_family_order_and_duplicates_do_not_matter_past_the_direct_masks(self, data):
-        # n = 16 and 17 reach the blocks tested through low-bit tables
+        # n = 16 and 17 reach past the first 2**15 masks, across 16 and 32 units
         n = data.draw(st.integers(16, 17))
         family = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))
         duplicates = data.draw(st.lists(st.sampled_from(family), max_size=2)) if family else []
@@ -254,7 +251,7 @@ class TestSolveOracle:
 
     def test_unsolvable_full_scan_memory(self):
         # an odd cycle of pairs cannot be two-coloured, so all 2**22 masks
-        # are scanned; a block of them is 128 KiB as uint32
+        # are decided; their flags are 512 B per unit of 2**12
         rng = random.Random(22)
         n = 22
         cycle = (0b11, 0b110, 0b101)
@@ -270,46 +267,57 @@ class TestSolveOracle:
         assert peak < 1 << 20
 
 
+UNIT = splitbeam.solver._ORACLE_UNIT_BITS
+
+
 def table_path_families(n):
-    """Families whose sets meet the blocks past the first 2**15 masks in
-    every way: a set's high part (bits 15 and up) is empty, wholly inside
-    a block's high bits, wholly outside them, or cut by them."""
+    """Families whose sets meet the oracle's units of 2**UNIT masks in
+    every way: a set's high part (bits UNIT and up) is empty, wholly inside
+    a unit's high bits, wholly outside them, or cut by them. The sets at
+    bits 14 and 15 start inside the high part, above the unit's edge."""
     top, full = 1 << (n - 1), (1 << n) - 1
-    above = full >> 15 << 15
+    above = full >> UNIT << UNIT
     return {
-        "below and above bit 15": (0b1011 << 2, above),
-        "below and above, with a pair": (0b1011 << 2, above, 0b11 << 13),
-        "straddling": ((1 << 14) | (1 << 15) | top, 0b111 << 13, 0b11 | (1 << 15) | top, 0b101 | top),
-        "shared low part": (0b10110 | (1 << 15), 0b10110 | top, 0b10110 | (1 << 15) | top, 0b10110),
+        "below and above bit 15": (0b1011 << 2, full >> 15 << 15),
+        "below and above the unit": (0b1011 << 2, above),
+        "below and above, with a pair": (0b1011 << 2, above, 0b11 << (UNIT - 2)),
+        "straddling": ((1 << (UNIT - 1)) | (1 << UNIT) | top, 0b111 << (UNIT - 2), 0b11 | (1 << UNIT) | top, 0b101 | top),
+        "shared low part": (0b10110 | (1 << UNIT), 0b10110 | top, 0b10110 | (1 << UNIT) | top, 0b10110),
         "singleton at bit 14": (1 << 14,),
         "singleton at bit 15": (1 << 15,),
+        "singleton at the last low bit": (1 << (UNIT - 1),),
+        "singleton at the first high bit": (1 << UNIT,),
         "singleton at bit n-1": (top,),
-        "singletons among sets": (0b11 << 13, 1 << 14, 0b101 | top),
+        "singletons among sets": (0b11 << (UNIT - 2), 1 << (UNIT - 1), 0b101 | top),
         "full universe": (full,),
-        "full universe and straddling sets": (full, 0b1001 | (1 << 15), 0b110 | top),
+        "full universe and straddling sets": (full, 0b1001 | (1 << UNIT), 0b110 | top),
     }
 
 
 def run_group_families(n):
-    """Families meeting the runs of table blocks [c, 2c) in every way: a
-    set's high part (bits 15 and up, block bit k being mask bit 15 + k) is
+    """Families meeting the runs of units [c, 2c) in every way: a set's
+    high part (bits UNIT and up, unit bit k being mask bit UNIT + k) is
     only a run's fixed top bit c, only its varying bits below c, or both,
     and a set brings a new varying bit after some groups have emptied."""
     top = 1 << (n - 1)
-    mid = 1 << min(n - 2, 17)
+    mid = 1 << min(n - 2, UNIT + 2)
     return {
         # each high part is one bit: the fixed top bit of the last run
         # (top) or of an earlier one (mid)
-        "fixed top bit only": (top | 0b1011, top | (0b110 << 3), top | (1 << 14), mid | 0b101, 0b11 << 5),
-        # bits 15 and 16 are block bits 0 and 1, both varying in the runs
-        # from c = 4 on, which n >= 18 reaches
-        "varying bits only": ((0b11 << 15) | 0b101, (1 << 16) | 0b1100, (1 << 15) | 0b11, (1 << 15) | (1 << 16)),
-        "fixed and varying bits": (top | (1 << 15) | 0b110, top | (0b11 << 15) | 1, top | (1 << 16) | 0b1010, top | (1 << 15)),
-        # the pair {15, n - 1} empties the group with block bit 0 set in
-        # the last run (its low part is empty); from n = 18 the larger set
-        # then brings block bit 1, which that run varies
-        "new bit after a group emptied": ((1 << 15) | top, (1 << 16) | 0b11, (0b11 << 15) | 0b1100 | top),
+        "fixed top bit only": (top | 0b1011, top | (0b110 << 3), top | (1 << (UNIT - 1)), mid | 0b101, 0b11 << 5),
+        # unit bits 0 and 1, both varying in the runs from c = 4 on, which
+        # every n from UNIT + 3 reaches
+        "varying bits only": ((0b11 << UNIT) | 0b101, (2 << UNIT) | 0b1100, (1 << UNIT) | 0b11, 0b11 << UNIT),
+        "fixed and varying bits": (top | (1 << UNIT) | 0b110, top | (0b11 << UNIT) | 1, top | (2 << UNIT) | 0b1010, top | (1 << UNIT)),
+        # the pair {UNIT, n - 1} empties the group with unit bit 0 set in
+        # the last run (its low part is empty); from n = UNIT + 3 the larger
+        # set then brings unit bit 1, which that run varies
+        "new bit after a group emptied": ((1 << UNIT) | top, (2 << UNIT) | 0b11, (0b11 << UNIT) | 0b1100 | top),
     }
+
+
+# the Fano plane's seven lines, which no two sides split
+FANO_LINES = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
 
 
 def random_triples(rng, n, m):
@@ -317,11 +325,11 @@ def random_triples(rng, n, m):
 
 
 def table_keys_below(family, end):
-    """The low tables blocks 1, ..., end - 1 may ask for, by plain Python."""
+    """The low tables units 0, ..., end - 1 may ask for, by plain Python."""
     keys = set()
-    for r in range(1, end):
+    for r in range(end):
         for f in family:
-            f_hi, f_lo = f >> 15, f & 0x7FFF
+            f_hi, f_lo = f >> UNIT, f & ((1 << UNIT) - 1)
             h = r & f_hi
             if not 0 < h < f_hi:
                 keys.add((f_lo, h == 0, h == f_hi))
@@ -339,17 +347,12 @@ class TestOracleTablePath:
         assert answer.solution_moment == (expected[0] if expected else None)
 
     def test_free_masks_keep_the_mask_type_and_aligned_blocks(self):
-        # the empty family leaves every mask free, so the block sizes show:
-        # direct blocks up to 2**15, then one table block per 2**15 masks
-        for n, dtype in ((16, np.uint16), (17, np.uint32), (18, np.uint32)):
-            sizes = [1024, 1024, 2048, 4096, 8192, 16384] + [1 << 15] * ((1 << (n - 15)) - 1)
-            for family in ((), *table_path_families(n).values()):
-                blocks = list(splitbeam.solver._free_masks(SplitInstance(n, family), splitbeam.solver.DEFAULT_ORACLE_CAP))
-                assert {free.dtype for free in blocks} == {np.dtype(dtype)}
-                assert len(blocks) == len(sizes)
-                if not family:
-                    assert [len(free) for free in blocks] == sizes
-                    assert np.array_equal(np.concatenate(blocks), np.arange(1 << n))
+        # the empty family leaves every mask free: just below one unit,
+        # exactly one, and two units, each mask once, in order, as an int
+        for n in (UNIT - 1, UNIT, UNIT + 1):
+            masks = free_masks(SplitInstance(n))
+            assert masks == list(range(1 << n))
+            assert {type(m) for m in masks} == {int}
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     @pytest.mark.parametrize("name", list(run_group_families(17)))
@@ -362,11 +365,11 @@ class TestOracleTablePath:
     @pytest.mark.parametrize(
         "family",
         [
-            # pairs {b, 23}: the smallest split is 2**23 - 1, the last block
-            # of the run [128, 256)
+            # pairs {b, 23}: the smallest split is 2**23 - 1, the last unit
+            # of the run [1024, 2048)
             tuple((1 << b) | (1 << 23) for b in range(23)),
-            # 40 three-element sets; the smallest split is 3900868, in the
-            # run [64, 128)
+            # 40 three-element sets; the smallest split is 3900868, in unit
+            # 952 of the run [512, 1024)
             random_triples(random.Random(1), 24, 40),
         ],
         ids=["pair ladder", "random triples"],
@@ -376,7 +379,7 @@ class TestOracleTablePath:
         expected = solve_optical(inst)
         first = expected.solution_moment
         assert first is not None and first >= 1 << 19
-        end = 2 << ((first >> 15).bit_length() - 1)  # the end of the run holding it
+        end = 2 << ((first >> UNIT).bit_length() - 1)  # the end of the run holding it
         built = []
 
         def counted(*key):
@@ -393,7 +396,7 @@ class TestOracleTablePath:
             tracemalloc.stop()
         assert answer == expected
         assert peak < 1 << 20
-        # every table built serves a block of the answer's run or an earlier
+        # every table built serves a unit of the answer's run or an earlier
         # one, while the full scan builds some only later runs need
         assert set(built) <= table_keys_below(family, end)
         built.clear()
@@ -402,12 +405,12 @@ class TestOracleTablePath:
         assert set(built) - table_keys_below(family, end)
 
     def test_table_memory_per_distinct_low_part(self, monkeypatch):
-        # every set's high part is bit 16, so the blocks at 2**15 and at
-        # 2**16 and 3 * 2**15 each need a table per low part, and neither
-        # kind ever clears every flag: 2 tables of 4 KiB per low part
+        # every set's high part is unit bit 1, so units 0 and 1 and units
+        # 2 and 3 each need a table per low part, and neither kind ever
+        # clears every flag: 2 tables of 512 B per low part
         rng = random.Random(17)
-        lows = rng.sample(range(1, 1 << 15), 2000)
-        inst = SplitInstance(17, tuple((1 << 16) | f_lo for f_lo in lows))
+        lows = rng.sample(range(1, 1 << UNIT), 2000)
+        inst = SplitInstance(UNIT + 2, tuple((2 << UNIT) | f_lo for f_lo in lows))
         built = []
 
         def counted(*key):
@@ -418,13 +421,49 @@ class TestOracleTablePath:
         monkeypatch.setattr(splitbeam.solver, "_low_table", counted)
         tracemalloc.start()
         try:
-            free = sum(block.size for block in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP))
+            free = sum(1 for _ in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert free > 0
         assert len(built) == len(set(built)) == 2 * len(lows)
-        assert peak < len(lows) * (12 << 10) + (1 << 20)
+        # at most 3 tables of 512 B, with their keys, per low part
+        assert peak < len(lows) * (2 << 10) + (1 << 20)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_free_masks_match_brute_force_across_the_unit_edge(self, data):
+        # below UNIT bits the start flags hold 2**n masks, at UNIT bits one
+        # unit holds them all, and past it unit 0 and the runs follow
+        n = data.draw(st.one_of(st.sampled_from([UNIT - 1, UNIT, UNIT + 1]), st.integers(1, 14)))
+        sets = st.one_of(
+            st.integers(1, (1 << n) - 1),
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=3).map(lambda ps: sum(1 << p for p in ps)),
+        )
+        inst = SplitInstance(n, tuple(data.draw(st.lists(sets, max_size=6))))
+        assert free_masks(inst) == split_masks(inst)
+
+    @pytest.mark.parametrize("family", ["a1", "odd cycle", "fano"])
+    def test_unsolvable_families_at_the_cap(self, family):
+        # n = 28 is 2**16 units; each family empties every group of a run
+        # within a few sets, so tables and groups stay far below their
+        # 6 MiB and 16 MiB bounds
+        n = 28
+        sets = {
+            "a1": (1,),
+            "odd cycle": (0b011 << 25, 0b110 << 25, 0b101 << 25),
+            "fano": tuple(sum(1 << p * (n - 1) // 6 for p in line) for line in FANO_LINES),
+        }[family]
+        inst = SplitInstance(n, sets)
+        tracemalloc.start()
+        try:
+            answer = solve_oracle(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer == solve_optical(inst)
+        assert answer.decision is Decision.UNSOLVABLE
+        assert peak < 1 << 20
 
 
 class TestOracleEquivalence:
@@ -473,12 +512,11 @@ class TestOracleEquivalence:
         # class scan: {a1}, {a8}, an odd cycle of seven pairs on the top
         # bits (21-27 at n = 28), and the Fano plane, which no two sides
         # split, spread over the bits
-        fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
         sets = {
             "a1": (1,),
             "a8": (1 << 7,),
             "top cycle": tuple(1 << (n - 7 + i) | 1 << (n - 7 + (i + 1) % 7) for i in range(7)),
-            "fano": tuple(sum(1 << p * (n - 1) // 6 for p in line) for line in fano),
+            "fano": tuple(sum(1 << p * (n - 1) // 6 for p in line) for line in FANO_LINES),
         }[family]
         inst = SplitInstance(n, sets)
         assert not self.check_routes_agree(inst).solvable
