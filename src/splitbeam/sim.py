@@ -68,10 +68,10 @@ class ArrivalTimeline:
     whenever each take delay exceeds the sum of those before it. No cores
     as well means the moments are exactly 0..2**n-1, the form a timeline
     of take delays 1, 2, ..., 2**(n-1) built analytically has. A read
-    builds only what it returns and keeps nothing: ``cores``, ``counts``
-    and ``witnesses`` return the held array, which ``simulate`` makes
-    read-only, or a new one for an implicit array, and ``iter_events``
-    streams the events one at a time.
+    builds only what it returns and keeps nothing: ``cores`` and
+    ``counts`` return the held array, which ``simulate`` makes
+    read-only, or a new one for an implicit array, ``witness_for`` looks
+    one moment up, and ``iter_events`` streams the events one at a time.
     """
 
     __slots__ = ("n", "kind", "_cores", "_counts", "_witnesses")
@@ -94,7 +94,7 @@ class ArrivalTimeline:
     def is_analytic(self) -> bool:
         return self._cores is None
 
-    # implicit cores and witnesses are both the event positions
+    # implicit cores are the event positions
     @property
     def cores(self) -> np.ndarray:
         if self._cores is None:
@@ -106,12 +106,6 @@ class ArrivalTimeline:
         if self._counts is None:
             return np.ones(self.event_count, dtype=np.int64)
         return self._counts
-
-    @property
-    def witnesses(self) -> np.ndarray:
-        if self._witnesses is None:
-            return np.arange(self.event_count, dtype=np.int64)
-        return self._witnesses
 
     @property
     def event_count(self) -> int:
@@ -155,21 +149,34 @@ class ArrivalTimeline:
         )
 
 
+def _path_delays(delays: tuple[int, ...]) -> np.ndarray:
+    """The int64 core delay of every path through a chain of take delays,
+    entry ``mask`` summing the layers ``mask`` takes, doubled layer by
+    layer. The empty chain passes the pulse once, at delay 0. More than
+    ``PATH_ENUM_CAP`` layers are refused before anything is allocated."""
+    _check_enumerable(len(delays), PATH_ENUM_CAP, "path enumeration")
+    sums = np.empty(1 << len(delays), dtype=np.int64)
+    sums[0] = 0
+    for i, d in enumerate(delays):
+        np.add(sums[: 1 << i], d, out=sums[1 << i : 2 << i])
+    return sums
+
+
 def simulate(device: DelayDevice) -> ArrivalTimeline:
     """Propagate one source pulse through every path of the device.
 
-    Evaluation is one pass in one thread: the delays of all 2**n paths,
-    in mask order in one buffer. When each take delay exceeds the sum of
-    those before it, the buffer is strictly increasing: two masks are
-    ordered by the highest layer where they differ, whose delay outweighs
-    all the layers below it. Then every path arrives alone and the buffer
-    is the timeline, with unit counts and witness = position left
-    implicit. Otherwise one sort coalesces them. From
-    ``DEFAULT_ANALYTIC_THRESHOLD`` layers on, take delays 1, 2, ...,
-    2**(n-1) give the analytic timeline, whatever the device's kind, and
-    nothing is enumerated. The arrays the timeline holds are
-    read-only. A device of more than ``DEFAULT_SIM_CAP`` layers, or one
-    whose paths would be enumerated past ``PATH_ENUM_CAP`` layers, is
+    Evaluation is one pass in one thread: ``_path_delays`` puts the
+    delays of all 2**n paths, in mask order, in one buffer, and refuses
+    more than ``PATH_ENUM_CAP`` layers before it allocates. When each
+    take delay exceeds the sum of those before it, the buffer is strictly
+    increasing: two masks are ordered by the highest layer where they
+    differ, whose delay outweighs all the layers below it. Then every
+    path arrives alone and the buffer is the timeline, with unit counts
+    and witness = position left implicit. Otherwise one sort coalesces
+    them. From ``DEFAULT_ANALYTIC_THRESHOLD`` layers on, take delays 1,
+    2, ..., 2**(n-1) give the analytic timeline, whatever the device's
+    kind, and nothing is enumerated. The arrays the timeline holds are
+    read-only. A device of more than ``DEFAULT_SIM_CAP`` layers is
     refused with ``EnumerationLimitError`` before anything is allocated.
     """
     n = device.n
@@ -178,13 +185,7 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
     delays = device.take_delays
     if n >= DEFAULT_ANALYTIC_THRESHOLD and delays == tuple(1 << i for i in range(n)):
         return ArrivalTimeline(n, device.kind, None, None, None)
-    _check_enumerable(n, PATH_ENUM_CAP, "path enumeration")
-
-    # sums[mask] is the core delay of the path taking the masked layers
-    sums = np.empty(1 << n, dtype=np.int64)
-    sums[0] = 0
-    for i, d in enumerate(delays):
-        np.add(sums[: 1 << i], d, out=sums[1 << i : 2 << i])
+    sums = _path_delays(delays)
     if all(map(operator.gt, delays, itertools.accumulate(delays, initial=0))):
         # distinct and in mask order: each event is one path, its mask the position
         sums.flags.writeable = False

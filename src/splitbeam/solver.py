@@ -21,11 +21,13 @@ n = 24.
 
 A subset-sum decision watches a single moment at the destination, so
 ``solve_subset_sum`` does not simulate the whole device. It cuts the
-layer chain into a front and a back half, simulates each half, and joins
-the two coalesced half-timelines at the target moment (Horowitz and
-Sahni's meet in the middle). That costs Theta(2**(n/2)) time and memory
-instead of Theta(2**n). Watching the full timeline with
-``detect_subset_sum`` remains the reference the tests compare against.
+layer chain into a front and a back half, enumerates the path delays of
+each with the simulator's kernel, and joins them at the target moment
+(Horowitz and Sahni's meet in the middle): the sorted front delays are
+searched for the target minus each back delay. That costs
+Theta(2**(n/2)) memory and Theta(n * 2**(n/2)) time instead of
+Theta(2**n). Watching the full timeline with ``detect_subset_sum``
+remains the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -44,14 +46,9 @@ from .core import (
     _check_enumerable,
     splits_family,
 )
-from .device import (
-    DelayDevice,
-    DeviceKind,
-    build_set_splitting_device,
-    build_subset_sum_device,
-)
+from .device import build_set_splitting_device, build_subset_sum_device
 from .moments import blocked_moments_full
-from .sim import DEFAULT_SIM_CAP, SubsetSumDetection, simulate
+from .sim import DEFAULT_SIM_CAP, SubsetSumDetection, _path_delays, simulate
 
 DEFAULT_ORACLE_CAP = 28
 # the set-splitting oracle decides 2**12 masks at a time, one Python int of
@@ -227,33 +224,22 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
     return SplitAnswer(Decision.SOLVABLE, Partition.from_mask(m, inst.n), m)
 
 
-def _half_chain(delays: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct core delays of a sub-chain and the smallest mask reaching each.
-
-    The empty chain passes the pulse through once, at delay 0. A chain
-    ``simulate`` refuses is refused here too, before anything is
-    allocated.
-    """
-    if not delays:
-        zero = np.zeros(1, dtype=np.int64)
-        return zero, zero
-    timeline = simulate(DelayDevice(DeviceKind.SUBSET_SUM, delays))
-    return timeline.cores, timeline.witnesses
-
-
 def solve_subset_sum(inst: SubsetSumInstance) -> SubsetSumDetection:
     """Decide subset sum by joining the device's two half-chains at the target.
 
     The front half is the first ceil(n/2) layers of the device, the back
-    half the rest; each is simulated on its own. A back arrival at core
-    ``c`` completes to the target exactly when the front half has an
-    arrival at ``target - c``. Among those back arrivals the one with the
-    smallest mask wins, because the back layers are the high bits of the
-    full mask; its front partner's smallest mask fills the low bits. The
+    half the rest; ``_path_delays`` gives each half's path delays in mask
+    order. A back path of delay ``c`` completes to the target exactly
+    when some front path has delay ``target - c``. The front delays are
+    sorted stably, so equal delays keep their smallest mask first, and
+    each back path's needed delay is searched among them. The back layers
+    are the high bits of the full mask, so the first back mask with a hit
+    wins, and its partner's smallest front mask fills the low bits. The
     result is the smallest witness the full timeline would report, found
-    in Theta(2**(n/2)) time and memory. Instances of more than
-    ``DEFAULT_SIM_CAP`` values are refused before anything is allocated,
-    as the full simulation refuses them.
+    in Theta(2**(n/2)) memory. Instances of more than ``DEFAULT_SIM_CAP``
+    values are refused before anything is allocated, as the full
+    simulation refuses them, and so is a half of more than
+    ``PATH_ENUM_CAP`` layers.
     """
     n = inst.n
     _check_enumerable(n, DEFAULT_SIM_CAP, "simulation")
@@ -264,16 +250,17 @@ def solve_subset_sum(inst: SubsetSumInstance) -> SubsetSumDetection:
     if inst.target > sum(device.take_delays):
         return SubsetSumDetection(False, None, moment)
     front_n = (n + 1) // 2
-    front_cores, front_wits = _half_chain(device.take_delays[:front_n])
-    back_cores, back_wits = _half_chain(device.take_delays[front_n:])
-    need = inst.target - back_cores
-    at = np.minimum(np.searchsorted(front_cores, need), len(front_cores) - 1)
-    joins = np.flatnonzero(front_cores[at] == need)
-    if not joins.size:
+    front = _path_delays(device.take_delays[:front_n])
+    order = np.argsort(front, kind="stable")
+    front = front[order]
+    need = _path_delays(device.take_delays[front_n:])
+    np.subtract(inst.target, need, out=need)
+    at = np.minimum(np.searchsorted(front, need), len(front) - 1)
+    hit = front[at] == need
+    b = int(np.argmax(hit))
+    if not hit[b]:
         return SubsetSumDetection(False, None, moment)
-    best = joins[np.argmin(back_wits[joins])]
-    witness = (int(back_wits[best]) << front_n) | int(front_wits[at[best]])
-    return SubsetSumDetection(True, witness, moment)
+    return SubsetSumDetection(True, (b << front_n) | int(order[at[b]]), moment)
 
 
 def _subset_sums(values: tuple[int, ...]) -> np.ndarray:

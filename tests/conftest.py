@@ -22,7 +22,7 @@ def timeline_fields():
             timeline.event_count,
             timeline.cores.tolist(),
             timeline.counts.tolist(),
-            timeline.witnesses.tolist(),
+            [event.witness for event in timeline.iter_events()],
         )
 
     return fields

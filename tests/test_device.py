@@ -31,7 +31,8 @@ class TestSetSplittingDevice:
         # the path <-> mask bijection is structural: core delay reads back the mask
         for n in (1, 2, 3, 8, 16):
             timeline = simulate(build_set_splitting_device(n))
-            assert timeline.cores.tolist() == timeline.witnesses.tolist() == list(range(1 << n))
+            assert timeline.cores.tolist() == list(range(1 << n))
+            assert [timeline.witness_for(k) for k in range(1 << n)] == list(range(1 << n))
 
     def test_all_path_delays_distinct(self):
         timeline = simulate(build_set_splitting_device(10))

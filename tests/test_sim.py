@@ -199,7 +199,11 @@ class TestSimulateDifferential:
             for c, k, w in zip(cores.tolist(), counts.tolist(), witnesses.tolist())
         )
         assert tuple(timeline.iter_events()) == expected
-        for got, want in zip((timeline.cores, timeline.counts, timeline.witnesses), (cores, counts, witnesses)):
+        # held witnesses only: implicit ones are the positions, checked above
+        held = [(timeline.cores, cores), (timeline.counts, counts)]
+        if timeline._witnesses is not None:
+            held.append((timeline._witnesses, witnesses))
+        for got, want in held:
             assert got.dtype == want.dtype == np.int64
             assert got.tobytes() == want.tobytes()
         assert timeline.total_paths == 1 << n
@@ -281,7 +285,6 @@ class TestImplicitTimeline:
     def test_properties_build_implicit_arrays_and_keep_nothing(self):
         for timeline in (simulate(build_set_splitting_device(5)), analytic_splitting(5)):
             assert timeline.counts.tobytes() == np.ones(32, dtype=np.int64).tobytes()
-            assert timeline.witnesses.tobytes() == np.arange(32, dtype=np.int64).tobytes()
             assert timeline.cores.tobytes() == np.arange(32, dtype=np.int64).tobytes()
             assert timeline._counts is None and timeline._witnesses is None
 
@@ -289,15 +292,15 @@ class TestImplicitTimeline:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            arrays = (timeline.cores, timeline.counts, timeline.witnesses)
-            assert [len(a) for a in arrays] == [1 << 20] * 3
+            arrays = (timeline.cores, timeline.counts)
+            assert [len(a) for a in arrays] == [1 << 20] * 2
             del arrays
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert timeline.is_analytic
         assert timeline._counts is None and timeline._witnesses is None
-        # three int64 arrays of 2**20 entries took 24 MiB while they were held
+        # two int64 arrays of 2**20 entries took 16 MiB while they were held
         assert after - before < 64 << 10
 
     def test_total_intensity_reads_no_event(self):
@@ -335,7 +338,7 @@ class TestImplicitTimeline:
     def test_held_arrays_are_read_only(self):
         timeline = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))
         assert not timeline.is_analytic
-        for array in (timeline.cores, timeline.counts, timeline.witnesses):
+        for array in (timeline.cores, timeline.counts, timeline._witnesses):
             with pytest.raises(ValueError, match="read-only"):
                 array[3] = 99
         assert timeline.witness_for(15) == 5

@@ -666,13 +666,13 @@ class TestSubsetSumSolvers:
             solve_subset_sum(SubsetSumInstance(tuple([1] * 29), 1))
 
     def test_raised_cap_refuses_oversize_halves_before_allocating(self, monkeypatch):
-        # 57 values make a 29-layer front half, which simulate refuses
-        # before it allocates the 2**29-entry (4 GiB) buffer
+        # 57 values make a 29-layer front half, which the path enumeration
+        # refuses before it allocates the 2**29-entry (4 GiB) buffer
         monkeypatch.setattr(splitbeam.solver, "DEFAULT_SIM_CAP", 63)
         inst = SubsetSumInstance(tuple([1] * 57), 5)
         tracemalloc.start()
         try:
-            with pytest.raises(EnumerationLimitError, match="too large to enumerate.*28"):
+            with pytest.raises(EnumerationLimitError, match="path enumeration cap 24"):
                 solve_subset_sum(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -685,18 +685,41 @@ class TestSubsetSumSolvers:
         mask = rng.randrange(1, 1 << 40)
         inst = SubsetSumInstance(values, masked_sum(values, mask))
         paths = []
+        path_delays = splitbeam.solver._path_delays
 
-        def counted(device, **kwargs):
-            timeline = simulate(device, **kwargs)
-            paths.append(timeline.total_paths)
-            return timeline
+        def counted(delays):
+            sums = path_delays(delays)
+            paths.append(len(sums))
+            return sums
 
-        monkeypatch.setattr(splitbeam.solver, "simulate", counted)
+        monkeypatch.setattr(splitbeam.solver, "_path_delays", counted)
         monkeypatch.setattr(splitbeam.solver, "DEFAULT_SIM_CAP", 40)
         detection = solve_subset_sum(inst)
         assert detection.found and inst.subset_sum(detection.witness) == inst.target
         assert detection.witness <= mask
         assert paths == [1 << 20, 1 << 20]
+
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_at_the_cap_matches_the_oracle_under_one_mib(self, planted):
+        # 28 values make halves of 2**14 paths; even values never reach
+        # an odd target, so that join finds nothing and the oracle scans
+        # every mask
+        rng = random.Random(28)
+        values = tuple(rng.randint(1, 1 << 40) for _ in range(28))
+        if planted:
+            inst = SubsetSumInstance(values, masked_sum(values, rng.randrange(1, 1 << 28)))
+        else:
+            inst = SubsetSumInstance(tuple(2 * v for v in values), 2 * sum(values) // 3 | 1)
+        tracemalloc.start()
+        try:
+            detection = solve_subset_sum(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = subset_sum_oracle(inst)
+        assert detection.found == expected.found == planted
+        assert detection.witness == expected.witness
+        assert peak < 1 << 20
 
 
 class TestSubsetSumOracleBlocks:
@@ -768,7 +791,7 @@ class TestSubsetSumOracleBlocks:
 
 def test_oracles_never_reach_the_optical_route(monkeypatch, demo4):
     # both oracles answer with every device, simulation, blocked-set and
-    # half-chain entry point of the solver made to raise
+    # path-enumeration entry point of the solver made to raise
     ladder = SplitInstance(17, tuple((1 << b) | (1 << 16) for b in range(16)))
     cycle = SplitInstance(16, (0b11, 0b110, 0b101, 0b1111 << 12))
     split_cases = [demo4, ladder, cycle]
@@ -786,7 +809,7 @@ def test_oracles_never_reach_the_optical_route(monkeypatch, demo4):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle reached the optical route")
 
-    for name in ("simulate", "build_set_splitting_device", "build_subset_sum_device", "blocked_moments_full", "_half_chain"):
+    for name in ("simulate", "build_set_splitting_device", "build_subset_sum_device", "blocked_moments_full", "_path_delays"):
         monkeypatch.setattr(splitbeam.solver, name, refuse)
     with pytest.raises(AssertionError, match="optical route"):
         solve_optical(demo4)
