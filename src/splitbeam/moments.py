@@ -30,12 +30,13 @@ only when a pattern fixes a new bit, and stops a block once every class
 word is full. Every read goes through it: ``len`` counts the class
 words, iteration and ``repr`` copy the block's words out of them a slice
 at a time, and ``first_absent`` reads the smallest hole from the
-classes, all in one reused buffer of at most 512 KiB. ``first_absent``
-scans only the moments below 2**(n-1), where every set made here has
-its smallest hole if it has one, and stops at the first block with a
-hole, so a decision whose first solution lies early reads only the
-first word or the first 64, and an odd cycle of pairs proves each block
-in a few class words.
+classes, all in one reused buffer that grows to the largest block
+read, at most 512 KiB. ``first_absent`` scans only the moments below
+2**(n-1), where every set made here has its smallest hole if it has
+one, and stops at the first block with a hole, so a decision whose
+first solution lies early reads and allocates only the first word or
+the first 64, and an odd cycle of pairs proves each block in a few
+class words.
 """
 
 from __future__ import annotations
@@ -100,10 +101,13 @@ class MomentSet:
     ) -> Iterator[tuple[int, int, np.ndarray, dict[int, int]]]:
         """(lo, size, words, places) for each (lo, size) of ``spans``: the
         class words of words [lo, lo + size) and their places (see
-        ``_classes``), held in one buffer that the next block reuses."""
-        buffer = np.empty(min(_word_count(self.n), _BLOCK_WORDS), dtype=_WORD)
+        ``_classes``), held in one buffer that the next block reuses and
+        that grows only when a block needs more words than it holds."""
+        buffer = np.empty(0, dtype=_WORD)
         full = _full_word(self.n)
         for lo, size in spans:
+            if len(buffer) < size:
+                buffer = np.empty(size, dtype=_WORD)
             places = _classes(self._patterns, lo, size, buffer, full)
             yield lo, size, buffer[: 1 << len(places)], places
 

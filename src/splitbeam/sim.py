@@ -202,9 +202,12 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
 class SubsetSumDetection:
     """Outcome of watching the destination at the target moment."""
 
-    found: bool
     witness: SubsetMask | None
     moment: ExactMoment
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
 
     def describe(self) -> str:
         if self.found:
@@ -223,7 +226,7 @@ def detect_subset_sum(timeline: ArrivalTimeline, target: int) -> SubsetSumDetect
         raise ValueError("timeline was not produced by a subset-sum device")
     moment = ExactMoment(target, timeline.n)
     witness = timeline.witness_for(target)
-    return SubsetSumDetection(witness is not None, witness, moment)
+    return SubsetSumDetection(witness, moment)
 
 
 @dataclass(frozen=True)

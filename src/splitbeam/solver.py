@@ -6,9 +6,9 @@ blocked set) and a brute-force oracle that drops each mask a raw family
 set contains or misses, reading only the raw family masks and touching
 no devices, timelines, or moment sets. The oracle decides aligned units
 of 2**12 masks, one bit of a Python int per mask. Every unit runs
-through the same low 12 bits, so each set's test on those bits is a bit
-table built once per scan and ANDed into the flags; the tables hold at
-most 6 MiB, 1.5 KiB per distinct low part of a set. Unit 0 is decided
+through the same low 12 bits, so each set's test on those bits is a
+pair of bit tables built once per scan and ANDed into the flags: two
+tables per distinct low part of a set, at most 4 MiB. Unit 0 is decided
 alone, then aligned runs of units whose length doubles, each run keeping
 one group of flags for all its units that agree on the high bits the
 sets tested so far vary: at most c groups of 512 B for the run [c, 2c),
@@ -46,7 +46,7 @@ from .core import (
     _check_enumerable,
     splits_family,
 )
-from .device import build_set_splitting_device, build_subset_sum_device
+from .device import build_set_splitting_device
 from .moments import blocked_moments_full
 from .sim import DEFAULT_SIM_CAP, SubsetSumDetection, _path_delays, simulate
 
@@ -119,17 +119,18 @@ def solve_optical(inst: SplitInstance) -> SplitAnswer:
     return SplitAnswer(Decision.SOLVABLE, Partition.from_mask(mask, inst.n), k)
 
 
-def _low_table(f_lo: int, avoid_zero: bool, avoid_full: bool) -> int:
-    """One bit per low pattern j < 2**12, as a Python int: set when
-    ``j & f_lo`` avoids 0 (if asked) and ``f_lo`` (if asked)."""
+def _low_table(f_lo: int) -> tuple[int, int]:
+    """A pair of Python ints of one bit per low pattern j < 2**12: the
+    patterns that meet f_lo (``j & f_lo != 0``) and the patterns that miss
+    part of it (``j & f_lo != f_lo``)."""
     # the patterns with j & f_lo == 0, doubled once per free low bit
     zero = 1
     for b in range(_ORACLE_UNIT_BITS):
         if not f_lo >> b & 1:
             zero |= zero << (1 << b)
     # shifted by f_lo they become the patterns that contain f_lo
-    out = (zero if avoid_zero else 0) | (zero << f_lo if avoid_full else 0)
-    return ((1 << (1 << _ORACLE_UNIT_BITS)) - 1) ^ out
+    every = (1 << (1 << _ORACLE_UNIT_BITS)) - 1
+    return every ^ zero, every ^ zero << f_lo
 
 
 def _free_masks(inst: SplitInstance, cap: int) -> Iterator[int]:
@@ -139,12 +140,12 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[int]:
     (only the 2**n masks when n < 12), and its flags are one Python int
     of a bit per mask. Split each set as ``f = (f_hi << 12) + f_lo``, so
     ``mask & f = ((r & f_hi) << 12) + (j & f_lo)``. With ``h = r & f_hi``
-    strictly between 0 and f_hi every mask of the unit splits f, and the
-    set is skipped. Otherwise the mask splits f when ``j & f_lo`` avoids 0
-    (if h = 0) and f_lo (if h = f_hi), which depends on j alone: that test
-    is a table of one bit per j, built once per scan on first use and
-    ANDed into the flags. Each distinct low part needs at most 3 tables of
-    512 B, so the tables of a scan hold at most 3 * 2**12 * 512 B = 6 MiB.
+    the mask splits f (``0 < mask & f < f``) unless h = 0 and j misses
+    f_lo, or h = f_hi and j contains f_lo. Both tests depend on j alone:
+    the pair of tables ``meets`` and ``misses`` of one bit per j, built
+    once per scan on a set's first use. A unit with h = 0 ANDs ``meets``
+    into its flags and one with h = f_hi ``misses`` (a set with f_hi = 0
+    both): two tables of 512 B per distinct low part, at most 4 MiB.
 
     Unit 0 is decided alone, then the aligned runs [c, 2c), c = 1, 2, 4,
     ... Unit ``r = c + t`` of a run has ``h = (f_hi & c) + (t & f_hi)``,
@@ -165,7 +166,7 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[int]:
     # f_hi is a set's high part in units: unit r meets it as r & f_hi
     parts = [(f >> u, f & ((1 << u) - 1)) for f in sorted(inst.family, key=int.bit_count)]
     units = 1 << max(n - u, 0)
-    tables: dict[tuple[int, bool, bool], int] = {}
+    tables: dict[int, tuple[int, int]] = {}
     start, size = 0, 1
     while start < units:
         # the run of units start + t, t < size: one group of flags per t & high
@@ -179,15 +180,16 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[int]:
                 groups.update({g | bit: flags for g, flags in groups.items()})
                 new ^= bit
             high |= varying
+            pair = tables.get(f_lo)
+            if pair is None:
+                pair = tables[f_lo] = _low_table(f_lo)
+            meets, misses = pair
             for g, flags in list(groups.items()):
                 h = (f_hi & start) | (g & varying)
-                if 0 < h < f_hi:
-                    continue
-                key = (f_lo, h == 0, h == f_hi)
-                table = tables.get(key)
-                if table is None:
-                    table = tables[key] = _low_table(*key)
-                flags &= table
+                if h == 0:
+                    flags &= meets
+                if h == f_hi:
+                    flags &= misses
                 if flags:
                     groups[g] = flags
                 else:
@@ -209,14 +211,14 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
 
     Works on units of 2**12 masks, one bit of a Python int per mask, and
     returns the first solution in ascending mask order. Each set's test on
-    the low 12 mask bits is a table built once per scan. Unit 0 is decided
-    alone, then the units go in runs [c, 2c) of doubling length, one
-    group of flags per set of units the sets tested so far cannot tell
-    apart (see ``_free_masks``): a group whose flags are all clear is
-    dropped, and a run with no group left skips its remaining sets. A run
-    holds at most c groups of 512 B, 16 MiB at the default cap n = 28,
-    and the tables at most 6 MiB. It reads only the raw family masks and
-    touches no devices, timelines, or moment sets.
+    the low 12 mask bits is a pair of tables built once per scan. Unit 0
+    is decided alone, then the units go in runs [c, 2c) of doubling
+    length, one group of flags per set of units the sets tested so far
+    cannot tell apart (see ``_free_masks``): a group whose flags are all
+    clear is dropped, and a run with no group left skips its remaining
+    sets. A run holds at most c groups of 512 B, 16 MiB at the default
+    cap n = 28, and the tables at most 4 MiB. It reads only the raw
+    family masks and touches no devices, timelines, or moment sets.
     """
     m = next(_free_masks(inst, cap), None)
     if m is None:
@@ -227,40 +229,40 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
 def solve_subset_sum(inst: SubsetSumInstance) -> SubsetSumDetection:
     """Decide subset sum by joining the device's two half-chains at the target.
 
-    The front half is the first ceil(n/2) layers of the device, the back
-    half the rest; ``_path_delays`` gives each half's path delays in mask
-    order. A back path of delay ``c`` completes to the target exactly
-    when some front path has delay ``target - c``. The front delays are
-    sorted stably, so equal delays keep their smallest mask first, and
-    each back path's needed delay is searched among them. The back layers
-    are the high bits of the full mask, so the first back mask with a hit
-    wins, and its partner's smallest front mask fills the low bits. The
-    result is the smallest witness the full timeline would report, found
-    in Theta(2**(n/2)) memory. Instances of more than ``DEFAULT_SIM_CAP``
-    values are refused before anything is allocated, as the full
-    simulation refuses them, and so is a half of more than
-    ``PATH_ENUM_CAP`` layers.
+    Layer i of the device takes the i-th value as its delay, so the
+    values are read directly: the front half is the first ceil(n/2)
+    layers, the back half the rest, and ``_path_delays`` gives each
+    half's path delays in mask order. A back path of delay ``c``
+    completes to the target exactly when some front path has delay
+    ``target - c``. The front delays are sorted stably, so equal delays
+    keep their smallest mask first, and each back path's needed delay is
+    searched among them. The back layers are the high bits of the full
+    mask, so the first back mask with a hit wins, and its partner's
+    smallest front mask fills the low bits. The result is the smallest
+    witness the full timeline would report, found in Theta(2**(n/2))
+    memory. Instances of more than ``DEFAULT_SIM_CAP`` values are refused
+    before anything is allocated, as the full simulation refuses them,
+    and so is a half of more than ``PATH_ENUM_CAP`` layers.
     """
     n = inst.n
     _check_enumerable(n, DEFAULT_SIM_CAP, "simulation")
     moment = ExactMoment(inst.target, n)
-    device = build_subset_sum_device(inst)
-    # Devices keep the sum of take delays below 2**63, so past this check
-    # target - core fits int64.
-    if inst.target > sum(device.take_delays):
-        return SubsetSumDetection(False, None, moment)
+    # The take delays are the values, whose sum SubsetSumInstance keeps
+    # below 2**63, so past this check target - core fits int64.
+    if inst.target > sum(inst.values):
+        return SubsetSumDetection(None, moment)
     front_n = (n + 1) // 2
-    front = _path_delays(device.take_delays[:front_n])
+    front = _path_delays(inst.values[:front_n])
     order = np.argsort(front, kind="stable")
     front = front[order]
-    need = _path_delays(device.take_delays[front_n:])
+    need = _path_delays(inst.values[front_n:])
     np.subtract(inst.target, need, out=need)
     at = np.minimum(np.searchsorted(front, need), len(front) - 1)
     hit = front[at] == need
     b = int(np.argmax(hit))
     if not hit[b]:
-        return SubsetSumDetection(False, None, moment)
-    return SubsetSumDetection(True, (b << front_n) | int(order[at[b]]), moment)
+        return SubsetSumDetection(None, moment)
+    return SubsetSumDetection((b << front_n) | int(order[at[b]]), moment)
 
 
 def _subset_sums(values: tuple[int, ...]) -> np.ndarray:
@@ -292,7 +294,7 @@ def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP)
     _check_enumerable(n, cap, "oracle")
     moment = ExactMoment(inst.target, n)
     if inst.target > sum(inst.values):
-        return SubsetSumDetection(False, None, moment)
+        return SubsetSumDetection(None, moment)
     b = min(n, _SUBSET_ORACLE_LOW_BITS)
     low = _subset_sums(inst.values[:b])
     need = _subset_sums(inst.values[b:])
@@ -304,5 +306,5 @@ def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP)
         hit = np.equal(low, part, out=flags[: len(part)])
         k = int(np.argmax(hit))
         if hit.flat[k]:
-            return SubsetSumDetection(True, (r << b) + k, moment)
-    return SubsetSumDetection(False, None, moment)
+            return SubsetSumDetection((r << b) + k, moment)
+    return SubsetSumDetection(None, moment)

@@ -465,6 +465,20 @@ class TestPackedBuildMemory:
         assert not answer.solvable
         assert peak < 1 << 20
 
+    def test_first_absent_allocates_only_the_words_it_reads(self):
+        # {a1, a2}, {a1, a3}, {a4, a5}: the first hole is moment 9, in the
+        # first word, so the scan holds one word and not the 2**16 of a
+        # block; an odd cycle of pairs at n = 22 has no hole, and the scan
+        # holds the 2**15 words of the lower half (256 KiB), not 2**16
+        ms = blocked_moments_full(SplitInstance(24, (0b11, 0b101, 0b11000)))
+        first, peak = self.peak_bytes(ms.first_absent)
+        assert first == 9
+        assert peak < 16 << 10
+        ms = blocked_moments_full(SplitInstance(22, (0b011 << 19, 0b110 << 19, 0b101 << 19)))
+        first, peak = self.peak_bytes(ms.first_absent)
+        assert first is None
+        assert peak < 320 << 10
+
     def test_unsolvable_decision_at_28_scans_only_the_lower_half(self):
         # a split and its complement are both splits, so no hole below
         # moment 2**27 proves there is none: no block from word 2**21 on

@@ -324,18 +324,6 @@ def random_triples(rng, n, m):
     return tuple(sum(1 << p for p in rng.sample(range(n), 3)) for _ in range(m))
 
 
-def table_keys_below(family, end):
-    """The low tables units 0, ..., end - 1 may ask for, by plain Python."""
-    keys = set()
-    for r in range(end):
-        for f in family:
-            f_hi, f_lo = f >> UNIT, f & ((1 << UNIT) - 1)
-            h = r & f_hi
-            if not 0 < h < f_hi:
-                keys.add((f_lo, h == 0, h == f_hi))
-    return keys
-
-
 class TestOracleTablePath:
     @pytest.mark.parametrize("n", [16, 17, 18])
     @pytest.mark.parametrize("name", list(table_path_families(16)))
@@ -374,20 +362,13 @@ class TestOracleTablePath:
         ],
         ids=["pair ladder", "random triples"],
     )
-    def test_late_solution_decides_no_later_run(self, monkeypatch, family):
+    def test_late_solution_decides_no_later_run(self, family):
         inst = SplitInstance(24, family)
         expected = solve_optical(inst)
         first = expected.solution_moment
         assert first is not None and first >= 1 << 19
-        end = 2 << ((first >> UNIT).bit_length() - 1)  # the end of the run holding it
-        built = []
-
-        def counted(*key):
-            built.append(key)
-            return low_table(*key)
-
-        low_table = splitbeam.solver._low_table
-        monkeypatch.setattr(splitbeam.solver, "_low_table", counted)
+        start = 1 << ((first >> UNIT).bit_length() - 1)  # the run holding it
+        assert 2 * start < 1 << (inst.n - UNIT)  # and later runs follow
         tracemalloc.start()
         try:
             answer = solve_oracle(inst)
@@ -396,26 +377,23 @@ class TestOracleTablePath:
             tracemalloc.stop()
         assert answer == expected
         assert peak < 1 << 20
-        # every table built serves a unit of the answer's run or an earlier
-        # one, while the full scan builds some only later runs need
-        assert set(built) <= table_keys_below(family, end)
-        built.clear()
-        for _ in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP):
-            pass
-        assert set(built) - table_keys_below(family, end)
+        # the scan suspended at the answer is still in the run holding it
+        gen = splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)
+        assert next(gen) == first
+        assert gen.gi_frame.f_locals["start"] == start
 
     def test_table_memory_per_distinct_low_part(self, monkeypatch):
         # every set's high part is unit bit 1, so units 0 and 1 and units
-        # 2 and 3 each need a table per low part, and neither kind ever
-        # clears every flag: 2 tables of 512 B per low part
+        # 2 and 3 each AND one table of the pair, and neither ever clears
+        # every flag: one pair of 512 B tables per low part
         rng = random.Random(17)
         lows = rng.sample(range(1, 1 << UNIT), 2000)
         inst = SplitInstance(UNIT + 2, tuple((2 << UNIT) | f_lo for f_lo in lows))
         built = []
 
-        def counted(*key):
-            built.append(key)
-            return low_table(*key)
+        def counted(f_lo):
+            built.append(f_lo)
+            return low_table(f_lo)
 
         low_table = splitbeam.solver._low_table
         monkeypatch.setattr(splitbeam.solver, "_low_table", counted)
@@ -426,9 +404,22 @@ class TestOracleTablePath:
         finally:
             tracemalloc.stop()
         assert free > 0
-        assert len(built) == len(set(built)) == 2 * len(lows)
-        # at most 3 tables of 512 B, with their keys, per low part
+        assert sorted(built) == sorted(lows)
+        # two tables of 512 B, with their key, per low part
         assert peak < len(lows) * (2 << 10) + (1 << 20)
+
+    @pytest.mark.parametrize(
+        "f_lo",
+        [0, (1 << UNIT) - 1]
+        + [1 << b for b in range(UNIT)]
+        + random.Random(29).sample(range(1, (1 << UNIT) - 1), 8),
+    )
+    def test_low_table_pair_is_the_split_predicate(self, f_lo):
+        meets, misses = splitbeam.solver._low_table(f_lo)
+        for j in range(1 << UNIT):
+            assert (meets >> j & 1) == (j & f_lo != 0)
+            assert (misses >> j & 1) == (j & f_lo != f_lo)
+        assert meets >> (1 << UNIT) == misses >> (1 << UNIT) == 0
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -447,7 +438,7 @@ class TestOracleTablePath:
     def test_unsolvable_families_at_the_cap(self, family):
         # n = 28 is 2**16 units; each family empties every group of a run
         # within a few sets, so tables and groups stay far below their
-        # 6 MiB and 16 MiB bounds
+        # 4 MiB and 16 MiB bounds
         n = 28
         sets = {
             "a1": (1,),
@@ -809,7 +800,7 @@ def test_oracles_never_reach_the_optical_route(monkeypatch, demo4):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle reached the optical route")
 
-    for name in ("simulate", "build_set_splitting_device", "build_subset_sum_device", "blocked_moments_full", "_path_delays"):
+    for name in ("simulate", "build_set_splitting_device", "blocked_moments_full", "_path_delays"):
         monkeypatch.setattr(splitbeam.solver, name, refuse)
     with pytest.raises(AssertionError, match="optical route"):
         solve_optical(demo4)
