@@ -17,6 +17,13 @@ from typing import Iterable, Iterator
 
 MAX_UNIVERSE = 63
 
+# The bit of each element index in its canonical decimal form: an ``f``
+# line of such tokens costs one lookup per token (parse_split_instance)
+_INDEX_BITS = {str(i): 1 << (i - 1) for i in range(1, MAX_UNIVERSE + 1)}
+
+# A diagnostic echoes at most this many characters of an offending token
+_ECHO_CHARS = 32
+
 #: A subset of the universe encoded as a bitmask.
 SubsetMask = int
 
@@ -200,25 +207,55 @@ def _logical_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line.split()
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield line_no, fields
+
+
+def _shown(token: str) -> str:
+    """``token`` as a diagnostic echoes it: its repr, or for a long token
+    the repr of its first _ECHO_CHARS characters and its length."""
+    if len(token) <= _ECHO_CHARS:
+        return repr(token)
+    return f"{token[:_ECHO_CHARS]!r}... ({len(token)} characters)"
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"{what} is not an integer: {token!r}", line_no) from None
+        raise ParseError(f"{what} is not an integer: {_shown(token)}", line_no) from None
+
+
+def _index_mask(tokens: list[str], n: int, line_no: int) -> int:
+    # an f line's indices one token at a time: every literal int() reads,
+    # and the only place an f line's indices raise a ParseError
+    mask = 0
+    for token in tokens:
+        i = _parse_int(token, line_no, "element index")
+        if not 1 <= i <= n:
+            raise ParseError(f"index {i} out of range [1, {n}]", line_no)
+        bit = 1 << (i - 1)
+        if mask & bit:
+            raise ParseError(f"duplicate index {i} in family set", line_no)
+        mask |= bit
+    return mask
 
 
 def parse_split_instance(text: str | bytes) -> SplitInstance:
     """Parse the line-oriented set-splitting instance format.
 
     One ``n <int>`` line first, then zero or more ``f <i1> ... <ik>`` lines
-    with 1-based distinct element indices. ``#`` starts a comment, blank
-    lines are ignored. Every malformed construct raises :class:`ParseError`
-    with the offending line number.
+    with 1-based distinct element indices: an index is any integer literal
+    ``int()`` reads (``3``, ``+3``, ``03``), in [1, n], with no repeats.
+    ``#`` starts a comment, blank lines are ignored. Every malformed
+    construct raises :class:`ParseError` with the offending line number.
+
+    An ``f`` line whose indices are all written canonically (``1`` to
+    ``63``, no sign, no leading zero) is read with one table lookup per
+    index, and taken if its mask stays below 2**n and has one bit per
+    token. Any other line is read one token at a time, which reaches the
+    same mask or raises the diagnostic for its first offending token.
     """
     n: int | None = None
     family: list[int] = []
@@ -239,18 +276,18 @@ def parse_split_instance(text: str | bytes) -> SplitInstance:
                 raise ParseError("'f' line before the 'n' line", line_no)
             if len(fields) == 1:
                 raise ParseError("family set has no elements", line_no)
-            mask = 0
-            for token in fields[1:]:
-                i = _parse_int(token, line_no, "element index")
-                if not 1 <= i <= n:
-                    raise ParseError(f"index {i} out of range [1, {n}]", line_no)
-                bit = 1 << (i - 1)
-                if mask & bit:
-                    raise ParseError(f"duplicate index {i} in family set", line_no)
-                mask |= bit
+            tokens = fields[1:]
+            try:
+                mask = sum(map(_INDEX_BITS.__getitem__, tokens))
+            except KeyError:
+                mask = -1  # -1 >> n is -1: the line is read token by token
+            # distinct powers of two add without a carry, so a repeated
+            # index leaves fewer bits than tokens
+            if mask >> n or mask.bit_count() != len(tokens):
+                mask = _index_mask(tokens, n, line_no)
             family.append(mask)
         else:
-            raise ParseError(f"unknown directive {tag!r}", line_no)
+            raise ParseError(f"unknown directive {_shown(tag)}", line_no)
     if n is None:
         raise ParseError("missing 'n' line")
     return SplitInstance(n, tuple(family))
@@ -281,7 +318,7 @@ def parse_subset_sum_instance(text: str | bytes) -> SubsetSumInstance:
             if target < 1:
                 raise ParseError(f"target must be positive, got {target}", line_no)
         else:
-            raise ParseError(f"unknown directive {tag!r}", line_no)
+            raise ParseError(f"unknown directive {_shown(tag)}", line_no)
     if values is None:
         raise ParseError("missing 'values' line")
     if target is None:

@@ -36,7 +36,8 @@ read, at most 512 KiB. ``first_absent`` scans only the moments below
 one, and stops at the first block with a hole, so a decision whose
 first solution lies early reads and allocates only the first word or
 the first 64, and an odd cycle of pairs proves each block in a few
-class words.
+class words. It also stops at a block without a hole that is larger
+than every pattern's f_hi: every block of its size has its class words.
 """
 
 from __future__ import annotations
@@ -142,10 +143,13 @@ class MomentSet:
         a hole in the upper half has a mirror hole in the lower one. A
         one-sided set never holds moment 0, because every family set is
         nonempty. A block's smallest hole lies in its class word with a
-        clear bit whose class has the smallest word index.
+        clear bit whose class has the smallest word index. A block of a
+        size above every pattern's f_hi has the class words of every
+        other block of its size, so if it has no hole, none has.
         """
         full = _full_word(self.n)
-        for lo, _, words, places in self._blocks(_scan_blocks(self.n - 1)):
+        reach = max((f_hi for f_hi, _ in self._patterns), default=0)
+        for lo, size, words, places in self._blocks(_scan_blocks(self.n - 1)):
             bits = sum(places)
             ascending = _ascending(words, places, bits, 0)
             c = int(np.not_equal(ascending, full, order="C").argmax())
@@ -153,6 +157,8 @@ class MomentSet:
             if word != full:
                 # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
                 return 64 * (lo + _deposit(c, bits)) + (word ^ (word + 1)).bit_length() - 1
+            if reach < size:
+                return None
         return None
 
     def __repr__(self) -> str:

@@ -63,6 +63,19 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_parse_error_echoes_a_bounded_token(self, tmp_path, capsys):
+        # a 5000-digit index is past int()'s digit limit; the message
+        # names it by its first 32 characters and its length
+        path = tmp_path / "long.txt"
+        path.write_text("n 4\nf 1 " + "7" * 5000 + "\n")
+        for method in ("optical", "oracle"):
+            assert main(["solve", str(path), "--method", method]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: line 2: element index is not an integer: " f"{'7' * 32!r}... (5000 characters)\n"
+            )
+
     def test_unknown_flag_is_usage_error(self, demo_file):
         with pytest.raises(SystemExit) as excinfo:
             main(["solve", demo_file, "--bogus"])

@@ -32,7 +32,7 @@ INSTANCES = {
     # 2**23 - 1, the last block of the oracle's run before the last
     "n24-ladder": "n 24\n" + "".join(f"f {b} 24\n" for b in range(1, 24)),
     # {a1} at the cap both routes share: no split, so the optical route
-    # scans all 2**21 words of the lower half, one class word per block,
+    # reads word 0, whose class words every word of the lower half has,
     # and the oracle every run of table blocks
     "n28-a1": "n 28\nf 1\n",
     # an odd cycle of pairs at n = 7: the lower half is exactly one word

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitbeam import (
@@ -218,6 +218,124 @@ class TestDyadicIntensity:
 VALID_DEMO = "n 4\nf 1 2\nf 1 3\n"
 
 
+def reference_parse_split(text):
+    """The set-splitting parser read one token at a time with ``int()``:
+    the reference the library's table lookup must agree with."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+
+    def integer(token, line_no, what):
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"{what} is not an integer: {token!r}", line_no) from None
+
+    n = None
+    family = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "n":
+            if n is not None:
+                raise ParseError("duplicate 'n' line", line_no)
+            if len(fields) != 2:
+                raise ParseError("expected exactly 'n <int>'", line_no)
+            n = integer(fields[1], line_no, "universe size")
+            if not 1 <= n <= 63:
+                raise ParseError(f"universe size must be in [1, 63], got {n}", line_no)
+        elif tag == "f":
+            if n is None:
+                raise ParseError("'f' line before the 'n' line", line_no)
+            if len(fields) == 1:
+                raise ParseError("family set has no elements", line_no)
+            mask = 0
+            for token in fields[1:]:
+                i = integer(token, line_no, "element index")
+                if not 1 <= i <= n:
+                    raise ParseError(f"index {i} out of range [1, {n}]", line_no)
+                bit = 1 << (i - 1)
+                if mask & bit:
+                    raise ParseError(f"duplicate index {i} in family set", line_no)
+                mask |= bit
+            family.append(mask)
+        else:
+            raise ParseError(f"unknown directive {tag!r}", line_no)
+    if n is None:
+        raise ParseError("missing 'n' line")
+    return SplitInstance(n, tuple(family))
+
+
+def parse_outcome(parse, text):
+    """The instance ``parse`` reads from ``text``, or its error's text and line."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+
+
+# Arabic-Indic and fullwidth digits, which int() reads as 0-9
+UNICODE_DIGITS = ("\u0660", "\uff10")
+
+
+@st.composite
+def index_token(draw, n):
+    """One index token of an ``f`` line: canonical or in another form
+    int() reads, out of range, or not an integer."""
+    i = draw(st.integers(1, n))
+    return draw(
+        st.sampled_from(
+            [
+                str(i),
+                str(i),
+                str(draw(st.integers(1, 63))),
+                f"+{i}",
+                f"0{i}",
+                "".join(chr(ord(draw(st.sampled_from(UNICODE_DIGITS))) + int(d)) for d in str(i)),
+                "0",
+                str(n + 1),
+                "64",
+                "-1",
+                "1_0",
+                "x",
+                "1.0",
+            ]
+        )
+    )
+
+
+@st.composite
+def split_text(draw):
+    """Instance text that mixes canonical and other index tokens, bad
+    lines, comments, tabs, CRLF and blank lines, as str or bytes."""
+    n = draw(st.integers(1, 8) | st.integers(1, 63))
+    lines = []
+    if draw(st.booleans()):
+        lines.append("# header")
+    if draw(st.integers(0, 9)):
+        lines.append(f"n {draw(st.sampled_from([str(n), f'+{n}', f'0{n}']))}")
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# only a comment", "g 1", "n 3", "f"])))
+            continue
+        if kind < 5:
+            # canonical tokens only, which may still repeat or pass n
+            tokens = [str(i) for i in draw(st.lists(st.integers(1, min(n + 2, 63)), min_size=1, max_size=8))]
+        else:
+            tokens = draw(st.lists(index_token(n), min_size=1, max_size=8))
+        sep = draw(st.sampled_from([" ", "\t", " \t "]))
+        line = "f" + sep + sep.join(tokens)
+        if draw(st.booleans()):
+            line += draw(st.sampled_from([" # trailing", "#x", "\t# 1 2"]))
+        lines.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
 class TestParseSplitInstance:
     def test_worked_example(self):
         inst = parse_split_instance(VALID_DEMO)
@@ -242,6 +360,10 @@ class TestParseSplitInstance:
             ("n 2\nn 3\n", "duplicate 'n'"),
             ("n 2\nf\n", "no elements"),
             ("n 2\nf 1 1\n", "duplicate index"),
+            ("n 3\nf 3 1 3\n", "line 2: duplicate index 3 in family set"),
+            ("n 62\nf 63\n", r"index 63 out of range \[1, 62\]"),
+            ("n 63\nf 64\n", r"index 64 out of range \[1, 63\]"),
+            ("n 4\nf 1 +2 x\n", "element index is not an integer: 'x'"),
             ("n 0\n", r"\[1, 63\]"),
             ("n 64\n", r"\[1, 63\]"),
             ("n two\n", "not an integer"),
@@ -253,6 +375,34 @@ class TestParseSplitInstance:
     def test_diagnostics(self, text, pattern):
         with pytest.raises(ParseError, match=pattern):
             parse_split_instance(text)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("n 3\nf +1 03\n", SplitInstance(3, (0b101,))),
+            ("n 63\nf 63\n", SplitInstance(63, (1 << 62,))),
+            ("n 63\nf 1 63\n", SplitInstance(63, (1 << 62 | 1,))),
+            ("n 12\nf 1_0 \u0663\n", SplitInstance(12, (1 << 9 | 1 << 2,))),
+        ],
+    )
+    def test_accepted(self, text, expected):
+        assert parse_split_instance(text) == expected
+
+    def test_long_token_echo_is_capped(self):
+        token = "9" * 5000
+        with pytest.raises(ParseError) as excinfo:
+            parse_split_instance(f"n 4\nf 1 {token}\n")
+        assert str(excinfo.value) == (
+            f"line 2: element index is not an integer: {token[:32]!r}... (5000 characters)"
+        )
+        with pytest.raises(ParseError, match=r"unknown directive 'ggg.*'\.\.\. \(4000 characters\)$"):
+            parse_split_instance("n 4\n" + "g" * 4000 + "\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=split_text())
+    def test_matches_the_token_by_token_reference(self, text):
+        # the same instance, or the same error text and line
+        assert parse_outcome(parse_split_instance, text) == parse_outcome(reference_parse_split, text)
 
     def test_serialize_roundtrip_fixed(self):
         inst = parse_split_instance(VALID_DEMO)

@@ -18,6 +18,7 @@ from splitbeam import (
     complement,
     decode_moment,
     solve_optical,
+    solve_oracle,
     splits_family,
 )
 from splitbeam import moments
@@ -482,8 +483,9 @@ class TestPackedBuildMemory:
     def test_unsolvable_decision_at_28_scans_only_the_lower_half(self):
         # a split and its complement are both splits, so no hole below
         # moment 2**27 proves there is none: no block from word 2**21 on
-        # is taken
-        inst = SplitInstance(28, (0b1,))
+        # is taken. The odd cycle on a20, a24 and a28 fixes word-index
+        # bits 13, 17 and 21, so the blocks differ and each is scanned
+        inst = SplitInstance(28, (1 << 19 | 1 << 23, 1 << 23 | 1 << 27, 1 << 19 | 1 << 27))
         with mock.patch.object(moments, "_classes", wraps=moments._classes) as classes:
             answer = solve_optical(inst)
         assert not answer.solvable
@@ -666,23 +668,47 @@ class TestClassScan:
             return read(), sizes
 
     @pytest.mark.parametrize(
-        "family",
+        "family, spans",
         [
-            (0b1,),
-            (1 << 7,),
+            ((0b1,), 1),
+            ((1 << 7,), 2),
             # an odd cycle on a13, a18 and a22, word-index bits 6, 11 and 15
-            (1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21),
+            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 3),
+            # an odd cycle on a20, a24 and a28, word-index bits 13, 17 and 21
+            ((1 << 19 | 1 << 23, 1 << 23 | 1 << 27, 1 << 19 | 1 << 27), 34),
         ],
-        ids=["a1", "a8", "high cycle"],
+        ids=["a1", "a8", "high cycle", "top cycle"],
     )
-    def test_unsolvable_families_at_28_take_at_most_8_class_words(self, family):
-        # the first word, the prefix and the 32 blocks below moment 2**27
-        # are all scanned
+    def test_unsolvable_families_at_28_take_at_most_8_class_words(self, family, spans):
+        # the scan takes the first word, the prefix and the 32 blocks below
+        # moment 2**27 up to the first span larger than every pattern's
+        # f_hi: those after it have its class words
         inst = SplitInstance(28, family)
         answer, sizes = self.class_words_per_block(lambda: solve_optical(inst))
         assert not answer.solvable
-        assert len(sizes) == 34
+        assert len(sizes) == spans
         assert max(sizes) <= 8
+
+    @pytest.mark.parametrize("n", [24, 28])
+    @pytest.mark.parametrize(
+        "family, spans",
+        [
+            # every pattern fixes no word-index bit: word 0 decides
+            ((0b1,), 1),
+            ((0b011, 0b110, 0b101), 1),
+            ((0b11, 0b11 << 4), 1),
+            # an odd cycle on a7, a8 and a9, word-index bits 0-2: the prefix decides
+            ((0b011 << 6, 0b110 << 6, 0b101 << 6), 2),
+            # an odd cycle on word-index bits 6, 11 and 15: the first block decides
+            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 3),
+        ],
+        ids=["a1", "low cycle", "solvable", "a7-a9 cycle", "high cycle"],
+    )
+    def test_scan_stops_at_the_first_span_above_every_pattern(self, n, family, spans):
+        inst = SplitInstance(n, family)
+        first, sizes = self.class_words_per_block(blocked_moments_full(inst).first_absent)
+        assert first == solve_oracle(inst).solution_moment
+        assert len(sizes) == spans
 
     def test_a_block_stops_once_every_class_word_is_full(self):
         # the odd cycle on a8, a10 and a15 fills its 8 classes; the two
