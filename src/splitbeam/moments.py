@@ -42,6 +42,7 @@ than every pattern's f_hi: every block of its size has its class words.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -81,21 +82,20 @@ _PREFIX_WORDS = 1 << 6
 _BLOCK_WORDS = 1 << 16
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class MomentSet:
-    """An immutable set of integer moments in [0, 2**n): ``n`` and its
-    word patterns (see ``_packed_union``), each keyed (f_hi, want) and
-    ORed into the words w with w & f_hi == want.
+    """A frozen set of integer moments in [0, 2**n): ``n`` and its word
+    patterns (see ``_packed_union``), each keyed (f_hi, want) and ORed
+    into the words w with w & f_hi == want. Assigning a field raises
+    ``FrozenInstanceError``; equality and hashing are by identity.
 
     Bit j of word w stands for moment 64*w + j; for n < 6 the single
     word keeps every bit past 2**n clear. Every read takes one aligned
     block of words at a time as the classes of its words (``_blocks``).
     """
 
-    __slots__ = ("n", "_patterns")
-
-    def __init__(self, n: int, *, _patterns: dict[tuple[int, int], int]):
-        self.n = n
-        self._patterns = _patterns
+    n: int
+    _patterns: dict[tuple[int, int], int] = field(kw_only=True)
 
     def _blocks(
         self, spans: Iterable[tuple[int, int]]

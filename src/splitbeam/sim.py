@@ -58,37 +58,31 @@ class ArrivalEvent:
     witness: SubsetMask
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ArrivalTimeline:
     """Coalesced arrival events of one simulation, sorted by core delay.
 
-    An immutable value backed by three parallel arrays (distinct core
-    delays, path multiplicities, smallest originating mask per delay),
-    any of which may be implicit. No counts means one path per event,
-    whose mask is the event's position: ``simulate`` keeps that form
-    whenever each take delay exceeds the sum of those before it. No cores
-    as well means the moments are exactly 0..2**n-1, the form a timeline
-    of take delays 1, 2, ..., 2**(n-1) built analytically has. A read
-    builds only what it returns and keeps nothing: ``cores`` and
-    ``counts`` return the held array, which ``simulate`` makes
-    read-only, or a new one for an implicit array, ``witness_for`` looks
-    one moment up, and ``iter_events`` streams the events one at a time.
+    A frozen dataclass, so assigning a field raises
+    ``FrozenInstanceError``; equality and hashing are by identity, as a
+    generated ``__eq__`` would compare arrays. It is backed by three
+    parallel arrays (distinct core delays, path multiplicities, smallest
+    originating mask per delay), any of which may be implicit. No counts
+    means one path per event, whose mask is the event's position:
+    ``simulate`` keeps that form whenever each take delay exceeds the
+    sum of those before it. No cores as well means the moments are
+    exactly 0..2**n-1, the form a timeline of take delays 1, 2, ...,
+    2**(n-1) built analytically has. A read builds only what it returns
+    and keeps nothing: ``cores`` and ``counts`` return the held array,
+    which ``simulate`` makes read-only, or a new one for an implicit
+    array, ``witness_for`` looks one moment up, and ``iter_events``
+    streams the events one at a time.
     """
 
-    __slots__ = ("n", "kind", "_cores", "_counts", "_witnesses")
-
-    def __init__(
-        self,
-        n: int,
-        kind: DeviceKind,
-        cores: np.ndarray | None,
-        counts: np.ndarray | None,
-        witnesses: np.ndarray | None,
-    ):
-        self.n = n
-        self.kind = kind
-        self._cores = cores
-        self._counts = counts
-        self._witnesses = witnesses
+    n: int
+    kind: DeviceKind
+    _cores: np.ndarray | None
+    _counts: np.ndarray | None
+    _witnesses: np.ndarray | None
 
     @property
     def is_analytic(self) -> bool:

@@ -187,7 +187,7 @@ class TestExactMoment:
             ExactMoment(-1, 0)
 
 
-class TestDyadicIntensity:
+class TestFractionIntensity:
     """Every event carries the exact ``Fraction`` paths / 2**n, in lowest terms."""
 
     def test_normalization(self):

@@ -1,5 +1,6 @@
 """Moment decoding, superset moments, blocked sets, the packed moment set."""
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -281,6 +282,40 @@ class TestMomentSet:
         ms = supersets_of(0b11110, 5)
         assert list(ms) == [30, 31]
         assert words_of(ms).tolist() == [3 << 30]
+
+    @staticmethod
+    def literal_and_full():
+        # a literal set with a hole at 0, and a full set that covers all
+        inst = SplitInstance(10, (0b11, 0b110 << 4))
+        return blocked_moments_literal(inst), blocked_moments_full(SplitInstance(10, (0b1,)))
+
+    def test_assigning_any_field_is_refused(self):
+        for ms in self.literal_and_full():
+            before = (len(ms), ms.first_absent(), repr(ms))
+            names = ("n", "_patterns")
+            for name in names:
+                held = getattr(ms, name)
+                for value in (3, {}):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(ms, name, value)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(ms, name)
+                assert getattr(ms, name) is held
+            # a name that is not a field is refused too; slotted frozen
+            # dataclasses raise TypeError for it on some Python versions
+            with pytest.raises((AttributeError, TypeError)):
+                ms.extra = 1
+            assert tuple(f.name for f in dataclasses.fields(ms)) == names
+            assert (len(ms), ms.first_absent(), repr(ms)) == before
+        literal, full = self.literal_and_full()
+        assert (literal.first_absent(), full.first_absent()) == (0, None)
+
+    def test_equality_and_hash_are_by_identity(self):
+        for ms, again in zip(self.literal_and_full(), self.literal_and_full()):
+            assert ms == ms and ms != again
+            assert list(ms) == list(again)
+            assert hash(ms) == object.__hash__(ms)
+            assert len({ms, again, ms}) == 2
 
 
 def model_subsets(mask):

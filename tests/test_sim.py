@@ -1,5 +1,6 @@
 """Simulation: arrival timelines, coalescing, detection, trace synthesis."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -349,6 +350,42 @@ class TestImplicitTimeline:
         assert ordered.witness_for(3) == 3
         ordered.counts[3] = 99
         assert int(ordered.counts[3]) == 1
+
+
+class TestFrozenTimeline:
+    @staticmethod
+    def timelines():
+        # analytic, ordered (one path per event) and coalesced
+        return (
+            simulate(build_set_splitting_device(DEFAULT_ANALYTIC_THRESHOLD + 1)),
+            simulate(build_set_splitting_device(4)),
+            simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15))),
+        )
+
+    def test_assigning_any_field_is_refused(self):
+        for timeline in self.timelines():
+            before = (timeline.event_count, timeline.witness_for(15), repr(timeline))
+            names = ("n", "kind", "_cores", "_counts", "_witnesses")
+            for name in names:
+                held = getattr(timeline, name)
+                for value in (3, None):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(timeline, name, value)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(timeline, name)
+                assert getattr(timeline, name) is held
+            # a name that is not a field is refused too; slotted frozen
+            # dataclasses raise TypeError for it on some Python versions
+            with pytest.raises((AttributeError, TypeError)):
+                timeline.extra = 1
+            assert tuple(f.name for f in dataclasses.fields(timeline)) == names
+            assert (timeline.event_count, timeline.witness_for(15), repr(timeline)) == before
+
+    def test_equality_and_hash_are_by_identity(self):
+        for timeline, again in zip(self.timelines(), self.timelines()):
+            assert timeline == timeline and timeline != again
+            assert hash(timeline) == object.__hash__(timeline)
+            assert len({timeline, again, timeline}) == 2
 
 
 class TestSimulationCap:

@@ -334,7 +334,7 @@ class TestOracleTablePath:
         answer = solve_oracle(inst)
         assert answer.solution_moment == (expected[0] if expected else None)
 
-    def test_free_masks_keep_the_mask_type_and_aligned_blocks(self):
+    def test_free_masks_of_the_empty_family_are_every_mask_as_an_int(self):
         # the empty family leaves every mask free: just below one unit,
         # exactly one, and two units, each mask once, in order, as an int
         for n in (UNIT - 1, UNIT, UNIT + 1):
