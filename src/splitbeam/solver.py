@@ -14,10 +14,10 @@ one group of flags for all its units that agree on the high bits the
 sets tested so far vary: at most c groups of 512 B for the run [c, 2c),
 so 16 MiB at n = 28. Equality of the two routes on small instances is
 the correctness argument. Subset sum gets the same pair. Its oracle
-compares every mask's sum with the target, ascending, as a 2**13-entry
+compares every mask's sum with the target, ascending, as a 2**15-entry
 table of low sums against the target minus each sum of the remaining
-values, 2**16 masks at a time, so a full scan holds about 0.14 MiB at
-n = 24.
+values, one row of 2**15 masks at a time, so a full scan holds about
+0.3 MiB up to n = 24 and 0.6 MiB at n = 28.
 
 A subset-sum decision watches a single moment at the destination, so
 ``solve_subset_sum`` does not simulate the whole device. It cuts the
@@ -55,10 +55,9 @@ DEFAULT_ORACLE_CAP = 28
 # flags (512 B) per unit: 2**10 slowed families of hundreds of sets at
 # n = 28, and 2**15 slowed the early answers of the benchmark workloads
 _ORACLE_UNIT_BITS = 12
-# the subset-sum oracle's low table holds the sums of 2**13 masks (64 KiB),
-# and each comparison covers 2**16 masks (a 64 KiB flag buffer)
-_SUBSET_ORACLE_LOW_BITS = 13
-_SUBSET_ORACLE_CHUNK = 1 << 16
+# the subset-sum oracle compares rows of 2**15 masks (256 KiB of low sums):
+# 2**14 slowed full scans at n = 28, 2**16 doubled the memory at no gain
+_SUBSET_ORACLE_LOW_BITS = 15
 
 
 class Decision(Enum):
@@ -150,16 +149,18 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[int]:
     Unit 0 is decided alone, then the aligned runs [c, 2c), c = 1, 2, 4,
     ... Unit ``r = c + t`` of a run has ``h = (f_hi & c) + (t & f_hi)``,
     so it meets the sets only through t & high, where high is the OR of
-    the varying bits ``f_hi & (c - 1)`` of the sets tested so far. The sets
-    are tested smallest first, and the run keeps one group of flags per
-    value of t & high, starting from a single group; a set bringing a new
-    bit to high splits each group in two, a group whose flags are all
+    the varying bits ``f_hi & (c - 1)`` of the sets tested so far. The
+    sets are tested smallest first, and the run keeps one group of flags
+    per value of t & high, starting from a single group; a set bringing a
+    new bit to high splits each group in two, a group whose flags are all
     clear is dropped, and the run stops testing sets once no group is
-    left. An odd cycle of pairs thus clears a whole run with a few ANDs. A
-    run holds at most c groups of 512 B, 16 MiB at n = 28. Each unit of
-    the run then yields its group's free masks, ascending. Runs double, so
-    a solution stops the scan inside the run that holds it. Only
-    ``inst.n`` and the raw family masks are read."""
+    left. An odd cycle of pairs thus clears a whole run with a few ANDs.
+    If every set tested has f_hi below the run's length, none fixes a bit
+    of a later run's start, so each later run empties the same way and the
+    scan ends. A run holds at most c groups of 512 B, 16 MiB at n = 28.
+    Each unit of the run then yields its group's free masks, ascending.
+    Runs double, so a solution stops the scan inside the run that holds
+    it. Only ``inst.n`` and the raw family masks are read."""
     n = inst.n
     _check_enumerable(n, cap, "oracle")
     u = _ORACLE_UNIT_BITS
@@ -170,7 +171,7 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[int]:
     start, size = 0, 1
     while start < units:
         # the run of units start + t, t < size: one group of flags per t & high
-        high = 0
+        high = reach = 0
         groups = {0: (1 << (1 << min(n, u))) - 1}
         for f_hi, f_lo in parts:
             varying = f_hi & (size - 1)
@@ -194,8 +195,11 @@ def _free_masks(inst: SplitInstance, cap: int) -> Iterator[int]:
                     groups[g] = flags
                 else:
                     del groups[g]
+            reach |= f_hi
             if not groups:
                 break
+        if not groups and reach < size:
+            return  # every later run empties the same way
         for t in range(size if groups else 0):
             flags = groups.get(t & high, 0)
             while flags:
@@ -216,9 +220,10 @@ def solve_oracle(inst: SplitInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> Split
     length, one group of flags per set of units the sets tested so far
     cannot tell apart (see ``_free_masks``): a group whose flags are all
     clear is dropped, and a run with no group left skips its remaining
-    sets. A run holds at most c groups of 512 B, 16 MiB at the default
-    cap n = 28, and the tables at most 4 MiB. It reads only the raw
-    family masks and touches no devices, timelines, or moment sets.
+    sets, or ends the scan when no later run can differ. A run holds at
+    most c groups of 512 B, 16 MiB at the default cap n = 28, and the
+    tables at most 4 MiB. It reads only the raw family masks and touches
+    no devices, timelines, or moment sets.
     """
     m = next(_free_masks(inst, cap), None)
     if m is None:
@@ -278,17 +283,16 @@ def _subset_sums(values: tuple[int, ...]) -> np.ndarray:
 def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP) -> SubsetSumDetection:
     """Direct comparison of every subset sum with the target, no device involved.
 
-    Mask ``(h << b) | l`` splits into its low b = min(n, 13) bits l and
-    its high bits h. Two small tables are doubled value by value: ``low``,
-    the 2**b sums of the first b values (64 KiB), and ``need``, the target
-    minus each sum of the remaining values. The mask sums to the target
-    exactly when ``low[l] == need[h]``. Rows of ``need`` are compared
-    with all of ``low`` in ascending mask order, 2**16 masks at a time
-    into one reused flag buffer, so every mask is compared once while the
-    working set stays cache-sized, and the first hit is the smallest
-    witness mask. The int64 sums and differences are exact because
-    ``SubsetSumInstance`` refuses values whose sum reaches 2**63, and a
-    target past that sum is answered before anything is allocated.
+    Mask ``(h << b) | l`` splits into its low b = min(n, 15) bits l and
+    its high bits h, and the sums of the first b values (``low``,
+    256 KiB) and of the rest (``high``) are doubled value by value. The
+    mask sums to the target exactly when ``low[l] == target - high[h]``,
+    so the rows h, in order, compare all of ``low`` with one Python int
+    into a reused 32 KiB flag buffer: every mask is compared once, in
+    ascending order, in a cache-sized working set, and the first hit is
+    the smallest witness mask. The int64 sums and differences are exact
+    because ``SubsetSumInstance`` refuses values whose sum reaches 2**63,
+    and a target past that sum is answered before anything is allocated.
     """
     n = inst.n
     _check_enumerable(n, cap, "oracle")
@@ -297,14 +301,9 @@ def subset_sum_oracle(inst: SubsetSumInstance, *, cap: int = DEFAULT_ORACLE_CAP)
         return SubsetSumDetection(None, moment)
     b = min(n, _SUBSET_ORACLE_LOW_BITS)
     low = _subset_sums(inst.values[:b])
-    need = _subset_sums(inst.values[b:])
-    np.subtract(inst.target, need, out=need)
-    rows = min(len(need), _SUBSET_ORACLE_CHUNK >> b)
-    flags = np.empty((rows, 1 << b), dtype=bool)
-    for r in range(0, len(need), rows):
-        part = need[r : r + rows, None]
-        hit = np.equal(low, part, out=flags[: len(part)])
-        k = int(np.argmax(hit))
-        if hit.flat[k]:
-            return SubsetSumDetection((r << b) + k, moment)
+    flags = np.empty(1 << b, dtype=bool)
+    for h, high in enumerate(_subset_sums(inst.values[b:]).tolist()):
+        k = int(np.equal(low, inst.target - high, out=flags).argmax())
+        if flags[k]:
+            return SubsetSumDetection((h << b) + k, moment)
     return SubsetSumDetection(None, moment)

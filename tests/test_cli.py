@@ -87,9 +87,23 @@ class TestMomentsCommand:
         assert main(["moments", demo_file]) == 0
         assert capsys.readouterr().out == "full: 0,2,3,4,5,7,8,10,11,12,13,15\n"
 
+    def test_full_flag_gives_the_default(self, demo_file, capsys):
+        assert main(["moments", demo_file]) == 0
+        default = capsys.readouterr().out
+        assert main(["moments", demo_file, "--full"]) == 0
+        assert capsys.readouterr().out == default == "full: 0,2,3,4,5,7,8,10,11,12,13,15\n"
+
     def test_literal(self, demo_file, capsys):
         assert main(["moments", demo_file, "--literal"]) == 0
         assert capsys.readouterr().out == "literal: 3,5,7,11,13,15\n"
+
+    def test_full_and_literal_together_are_refused(self, demo_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["moments", demo_file, "--full", "--literal"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument --full" in captured.err
 
     def test_empty(self, tmp_path, capsys):
         path = tmp_path / "free.txt"

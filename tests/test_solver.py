@@ -1,6 +1,7 @@
 """Decision procedures: optical pipeline vs brute-force oracles."""
 
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -456,6 +457,32 @@ class TestOracleTablePath:
         assert answer.decision is Decision.UNSOLVABLE
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("family", [(1,), (0b011, 0b110, 0b101)], ids=["a1", "odd cycle 1-3"])
+    def test_scan_ends_once_no_later_run_can_differ(self, family):
+        # sets inside unit 0's low bits meet every later unit as they meet
+        # unit 0, so emptying unit 0 ends the scan: one run of the 2**16
+        # units at n = 28, not one per doubling
+        code = splitbeam.solver._free_masks.__code__
+        starts = set()
+
+        def in_scan(frame, event, arg):
+            if event == "line":
+                starts.add(frame.f_locals.get("start"))
+            return in_scan
+
+        def on_call(frame, event, arg):
+            return in_scan if frame.f_code is code else None
+
+        inst = SplitInstance(28, family)
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            masks = free_masks(inst)
+        finally:
+            sys.settrace(previous)
+        assert masks == []
+        assert starts - {None} == {0}
+
 
 class TestOracleEquivalence:
     def test_exhaustive_single_set_families(self):
@@ -614,13 +641,13 @@ class TestSubsetSumSolvers:
         return peak
 
     def test_oracle_full_scan_memory(self):
-        # the 2**13 low sums (64 KiB), the 2**9 needed ones (4 KiB) and one
-        # flag per mask of a 2**16-mask comparison (64 KiB)
+        # the 2**15 low sums (256 KiB), the 2**7 high ones and one flag per
+        # mask of a 2**15-mask row (32 KiB)
         assert self.full_scan_peak(22) < 1 << 20
 
     def test_oracle_full_scan_memory_at_the_cap(self):
-        # at n = 24 only the needed sums grow, to 2**11 (16 KiB)
-        assert self.full_scan_peak(24) < 1 << 20
+        # at n = 28, the cap, only the high sums grow, to 2**13 Python ints
+        assert self.full_scan_peak(28) < 1 << 20
 
     @pytest.mark.parametrize("values, target", [
         ((5, 3, 7), 7),  # witness exactly 1 << 2, the first mask of its step
@@ -714,13 +741,13 @@ class TestSubsetSumSolvers:
 
 
 class TestSubsetSumOracleBlocks:
-    """The oracle splits a mask at bit 13 into a low-table column and a
-    needed-sum row, and compares 2**16 masks at a time; these instances
-    put witnesses on both sides of each split."""
+    """The oracle splits a mask at bit 15 into a low-table column and a
+    row of the high sums, and compares one row of 2**15 masks at a time;
+    these instances put witnesses on both sides of the split."""
 
     def test_random_instances_match_the_one_array_scan(self):
         rng = random.Random(25)
-        for n in range(13, 19):
+        for n in range(15, 20):
             for width in (8, 20, 40):
                 values = tuple(rng.randint(1, 1 << width) for _ in range(n))
                 for _ in range(3):
@@ -733,12 +760,12 @@ class TestSubsetSumOracleBlocks:
                     assert detection.found == (expected is not None)
                     assert detection.witness == expected
 
-    @pytest.mark.parametrize("n", [17, 18])
-    @pytest.mark.parametrize("mask", [(1 << 13) - 1, 1 << 13, (1 << 16) - 1, 1 << 16, -1])
+    @pytest.mark.parametrize("n", [16, 17, 19])
+    @pytest.mark.parametrize("mask", [(1 << 15) - 1, 1 << 15, (1 << 15) | 1, -1])
     def test_planted_witness_at_a_split(self, n, mask):
-        # the last mask of the low table, the first of its second row, the
-        # last mask of the first comparison, the first of the second, and
-        # the last mask of all; wide random values leave one witness
+        # the last mask of the first row, the first and second masks of the
+        # second row, and the last mask of all; wide random values leave
+        # one witness
         mask &= (1 << n) - 1
         rng = random.Random(n)
         values = tuple(rng.randint(1, 1 << 40) for _ in range(n))
@@ -748,29 +775,31 @@ class TestSubsetSumOracleBlocks:
         assert detection.witness == one_array_scan(values, inst.target) == mask
 
     def test_many_hits_give_the_smallest(self):
-        # values in 1..3 reach every target in many ways, so one comparison
-        # holds several hits, in several rows, and the first must win
+        # values in 1..3 reach every target in many ways, so one row holds
+        # several hits, several rows hold hits, and the first must win
         rng = random.Random(3)
-        for n in (13, 14, 16, 17, 18):
+        for n in (15, 16, 17):
             values = tuple(rng.randint(1, 3) for _ in range(n))
-            for target in (1, 2, 3, values[0] + values[13 % n], sum(values) // 2, sum(values) - 1, sum(values)):
+            for target in (1, 2, 3, values[0] + values[15 % n], sum(values) // 2, sum(values) - 1, sum(values)):
                 detection = subset_sum_oracle(SubsetSumInstance(values, target))
                 assert detection.found
                 assert detection.witness == one_array_scan(values, target)
                 assert masked_sum(values, detection.witness) == target
 
-    @pytest.mark.parametrize("n", [14, 17])
+    @pytest.mark.parametrize("n", [17, 19])
     def test_sums_at_the_int64_edge(self, n):
-        # the large values sit in the low table and in the needed sums, and
-        # all values sum to 2**63 - 1, so both tables reach the int64 edge
+        # the large values sit below and above bit 15, in the low table and
+        # in the high sums, and all values sum to 2**63 - 1, so both the
+        # sums and the target minus a high sum reach the int64 edge
         rng = random.Random(n)
         small = [rng.randint(1, 1000) for _ in range(n - 3)]
-        values = [1 << 62] + small[:12] + [1 << 61] + small[12:]
+        values = [1 << 62] + small[:14] + [1 << 61] + small[14:]
         values.append((1 << 63) - 1 - sum(values))
         values = tuple(values)
         assert len(values) == n and sum(values) == (1 << 63) - 1
+        assert values[15] == 1 << 61
         full = (1 << n) - 1
-        masks = (full, full ^ 1, full ^ (1 << 13), 1, 1 << 13, 1 << (n - 1), (1 << (n - 1)) | 1, (1 << 13) | 1)
+        masks = (full, full ^ 1, full ^ (1 << 15), 1, 1 << 15, 1 << (n - 1), (1 << (n - 1)) | 1, (1 << 15) | 1)
         for target in [masked_sum(values, m) for m in masks] + [(1 << 63) - 2, 1 << 63]:
             detection = subset_sum_oracle(SubsetSumInstance(values, target))
             expected = one_array_scan(values, target)
