@@ -223,9 +223,10 @@ def detect_subset_sum(timeline: ArrivalTimeline, target: int) -> SubsetSumDetect
     return SubsetSumDetection(witness, moment)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Trace:
-    """A sampled oscilloscope-style trace: times in seconds, summed intensities."""
+    """A sampled oscilloscope-style trace: times in seconds, summed
+    intensities. Equality and hashing are by identity, as for timelines."""
 
     times: np.ndarray
     values: np.ndarray

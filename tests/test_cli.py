@@ -479,6 +479,20 @@ def instance_bytes(draw):
     return text.encode("utf-8") + draw(st.sampled_from([b"", b"", b"\n", b"\xff", b"\xc3", b"\x00"]))
 
 
+@st.composite
+def mid_split_text(draw):
+    """A set-splitting text over 13 to 28 elements: up to five random sets
+    of one to four elements, and in half the texts a planted odd cycle."""
+    n = draw(st.integers(13, 28))
+    elements = st.integers(1, n)
+    family = draw(st.lists(st.sets(elements, min_size=1, max_size=4), max_size=5))
+    if draw(st.booleans()):
+        a, b, c = draw(st.lists(elements, min_size=3, max_size=3, unique=True))
+        family += [{a, b}, {b, c}, {a, c}]
+    family = draw(st.permutations(family))
+    return "\n".join([f"n {n}"] + ["f " + " ".join(map(str, sorted(f))) for f in family]) + "\n"
+
+
 # Values for the float options: ints, zero, negatives, the ends of the
 # float range and the non-finite values. --n takes ints only: anything else
 # is an argparse usage error.
@@ -557,6 +571,26 @@ class TestExitCodeContract:
         assert simulate in (0, 2) and simulate_subset_sum in (0, 2)
         # no text is both a set-splitting and a subset-sum instance
         assert optical == 2 or simulate_subset_sum == 2
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(mid_split_text())
+    def test_fuzzed_solve_between_the_caps(self, tmp_path, capsys, text):
+        # the universes the full fuzz skips, as its simulate step would
+        # print 2**n lines: only the two solve routes run, and they agree
+        path = tmp_path / "mid.txt"
+        path.write_text(text)
+        results = []
+        for method in ("optical", "oracle"):
+            code = main(["solve", str(path), "--method", method])
+            captured = capsys.readouterr()
+            assert code in (0, 1)
+            assert captured.err == ""
+            results.append((code, captured.out))
+        assert results[0] == results[1]
 
     @settings(
         max_examples=150,

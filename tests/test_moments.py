@@ -494,9 +494,10 @@ class TestPackedBuildMemory:
         assert peak < 1 << 20
 
     def test_unsolvable_decision_at_28_scans_in_one_buffer(self):
-        # {a1} blocks every moment: the 32 blocks of 2**16 words below
-        # moment 2**27 are scanned
-        inst = SplitInstance(28, (0b1,))
+        # the odd cycle on a20, a24 and a28 fixes word-index bit 21, so
+        # all 32 blocks of 2**16 words below moment 2**27 are scanned
+        # (34 spans with the first word and the prefix), reusing one buffer
+        inst = SplitInstance(28, (1 << 19 | 1 << 23, 1 << 23 | 1 << 27, 1 << 19 | 1 << 27))
         answer, peak = self.peak_bytes(lambda: solve_optical(inst))
         assert not answer.solvable
         assert peak < 1 << 20

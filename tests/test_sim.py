@@ -22,6 +22,7 @@ from splitbeam import (
     ExactMoment,
     SplitInstance,
     SubsetSumInstance,
+    Trace,
     build_set_splitting_device,
     build_subset_sum_device,
     detect_subset_sum,
@@ -441,6 +442,31 @@ def trace_oracle(timeline, times, unit_delay, epsilon, rise_time):
         inside = (times >= t) & (times < t + rise_time)
         expected[inside] += float(event.intensity)
     return expected
+
+
+class TestFrozenTrace:
+    @staticmethod
+    def trace():
+        return synthesize_trace(
+            simulate(build_set_splitting_device(2)), unit_delay=2.0**-30, epsilon=2.0**-45, rise_time=RISE
+        )
+
+    def test_equality_and_hash_are_by_identity(self):
+        # a generated __eq__ would compare the arrays and raise
+        trace, again = self.trace(), self.trace()
+        same = Trace(trace.times, trace.values)
+        assert trace == trace and trace != again and trace != same
+        assert hash(trace) == object.__hash__(trace)
+        assert len({trace, again, same, trace}) == 3
+
+    def test_assigning_a_field_is_refused(self):
+        trace = self.trace()
+        times = trace.times
+        for name in ("times", "values"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, name, times)
+        assert trace.times is times
+        assert tuple(f.name for f in dataclasses.fields(trace)) == ("times", "values")
 
 
 class TestSynthesizeTrace:
