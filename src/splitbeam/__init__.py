@@ -27,7 +27,6 @@ from .core import (
 )
 from .device import (
     DelayDevice,
-    DeviceKind,
     build_set_splitting_device,
     build_subset_sum_device,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "DEFAULT_SIM_CAP",
     "Decision",
     "DelayDevice",
-    "DeviceKind",
     "EnumerationLimitError",
     "ExactMoment",
     "FeasibilityReport",

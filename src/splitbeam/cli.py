@@ -77,15 +77,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    sources = [
-        args.instance is not None,
-        args.set_splitting_n is not None,
-        args.subset_sum_file is not None,
-    ]
-    if sum(sources) != 1:
-        raise ValueError(
-            "give exactly one of: an instance file, --set-splitting-n, --subset-sum-file"
-        )
     subset_sum_target = None
     if args.instance is not None:
         inst = parse_split_instance(_read(args.instance))
@@ -198,9 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("simulate", help="enumerate all arrival events of a device")
-    p.add_argument("instance", nargs="?", help="set-splitting instance file")
-    p.add_argument("--set-splitting-n", type=int, metavar="N")
-    p.add_argument("--subset-sum-file", metavar="F")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("instance", nargs="?", help="set-splitting instance file")
+    group.add_argument("--set-splitting-n", type=int, metavar="N")
+    group.add_argument("--subset-sum-file", metavar="F")
     p.add_argument("--dump-device", action="store_true")
     p.set_defaults(handler=_cmd_simulate)
 

@@ -14,14 +14,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 from .core import MAX_UNIVERSE, SubsetSumInstance, _check_int64_sum, _check_universe
-
-
-class DeviceKind(Enum):
-    SUBSET_SUM = "subset-sum"
-    SET_SPLITTING = "set-splitting"
 
 
 @dataclass(frozen=True)
@@ -32,9 +26,7 @@ class DelayDevice:
     device.
     """
 
-    kind: DeviceKind
     take_delays: tuple[int, ...]
-    target: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "take_delays", tuple(map(operator.index, self.take_delays)))
@@ -50,9 +42,7 @@ class DelayDevice:
 
     def dump(self) -> str:
         """Human-readable arc table."""
-        lines = [f"device kind={self.kind.value} n={self.n}"]
-        if self.target is not None:
-            lines.append(f"target={self.target}")
+        lines = [f"device n={self.n}"]
         for i, delay in enumerate(self.take_delays, start=1):
             lines.append(f"layer {i}: take={delay} skip=0")
         return "\n".join(lines)
@@ -66,9 +56,9 @@ def build_set_splitting_device(n: int) -> DelayDevice:
     the mask of the layers it took.
     """
     _check_universe(n)
-    return DelayDevice(DeviceKind.SET_SPLITTING, tuple(1 << i for i in range(n)))
+    return DelayDevice(tuple(1 << i for i in range(n)))
 
 
 def build_subset_sum_device(inst: SubsetSumInstance) -> DelayDevice:
     """Device whose layer i take delay is the i-th input value."""
-    return DelayDevice(DeviceKind.SUBSET_SUM, inst.values, target=inst.target)
+    return DelayDevice(inst.values)

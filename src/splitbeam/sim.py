@@ -17,8 +17,7 @@ Take delays 1, 2, ..., 2**(n-1), the set-splitting device's, force a
 fully predictable timeline (every moment in [0, 2**n) arrives exactly
 once), so from ``DEFAULT_ANALYTIC_THRESHOLD`` layers on such a timeline
 is generated analytically; below it the paths are genuinely enumerated
-so tests exercise the model rather than the formula. The choice reads
-the delays, not the device's kind.
+so tests exercise the model rather than the formula.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .core import (
     _check_enumerable,
     format_mask,
 )
-from .device import DelayDevice, DeviceKind
+from .device import DelayDevice
 
 DEFAULT_SIM_CAP = 28
 # enumeration peaks at up to 65 bytes per path: about 1 GiB at 24 layers
@@ -79,7 +78,6 @@ class ArrivalTimeline:
     """
 
     n: int
-    kind: DeviceKind
     _cores: np.ndarray | None
     _counts: np.ndarray | None
     _witnesses: np.ndarray | None
@@ -137,10 +135,7 @@ class ArrivalTimeline:
             )
 
     def __repr__(self) -> str:
-        return (
-            f"ArrivalTimeline(kind={self.kind.value}, n={self.n}, "
-            f"events={self.event_count})"
-        )
+        return f"ArrivalTimeline(n={self.n}, events={self.event_count})"
 
 
 def _path_delays(delays: tuple[int, ...]) -> np.ndarray:
@@ -168,28 +163,28 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
     path arrives alone and the buffer is the timeline, with unit counts
     and witness = position left implicit. Otherwise one sort coalesces
     them. From ``DEFAULT_ANALYTIC_THRESHOLD`` layers on, take delays 1,
-    2, ..., 2**(n-1) give the analytic timeline, whatever the device's
-    kind, and nothing is enumerated. The arrays the timeline holds are
-    read-only. A device of more than ``DEFAULT_SIM_CAP`` layers is
-    refused with ``EnumerationLimitError`` before anything is allocated.
+    2, ..., 2**(n-1) give the analytic timeline, and nothing is
+    enumerated. The arrays the timeline holds are read-only. A device
+    of more than ``DEFAULT_SIM_CAP`` layers is refused with
+    ``EnumerationLimitError`` before anything is allocated.
     """
     n = device.n
     _check_enumerable(n, DEFAULT_SIM_CAP, "simulation")
 
     delays = device.take_delays
     if n >= DEFAULT_ANALYTIC_THRESHOLD and delays == tuple(1 << i for i in range(n)):
-        return ArrivalTimeline(n, device.kind, None, None, None)
+        return ArrivalTimeline(n, None, None, None)
     sums = _path_delays(delays)
     if all(map(operator.gt, delays, itertools.accumulate(delays, initial=0))):
         # distinct and in mask order: each event is one path, its mask the position
         sums.flags.writeable = False
-        return ArrivalTimeline(n, device.kind, sums, None, None)
+        return ArrivalTimeline(n, sums, None, None)
     cores, first, counts = np.unique(sums, return_index=True, return_counts=True)
     # first occurrence in mask order is the smallest witness mask
     first = first.astype(np.int64)
     for array in (cores, counts, first):
         array.flags.writeable = False
-    return ArrivalTimeline(n, device.kind, cores, counts, first)
+    return ArrivalTimeline(n, cores, counts, first)
 
 
 @dataclass(frozen=True)
@@ -212,12 +207,13 @@ class SubsetSumDetection:
 def detect_subset_sum(timeline: ArrivalTimeline, target: int) -> SubsetSumDetection:
     """Decide whether any beam arrives at core delay ``target``.
 
-    The physical detection moment is target + n*epsilon because every
+    Any timeline can be watched. A set-splitting timeline is the
+    subset-sum timeline of the values 1, 2, ..., 2**(n-1), so watching
+    it at ``target`` finds the subset whose bits are ``target``. The
+    physical detection moment is target + n*epsilon because every
     complete path crosses n arcs; the epsilon offset is constant and never
     affects which subset is found.
     """
-    if timeline.kind is not DeviceKind.SUBSET_SUM:
-        raise ValueError("timeline was not produced by a subset-sum device")
     moment = ExactMoment(target, timeline.n)
     witness = timeline.witness_for(target)
     return SubsetSumDetection(witness, moment)

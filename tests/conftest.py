@@ -18,7 +18,6 @@ def timeline_fields():
     def fields(timeline):
         return (
             timeline.n,
-            timeline.kind,
             timeline.event_count,
             timeline.cores.tolist(),
             timeline.counts.tolist(),

@@ -171,7 +171,7 @@ class TestSimulateCommand:
     def test_instance_file_and_dump(self, demo_file, capsys):
         assert main(["simulate", demo_file, "--dump-device"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "device kind=set-splitting n=4"
+        assert out[0] == "device n=4"
         assert out[1] == "layer 1: take=1 skip=0"
         assert out[4] == "layer 4: take=8 skip=0"
         assert out[5] == "events=16 total_paths=16"
@@ -198,8 +198,12 @@ class TestSimulateCommand:
         assert captured.err.startswith("error: ") and message in captured.err
 
     def test_requires_exactly_one_source(self, demo_file, capsys):
-        assert main(["simulate"]) == 2
-        assert main(["simulate", demo_file, "--set-splitting-n", "3"]) == 2
+        # argparse refuses no source and two sources before anything runs
+        for argv in (["simulate"], ["simulate", demo_file, "--set-splitting-n", "3"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().out == ""
 
 
 class TestTraceCommand:

@@ -138,8 +138,7 @@ def test_simulate_subset_sum(workdir):
     dump = splitbeam("simulate", "--subset-sum-file", "ss.txt", "--dump-device", cwd=workdir)
     assert dump.returncode == 0
     assert dump.stdout == (
-        b"device kind=subset-sum n=3\n"
-        b"target=15\n"
+        b"device n=3\n"
         b"layer 1: take=5 skip=0\n"
         b"layer 2: take=5 skip=0\n"
         b"layer 3: take=10 skip=0\n" + SUBSET_SUM_TIMELINE
@@ -161,6 +160,14 @@ def test_simulate_set_splitting(workdir):
         b"moment=6+3eps paths=1 intensity=1/8 witness={2,3}\n"
         b"moment=7+3eps paths=1 intensity=1/8 witness={1,2,3}\n"
     )
+
+
+def test_simulate_without_a_source_is_refused(workdir):
+    # argparse refuses it: exit 2, its usage message, nothing on stdout
+    result = splitbeam("simulate", cwd=workdir)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"one of the arguments" in result.stderr
 
 
 def test_simulate_past_the_enumeration_cap_is_refused(workdir):

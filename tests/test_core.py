@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from splitbeam import (
     DelayDevice,
-    DeviceKind,
     ExactMoment,
     ParseError,
     Partition,
@@ -199,10 +198,10 @@ class TestFractionIntensity:
 
     def test_source_pulse_is_one(self):
         # zero delays coalesce every path back into the whole source pulse
-        (whole,) = simulate(DelayDevice(DeviceKind.SUBSET_SUM, (0, 0, 0))).iter_events()
+        (whole,) = simulate(DelayDevice((0, 0, 0))).iter_events()
         assert whole.intensity == 1 and whole.paths == 8
         assert str(whole.intensity) == "1"
-        events = list(simulate(DelayDevice(DeviceKind.SUBSET_SUM, (1, 1, 1))).iter_events())
+        events = list(simulate(DelayDevice((1, 1, 1))).iter_events())
         assert [str(e.intensity) for e in events] == ["1/8", "3/8", "3/8", "1/8"]
 
     def test_halving_sums_back_to_one(self):

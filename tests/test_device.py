@@ -5,7 +5,6 @@ import pytest
 
 from splitbeam import (
     DelayDevice,
-    DeviceKind,
     SubsetSumInstance,
     build_set_splitting_device,
     build_subset_sum_device,
@@ -16,9 +15,7 @@ from splitbeam import (
 class TestSetSplittingDevice:
     def test_power_of_two_delays(self):
         device = build_set_splitting_device(4)
-        assert device.kind is DeviceKind.SET_SPLITTING
         assert device.take_delays == (1, 2, 4, 8)
-        assert device.target is None
 
     def test_single_layer(self):
         assert build_set_splitting_device(1).take_delays == (1,)
@@ -51,9 +48,7 @@ class TestSetSplittingDevice:
 class TestSubsetSumDevice:
     def test_direct_mapping(self):
         device = build_subset_sum_device(SubsetSumInstance((1, 2), 3))
-        assert device.kind is DeviceKind.SUBSET_SUM
         assert device.take_delays == (1, 2)
-        assert device.target == 3
 
     def test_duplicate_values_permitted(self):
         inst = SubsetSumInstance((5, 5, 10), 15)
@@ -86,19 +81,18 @@ class TestSubsetSumDevice:
 class TestDelayDevice:
     def test_rejects_negative_take_delay(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            DelayDevice(DeviceKind.SUBSET_SUM, (1, -1))
+            DelayDevice((1, -1))
 
     def test_rejects_bad_layer_count(self):
         with pytest.raises(ValueError, match="layers"):
-            DelayDevice(DeviceKind.SUBSET_SUM, ())
+            DelayDevice(())
         with pytest.raises(ValueError, match="layers"):
-            DelayDevice(DeviceKind.SUBSET_SUM, (0,) * 64)
+            DelayDevice((0,) * 64)
 
     def test_dump_prints_zero_skip_arcs(self):
         device = build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15))
         assert device.dump() == (
-            "device kind=subset-sum n=3\n"
-            "target=15\n"
+            "device n=3\n"
             "layer 1: take=5 skip=0\n"
             "layer 2: take=5 skip=0\n"
             "layer 3: take=10 skip=0"
@@ -106,11 +100,11 @@ class TestDelayDevice:
 
     def test_rejects_non_integer_take_delay(self):
         with pytest.raises(TypeError):
-            DelayDevice(DeviceKind.SUBSET_SUM, (1.5, 2))
+            DelayDevice((1.5, 2))
 
     def test_numpy_integer_take_delays_become_ints(self, timeline_fields):
-        device = DelayDevice(DeviceKind.SUBSET_SUM, (np.int64(5), np.uint8(5), np.int32(10)))
-        plain = DelayDevice(DeviceKind.SUBSET_SUM, (5, 5, 10))
+        device = DelayDevice((np.int64(5), np.uint8(5), np.int32(10)))
+        plain = DelayDevice((5, 5, 10))
         assert device == plain and all(type(d) is int for d in device.take_delays)
         assert device.dump() == plain.dump()
         assert timeline_fields(simulate(device)) == timeline_fields(simulate(plain))
@@ -118,12 +112,12 @@ class TestDelayDevice:
     def test_rejects_take_delays_summing_past_int64(self):
         # the full path would arrive at 2**63, which int64 wraps to -2**63
         with pytest.raises(ValueError, match="64-bit"):
-            DelayDevice(DeviceKind.SUBSET_SUM, (1 << 62, 1 << 62))
+            DelayDevice((1 << 62, 1 << 62))
 
     def test_rejects_take_delay_past_int64(self):
         with pytest.raises(ValueError, match="64-bit"):
-            DelayDevice(DeviceKind.SUBSET_SUM, (1 << 63,))
+            DelayDevice((1 << 63,))
 
     def test_largest_int64_sum_accepted(self):
-        device = DelayDevice(DeviceKind.SUBSET_SUM, (1 << 62, (1 << 62) - 1))
+        device = DelayDevice((1 << 62, (1 << 62) - 1))
         assert int(simulate(device).cores[-1]) == (1 << 63) - 1

@@ -17,7 +17,6 @@ from splitbeam import (
     ArrivalEvent,
     ArrivalTimeline,
     DelayDevice,
-    DeviceKind,
     EnumerationLimitError,
     ExactMoment,
     SplitInstance,
@@ -28,6 +27,7 @@ from splitbeam import (
     detect_subset_sum,
     simulate,
     solve_optical,
+    solve_subset_sum,
     synthesize_trace,
 )
 from splitbeam.sim import DEFAULT_ANALYTIC_THRESHOLD
@@ -45,7 +45,7 @@ def brute_subset_sums(values):
 
 def analytic_splitting(n):
     """The analytic timeline of an n-layer set-splitting device, at any n."""
-    return ArrivalTimeline(n, DeviceKind.SET_SPLITTING, None, None, None)
+    return ArrivalTimeline(n, None, None, None)
 
 
 class TestSimulateSetSplitting:
@@ -86,21 +86,19 @@ class TestSimulateSetSplitting:
         assert not simulate(build_set_splitting_device(10)).is_analytic
         assert simulate(build_set_splitting_device(17)).is_analytic
 
-    def test_analytic_form_follows_the_delays_not_the_kind(self, timeline_fields):
-        # 17 layers of delay 5 arrive at 0, 5, ..., 85 whatever the device is called
+    def test_analytic_form_follows_the_delays(self):
+        # 17 layers of delay 5 are enumerated: they arrive at 0, 5, ..., 85
         n = DEFAULT_ANALYTIC_THRESHOLD
-        labelled = simulate(DelayDevice(DeviceKind.SET_SPLITTING, (5,) * n))
-        twin = simulate(DelayDevice(DeviceKind.SUBSET_SUM, (5,) * n))
-        assert not labelled.is_analytic
-        assert labelled.event_count == 18
-        assert labelled.cores.tolist() == list(range(0, 90, 5))
-        assert labelled.counts.tolist() == [math.comb(n, k) for k in range(n + 1)]
-        assert labelled.witness_for(3) is None
-        assert timeline_fields(labelled)[2:] == timeline_fields(twin)[2:]
-        # delays 1, 2, ..., 2**(n-1) are analytic whatever the device is called
-        powers = DelayDevice(DeviceKind.SUBSET_SUM, tuple(1 << i for i in range(n)))
+        fives = simulate(DelayDevice((5,) * n))
+        assert not fives.is_analytic
+        assert fives.event_count == 18
+        assert fives.cores.tolist() == list(range(0, 90, 5))
+        assert fives.counts.tolist() == [math.comb(n, k) for k in range(n + 1)]
+        assert fives.witness_for(3) is None
+        # subset-sum values 1, 2, ..., 2**(n-1) are the set-splitting delays
+        powers = build_subset_sum_device(SubsetSumInstance(tuple(1 << i for i in range(n)), 12345))
         timeline = simulate(powers)
-        assert timeline.is_analytic and timeline.kind is DeviceKind.SUBSET_SUM
+        assert timeline.is_analytic
         assert detect_subset_sum(timeline, 12345).witness == 12345
         assert simulate(build_set_splitting_device(22)).is_analytic
 
@@ -171,7 +169,7 @@ def enumerated_devices(draw):
         delays = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=n, max_size=n))
     else:
         delays = draw(st.lists(st.integers(1, 1 << 40), min_size=n, max_size=n))
-    return DelayDevice(DeviceKind.SUBSET_SUM, delays)
+    return DelayDevice(delays)
 
 
 class TestSimulateDifferential:
@@ -213,13 +211,13 @@ class TestSimulateDifferential:
 
     @settings(max_examples=150, deadline=None)
     @given(enumerated_devices())
-    @example(DelayDevice(DeviceKind.SUBSET_SUM, [0]))
-    @example(DelayDevice(DeviceKind.SUBSET_SUM, [7]))
-    @example(DelayDevice(DeviceKind.SUBSET_SUM, [0, 1, 2, 4]))
-    @example(DelayDevice(DeviceKind.SUBSET_SUM, [1, 2, 4, 0]))
-    @example(DelayDevice(DeviceKind.SUBSET_SUM, [3, 3, 3]))
-    @example(DelayDevice(DeviceKind.SUBSET_SUM, [1, 1, 5]))
-    @example(DelayDevice(DeviceKind.SUBSET_SUM, [2, 1, 5]))
+    @example(DelayDevice([0]))
+    @example(DelayDevice([7]))
+    @example(DelayDevice([0, 1, 2, 4]))
+    @example(DelayDevice([1, 2, 4, 0]))
+    @example(DelayDevice([3, 3, 3]))
+    @example(DelayDevice([1, 1, 5]))
+    @example(DelayDevice([2, 1, 5]))
     def test_matches_brute_force(self, device):
         self.check_against_brute_force(device)
 
@@ -244,7 +242,7 @@ class TestIntensityContract:
     @settings(max_examples=150, deadline=None)
     @given(timelines())
     @example(simulate(build_set_splitting_device(4)))
-    @example(simulate(DelayDevice(DeviceKind.SUBSET_SUM, (5, 5, 10))))
+    @example(simulate(DelayDevice((5, 5, 10))))
     @example(analytic_splitting(4))
     def test_intensities_are_exact_dyadic_fractions_summing_to_one(self, timeline):
         n = timeline.n
@@ -318,7 +316,7 @@ class TestImplicitTimeline:
         assert peak < 64 << 10
         # the total follows the held path counts: 3/2 + 1/2
         coalesced = ArrivalTimeline(
-            1, DeviceKind.SUBSET_SUM, *(np.array(a, dtype=np.int64) for a in ([0, 3], [3, 1], [0, 1]))
+            1, *(np.array(a, dtype=np.int64) for a in ([0, 3], [3, 1], [0, 1]))
         )
         assert total_intensity(coalesced) == 2 == sum(e.intensity for e in coalesced.iter_events())
 
@@ -331,10 +329,10 @@ class TestImplicitTimeline:
 
     def test_repr_counts_events_without_building_them(self):
         coalesced = simulate(build_subset_sum_device(SubsetSumInstance((5, 5, 10), 15)))
-        assert repr(coalesced) == "ArrivalTimeline(kind=subset-sum, n=3, events=5)"
+        assert repr(coalesced) == "ArrivalTimeline(n=3, events=5)"
         analytic = analytic_splitting(28)
         text, peak = self.peak_bytes(lambda: repr(analytic))
-        assert text == "ArrivalTimeline(kind=set-splitting, n=28, events=268435456)"
+        assert text == "ArrivalTimeline(n=28, events=268435456)"
         assert peak < 64 << 10
 
     def test_held_arrays_are_read_only(self):
@@ -366,7 +364,7 @@ class TestFrozenTimeline:
     def test_assigning_any_field_is_refused(self):
         for timeline in self.timelines():
             before = (timeline.event_count, timeline.witness_for(15), repr(timeline))
-            names = ("n", "kind", "_cores", "_counts", "_witnesses")
+            names = ("n", "_cores", "_counts", "_witnesses")
             for name in names:
                 held = getattr(timeline, name)
                 for value in (3, None):
@@ -422,10 +420,21 @@ class TestDetectSubsetSum:
         assert detection.witness is None
         assert "no fluctuation" in detection.describe()
 
-    def test_rejects_wrong_device_kind(self):
-        timeline = simulate(build_set_splitting_device(2))
-        with pytest.raises(ValueError, match="subset-sum"):
-            detect_subset_sum(timeline, 1)
+    @pytest.mark.parametrize("n", [4, DEFAULT_ANALYTIC_THRESHOLD])
+    def test_watches_a_set_splitting_timeline(self, n):
+        # the set-splitting timeline is the subset-sum timeline of the
+        # values 1, 2, ..., 2**(n-1): moment t is the subset whose bits are t
+        timeline = simulate(build_set_splitting_device(n))
+        assert timeline.is_analytic == (n >= DEFAULT_ANALYTIC_THRESHOLD)
+        values = tuple(1 << i for i in range(n))
+        top = (1 << n) - 1
+        for t in sorted({1, 2, 5, top >> 1, top - 1, top, *random.Random(n).sample(range(1, top), 8)}):
+            detection = detect_subset_sum(timeline, t)
+            assert detection.witness == t
+            assert detection == solve_subset_sum(SubsetSumInstance(values, t))
+        past = detect_subset_sum(timeline, 1 << n)
+        assert not past.found
+        assert past == solve_subset_sum(SubsetSumInstance(values, 1 << n))
 
 
 # Powers of two keep every arrival, grid point, and pulse edge exactly
@@ -474,7 +483,6 @@ class TestSynthesizeTrace:
         # one coalesced arrival carrying the whole unit intensity
         timeline = ArrivalTimeline(
             1,
-            DeviceKind.SUBSET_SUM,
             np.array([0], dtype=np.int64),
             np.array([2], dtype=np.int64),
             np.array([0], dtype=np.int64),
