@@ -31,13 +31,15 @@ word is full. Every read goes through it: ``len`` counts the class
 words, iteration and ``repr`` copy the block's words out of them a slice
 at a time, and ``first_absent`` reads the smallest hole from the
 classes, all in one reused buffer that grows to the largest block
-read, at most 512 KiB. ``first_absent`` scans only the moments below
-2**(n-1), where every set made here has its smallest hole if it has
-one, and stops at the first block with a hole, so a decision whose
-first solution lies early reads and allocates only the first word or
-the first 64, and an odd cycle of pairs proves each block in a few
-class words. It also stops at a block without a hole that is larger
-than every pattern's f_hi: every block of its size has its class words.
+read, at most 512 KiB. ``first_absent`` first reads word 0 without the
+kernel, as the OR of the patterns keyed want == 0, one Python int. Past
+it, it scans only the moments below 2**(n-1), where every set made here
+has its smallest hole if it has one, and stops at the first block with a
+hole, so a decision whose first solution lies early allocates nothing
+for word 0 or only the first 64 words, and an odd cycle of pairs proves
+each block in a few class words. It also stops at a block without a
+hole that is larger than every pattern's f_hi: every block of its size
+has its class words.
 """
 
 from __future__ import annotations
@@ -71,13 +73,14 @@ _SCAN_BYTES = 1 << 14
 _DECODE_BYTES = 1 << 9
 
 # Every read takes aligned blocks of _BLOCK_WORDS words, whose classes
-# hold at most 512 KiB. first_absent looks at the first word and then at
-# the first _PREFIX_WORDS words before them, where the first solution of
-# most solvable instances lies: a word has one class, so each pattern is
-# one OR, and a prefix has at most 64 classes. Each block applies the
-# patterns that reach it once, so smaller blocks make a full scan repeat
-# that work more often: with 2**12-word blocks the scan of an unsolvable
-# n = 22 decision took about 5x as long, and {a1} at n = 28 about 20x.
+# hold at most 512 KiB. first_absent reads word 0 as the OR of the
+# patterns keyed want == 0, without the kernel, and then the first
+# _PREFIX_WORDS words before the blocks, where the first solution of most
+# solvable instances lies: a prefix has at most 64 classes. Each block
+# applies the patterns that reach it once, so smaller blocks make a full
+# scan repeat that work more often: with 2**12-word blocks the scan of
+# an unsolvable n = 22 decision took about 5x as long, and {a1} at
+# n = 28 about 20x.
 _PREFIX_WORDS = 1 << 6
 _BLOCK_WORDS = 1 << 16
 
@@ -135,9 +138,12 @@ class MomentSet:
         """Smallest moment of [0, 2**n) not in the set, or None if it
         covers all.
 
-        The scan (``_scan_blocks``) reads only the words of the lower
-        half, the moments below 2**(n-1) (for n <= 6 the one word), and
-        stops at the first hole. That finds the smallest hole of the whole
+        Word 0 comes first, without the class kernel: index 0 misses
+        every f_hi, so it is the OR of the patterns keyed want == 0. If
+        it is full and every f_hi is 0, every word is word 0 and the set
+        covers all. Otherwise the scan (``_scan_blocks``) reads only the
+        words of the lower half, the moments below 2**(n-1), and stops
+        at the first hole. That finds the smallest hole of the whole
         range for both kinds of set that ``_packed_union`` makes. A
         two-sided set holds k iff it holds its reflection 2**n - 1 - k, so
         a hole in the upper half has a mirror hole in the lower one. A
@@ -148,14 +154,22 @@ class MomentSet:
         other block of its size, so if it has no hole, none has.
         """
         full = _full_word(self.n)
+        word = 0
+        for (_, want), pattern in self._patterns.items():
+            if not want:
+                word |= pattern
+        if word != full:
+            # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
+            return (word ^ (word + 1)).bit_length() - 1
         reach = max((f_hi for f_hi, _ in self._patterns), default=0)
+        if not reach:
+            return None
         for lo, size, words, places in self._blocks(_scan_blocks(self.n - 1)):
             bits = sum(places)
             ascending = _ascending(words, places, bits, 0)
             c = int(np.not_equal(ascending, full, order="C").argmax())
             word = ascending.item(c)
             if word != full:
-                # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
                 return 64 * (lo + _deposit(c, bits)) + (word ^ (word + 1)).bit_length() - 1
             if reach < size:
                 return None
@@ -188,13 +202,12 @@ def _spans(n: int) -> Iterator[tuple[int, int]]:
 
 
 def _scan_blocks(n: int) -> Iterator[tuple[int, int]]:
-    # the first word and the first _PREFIX_WORDS words of a universe of n
-    # elements, then the blocks that tile its words (the first repeats the
-    # prefix, 64 words of 2**16); first_absent passes n - 1: the lower
-    # half of its words
-    for size in (1, _PREFIX_WORDS):
-        if _word_count(n) > size:
-            yield 0, size
+    # the first _PREFIX_WORDS words of a universe of n elements, then the
+    # blocks that tile its words (the first repeats the prefix, 64 words
+    # of 2**16); first_absent passes n - 1, the lower half of its words,
+    # once it has read word 0 without the kernel and found it full
+    if _word_count(n) > _PREFIX_WORDS:
+        yield 0, _PREFIX_WORDS
     yield from _spans(n)
 
 
@@ -234,6 +247,11 @@ def _spread(bits: int, free: SubsetMask) -> int:
     return bits
 
 
+# the in-word moments that miss f_lo, for each set `free` of in-word
+# elements outside f_lo: one lookup per family set
+_MISSING = tuple(_spread(1, free) for free in range(64))
+
+
 def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> MomentSet:
     """The moments k with k & f == f for some f in ``family``, and with
     two_sided also those with k & f == 0, as a packed set of word patterns.
@@ -257,7 +275,7 @@ def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> M
     patterns: dict[tuple[int, int], int] = {}
     for f in sorted(family, key=lambda f: (f >> 6).bit_count()):
         f_lo, f_hi = f & 63, f >> 6
-        missing = _spread(1, ~f & low)
+        missing = _MISSING[~f & low]
         # f_lo shares no bit with the free elements, so shifting by it
         # ORs it into every in-word moment that misses f_lo
         patterns[f_hi, f_hi] = patterns.get((f_hi, f_hi), 0) | missing << f_lo

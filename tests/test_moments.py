@@ -496,16 +496,16 @@ class TestPackedBuildMemory:
     def test_unsolvable_decision_at_28_scans_in_one_buffer(self):
         # the odd cycle on a20, a24 and a28 fixes word-index bit 21, so
         # all 32 blocks of 2**16 words below moment 2**27 are scanned
-        # (34 spans with the first word and the prefix), reusing one buffer
+        # (33 spans with the prefix), reusing one buffer
         inst = SplitInstance(28, (1 << 19 | 1 << 23, 1 << 23 | 1 << 27, 1 << 19 | 1 << 27))
         answer, peak = self.peak_bytes(lambda: solve_optical(inst))
         assert not answer.solvable
         assert peak < 1 << 20
 
     def test_first_absent_allocates_only_the_words_it_reads(self):
-        # {a1, a2}, {a1, a3}, {a4, a5}: the first hole is moment 9, in the
-        # first word, so the scan holds one word and not the 2**16 of a
-        # block; an odd cycle of pairs at n = 22 has no hole, and the scan
+        # {a1, a2}, {a1, a3}, {a4, a5}: the first hole is moment 9, in
+        # word 0, which is read without the kernel, so the scan holds no
+        # word and not the 2**16 of a block; an odd cycle of pairs at n = 22 has no hole, and the scan
         # holds the 2**15 words of the lower half (256 KiB), not 2**16
         ms = blocked_moments_full(SplitInstance(24, (0b11, 0b101, 0b11000)))
         first, peak = self.peak_bytes(ms.first_absent)
@@ -706,37 +706,39 @@ class TestClassScan:
     @pytest.mark.parametrize(
         "family, spans",
         [
-            ((0b1,), 1),
-            ((1 << 7,), 2),
+            # every pattern fixes no word-index bit: a full word 0 decides
+            ((0b1,), 0),
+            ((1 << 7,), 1),
             # an odd cycle on a13, a18 and a22, word-index bits 6, 11 and 15
-            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 3),
+            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 2),
             # an odd cycle on a20, a24 and a28, word-index bits 13, 17 and 21
-            ((1 << 19 | 1 << 23, 1 << 23 | 1 << 27, 1 << 19 | 1 << 27), 34),
+            ((1 << 19 | 1 << 23, 1 << 23 | 1 << 27, 1 << 19 | 1 << 27), 33),
         ],
         ids=["a1", "a8", "high cycle", "top cycle"],
     )
     def test_unsolvable_families_at_28_take_at_most_8_class_words(self, family, spans):
-        # the scan takes the first word, the prefix and the 32 blocks below
-        # moment 2**27 up to the first span larger than every pattern's
-        # f_hi: those after it have its class words
+        # word 0 is read without the kernel; past it the scan takes the
+        # prefix and the 32 blocks below moment 2**27 up to the first span
+        # larger than every pattern's f_hi: those after it have its class words
         inst = SplitInstance(28, family)
         answer, sizes = self.class_words_per_block(lambda: solve_optical(inst))
         assert not answer.solvable
         assert len(sizes) == spans
-        assert max(sizes) <= 8
+        assert max(sizes, default=0) <= 8
 
     @pytest.mark.parametrize("n", [24, 28])
     @pytest.mark.parametrize(
         "family, spans",
         [
-            # every pattern fixes no word-index bit: word 0 decides
-            ((0b1,), 1),
-            ((0b011, 0b110, 0b101), 1),
-            ((0b11, 0b11 << 4), 1),
+            # every pattern fixes no word-index bit: word 0, read without
+            # the kernel, decides
+            ((0b1,), 0),
+            ((0b011, 0b110, 0b101), 0),
+            ((0b11, 0b11 << 4), 0),
             # an odd cycle on a7, a8 and a9, word-index bits 0-2: the prefix decides
-            ((0b011 << 6, 0b110 << 6, 0b101 << 6), 2),
+            ((0b011 << 6, 0b110 << 6, 0b101 << 6), 1),
             # an odd cycle on word-index bits 6, 11 and 15: the first block decides
-            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 3),
+            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 2),
         ],
         ids=["a1", "low cycle", "solvable", "a7-a9 cycle", "high cycle"],
     )
@@ -756,3 +758,81 @@ class TestClassScan:
         answer, sizes = self.class_words_per_block(lambda: solve_optical(inst))
         assert not answer.solvable
         assert max(sizes) == 8
+
+
+def boundary_pairs(n, top, below):
+    """{a_j, a_top} for every j in ``below``."""
+    return SplitInstance(n, tuple(1 << (j - 1) | 1 << (top - 1) for j in below))
+
+
+class TestWordZero:
+    """first_absent reads word 0, moments 0-63, as the OR of the patterns
+    keyed want == 0, without the class kernel; the scan starts only when
+    word 0 is full and some pattern fixes a word-index bit."""
+
+    @staticmethod
+    def smallest_hole(members, n):
+        blocked = set(members)
+        return next((k for k in range(1 << n) if k not in blocked), None)
+
+    @classmethod
+    def check(cls, inst):
+        """first_absent of the literal and the full set against brute
+        force, the full one also against the oracle; the number of
+        _classes calls the full set's first_absent made."""
+        with mock.patch.object(moments, "_classes", wraps=moments._classes) as classes:
+            first = blocked_moments_full(inst).first_absent()
+        assert first == cls.smallest_hole(brute_full(inst), inst.n)
+        assert first == solve_oracle(inst).solution_moment
+        literal = blocked_moments_literal(inst).first_absent()
+        assert literal == cls.smallest_hole(brute_literal(inst), inst.n)
+        return first, classes.call_count
+
+    def test_hole_at_63_is_the_last_moment_of_word_0(self):
+        # {a1, a7}, ..., {a6, a7}: the holes are 63 and 64, and 63 is the
+        # last moment of word 0, which alone is the lower half at n = 7
+        first, calls = self.check(boundary_pairs(7, 7, range(1, 7)))
+        assert first == 63
+        assert calls == 0
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_hole_at_64_is_the_first_moment_of_word_1(self, n):
+        # {a7, a8} blocks every moment holding both or neither: word 0 is
+        # full, and the kernel finds moment 64 in the scan after it
+        first, calls = self.check(boundary_pairs(n, 8, [7]))
+        assert first == 64
+        assert calls >= 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_word_0_is_the_whole_set_below_n_7(self, n):
+        # every pattern is keyed (0, 0): word 0 answers, hole or none
+        rng = random.Random(n)
+        families = [(), (0b1,), ((1 << n) - 1,), tuple(range(1, 1 << n))]
+        families += [tuple(rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))) for _ in range(20)]
+        if n > 1:
+            families.append(top_pairs(n).family)
+        for family in families:
+            _, calls = self.check(SplitInstance(n, family))
+            assert calls == 0
+
+    @pytest.mark.parametrize(
+        "family",
+        [(1 << 6,), (1 << 6 | 1, 0b10), (1 << 9 | 1 << 6, 1 << 7 | 0b11, 0b100)],
+        ids=["a7", "a1a7 a2", "a7a10 a1a2a8 a3"],
+    )
+    def test_a_literal_set_leaves_out_patterns_keyed_with_a_nonzero_f_hi(self, family):
+        # the one-sided pattern of a set with f_hi != 0 is keyed
+        # (f_hi, f_hi) and misses word 0: {a7} alone would fill word 0
+        inst = SplitInstance(12, family)
+        literal = blocked_moments_literal(inst)
+        assert any(want for _, want in literal._patterns)
+        with mock.patch.object(moments, "_classes", wraps=moments._classes) as classes:
+            assert literal.first_absent() == self.smallest_hole(brute_literal(inst), 12) == 0
+        assert classes.call_count == 0
+        self.check(inst)
+
+    def test_missing_table_is_the_spread_of_every_free_set(self):
+        # entry free holds the in-word moments j that lie inside free
+        for free in range(64):
+            assert moments._MISSING[free] == moments._spread(1, free)
+            assert moments._MISSING[free] == sum(1 << j for j in range(64) if j & ~free == 0)
