@@ -10,13 +10,16 @@ one.
 """
 
 from .core import (
+    Decision,
     EnumerationLimitError,
     ExactMoment,
     MAX_UNIVERSE,
     ParseError,
     Partition,
+    SplitAnswer,
     SplitInstance,
     SubsetMask,
+    SubsetSumDetection,
     SubsetSumInstance,
     complement,
     format_mask,
@@ -46,26 +49,18 @@ from .moments import (
     blocked_moments_literal,
     decode_moment,
 )
+from .oracle import DEFAULT_ORACLE_CAP, solve_oracle, subset_sum_oracle
 from .sim import (
     ArrivalEvent,
     ArrivalTimeline,
     DEFAULT_ANALYTIC_THRESHOLD,
     DEFAULT_SIM_CAP,
-    SubsetSumDetection,
     Trace,
     detect_subset_sum,
     simulate,
     synthesize_trace,
 )
-from .solver import (
-    DEFAULT_ORACLE_CAP,
-    Decision,
-    SplitAnswer,
-    solve_optical,
-    solve_oracle,
-    solve_subset_sum,
-    subset_sum_oracle,
-)
+from .solver import solve_optical, solve_subset_sum
 
 __version__ = "0.1.0"
 

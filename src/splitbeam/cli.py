@@ -2,9 +2,10 @@
 
 Verbs: solve, simulate, moments, trace, feasibility, gen. Exit codes:
 0 = solvable (or command succeeded), 1 = unsolvable, 2 = usage or input
-error, 141 = the reader closed stdout early (128 + SIGPIPE). All
-randomness lives in ``gen`` and is seeded; every other verb is fully
-deterministic. Human-readable output uses 1-based element indices.
+error or out of memory, 141 = the reader closed stdout early (128 +
+SIGPIPE). All randomness lives in ``gen`` and is seeded; every other
+verb is fully deterministic. Human-readable output uses 1-based element
+indices.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .feasibility import (
     report,
 )
 from .moments import blocked_moments_full, blocked_moments_literal
+from .oracle import solve_oracle
 from .sim import detect_subset_sum, simulate, synthesize_trace
-from .solver import solve_optical, solve_oracle
+from .solver import solve_optical
 
 
 def _split_instance_lines(n: int, m: int, max_set_size: int, seed: int) -> Iterator[str]:
@@ -244,6 +246,12 @@ def main(argv: list[str] | None = None) -> int:
         # exit as a writer killed by SIGPIPE would: 128 + 13.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError is one: an allocation this host cannot
+        # hold, which must not read as NO-SPLIT's exit 1
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

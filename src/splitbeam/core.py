@@ -1,4 +1,6 @@
-"""Domain types shared by every stage of the pipeline.
+"""Domain types shared by every stage of the pipeline, and the answer
+types (``Decision``, ``SplitAnswer``, ``SubsetSumDetection``) that the
+optical route and the oracles both return.
 
 Subsets of the universe are plain Python ints used as bitmasks: bit (i-1)
 set means element i is in the subset (element indices are 1-based in all
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterable, Iterator
 
 MAX_UNIVERSE = 63
@@ -200,6 +203,50 @@ class ExactMoment:
 
     def __str__(self) -> str:
         return f"{self.core}+{self.hops}eps"
+
+
+class Decision(Enum):
+    SOLVABLE = "solvable"
+    UNSOLVABLE = "unsolvable"
+
+
+@dataclass(frozen=True)
+class SplitAnswer:
+    decision: Decision
+    partition: Partition | None
+    solution_moment: int | None
+
+    @property
+    def solvable(self) -> bool:
+        return self.decision is Decision.SOLVABLE
+
+    def validate_against(self, inst: SplitInstance) -> bool:
+        """Re-verify the returned partition against the raw family masks."""
+        if not self.solvable:
+            return self.partition is None and self.solution_moment is None
+        return (
+            self.partition is not None
+            and self.solution_moment == self.partition.a1
+            and self.partition.n == inst.n
+            and splits_family(inst.family, self.partition.a1)
+        )
+
+
+@dataclass(frozen=True)
+class SubsetSumDetection:
+    """Outcome of watching the destination at the target moment."""
+
+    witness: SubsetMask | None
+    moment: ExactMoment
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
+
+    def describe(self) -> str:
+        if self.found:
+            return f"fluctuation at moment {self.moment} (subset {format_mask(self.witness)})"
+        return f"no fluctuation at moment {self.moment}"
 
 
 def _logical_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:

@@ -140,18 +140,19 @@ class MomentSet:
 
         Word 0 comes first, without the class kernel: index 0 misses
         every f_hi, so it is the OR of the patterns keyed want == 0. If
-        it is full and every f_hi is 0, every word is word 0 and the set
-        covers all. Otherwise the scan (``_scan_blocks``) reads only the
-        words of the lower half, the moments below 2**(n-1), and stops
-        at the first hole. That finds the smallest hole of the whole
-        range for both kinds of set that ``_packed_union`` makes. A
-        two-sided set holds k iff it holds its reflection 2**n - 1 - k, so
-        a hole in the upper half has a mirror hole in the lower one. A
-        one-sided set never holds moment 0, because every family set is
-        nonempty. A block's smallest hole lies in its class word with a
-        clear bit whose class has the smallest word index. A block of a
-        size above every pattern's f_hi has the class words of every
-        other block of its size, so if it has no hole, none has.
+        it is full and no f_hi fixes a word-index bit of the lower half,
+        every word there is word 0 and the set covers all. Otherwise the
+        scan (``_scan_blocks``) reads only the words of the lower half,
+        the moments below 2**(n-1), and stops at the first hole. That
+        finds the smallest hole of the whole range for both kinds of set
+        that ``_packed_union`` makes. A two-sided set holds k iff it
+        holds its reflection 2**n - 1 - k, so a hole in the upper half
+        has a mirror hole in the lower one. A one-sided set never holds
+        moment 0, because every family set is nonempty. A block's
+        smallest hole lies in its class word with a clear bit whose
+        class has the smallest word index. A block of a size above every
+        pattern's f_hi on the lower half has the class words of every
+        other block of its size there, so if it has no hole, none has.
         """
         full = _full_word(self.n)
         word = 0
@@ -161,7 +162,9 @@ class MomentSet:
         if word != full:
             # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
             return (word ^ (word + 1)).bit_length() - 1
-        reach = max((f_hi for f_hi, _ in self._patterns), default=0)
+        # the top word-index bit tells no two words of the lower half apart
+        lower = _word_count(self.n - 1) - 1
+        reach = max((f_hi & lower for f_hi, _ in self._patterns), default=0)
         if not reach:
             return None
         for lo, size, words, places in self._blocks(_scan_blocks(self.n - 1)):

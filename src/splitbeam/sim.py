@@ -34,8 +34,8 @@ from .core import (
     EnumerationLimitError,
     ExactMoment,
     SubsetMask,
+    SubsetSumDetection,
     _check_enumerable,
-    format_mask,
 )
 from .device import DelayDevice
 
@@ -185,23 +185,6 @@ def simulate(device: DelayDevice) -> ArrivalTimeline:
     for array in (cores, counts, first):
         array.flags.writeable = False
     return ArrivalTimeline(n, cores, counts, first)
-
-
-@dataclass(frozen=True)
-class SubsetSumDetection:
-    """Outcome of watching the destination at the target moment."""
-
-    witness: SubsetMask | None
-    moment: ExactMoment
-
-    @property
-    def found(self) -> bool:
-        return self.witness is not None
-
-    def describe(self) -> str:
-        if self.found:
-            return f"fluctuation at moment {self.moment} (subset {format_mask(self.witness)})"
-        return f"no fluctuation at moment {self.moment}"
 
 
 def detect_subset_sum(timeline: ArrivalTimeline, target: int) -> SubsetSumDetection:

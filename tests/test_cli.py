@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import splitbeam.sim
 from splitbeam import parse_split_instance
 from splitbeam.cli import main
 
@@ -196,6 +197,21 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_out_of_memory_exits_2_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        # numpy raises _ArrayMemoryError, a MemoryError, for an array the
+        # host cannot hold
+        def exhausted(delays):
+            raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+        monkeypatch.setattr(splitbeam.sim, "_path_delays", exhausted)
+        path = tmp_path / "ss.txt"
+        path.write_text("values 5 5 10\ntarget 15\n")
+        assert main(["simulate", "--subset-sum-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 1.00 GiB for an array\n"
+        assert "Traceback" not in captured.err
 
     def test_requires_exactly_one_source(self, demo_file, capsys):
         # argparse refuses no source and two sources before anything runs

@@ -1,10 +1,10 @@
 """The exactness contract: no float in any decision.
 
 The modules a decision runs through (instances, devices, the simulator,
-moment sets and both solver routes) hold integer moments and dyadic
-intensities only. This reads their source and refuses every way a float
-gets in: a float literal, true division, ``float``, the ``math`` module
-and float dtypes. The simulator's trace rendering (``Trace`` and
+moment sets, the optical pipelines and the oracles) hold integer moments
+and dyadic intensities only. This reads their source and refuses every
+way a float gets in: a float literal, true division, ``float``, the
+``math`` module and float dtypes. The simulator's trace rendering (``Trace`` and
 ``synthesize_trace``) and the physical envelope use floats on purpose
 and are not checked.
 """
@@ -17,7 +17,7 @@ import pytest
 
 import splitbeam
 
-DECISION_MODULES = ("core.py", "device.py", "sim.py", "moments.py", "solver.py")
+DECISION_MODULES = ("core.py", "device.py", "sim.py", "moments.py", "solver.py", "oracle.py")
 # the float rendering of a timeline, skipped by name
 RENDERING = {"sim.py": {"Trace", "synthesize_trace"}}
 

@@ -771,9 +771,16 @@ class TestWordZero:
     word 0 is full and some pattern fixes a word-index bit."""
 
     @staticmethod
-    def smallest_hole(members, n):
-        blocked = set(members)
-        return next((k for k in range(1 << n) if k not in blocked), None)
+    def smallest_hole(inst, two_sided):
+        """Brute force that walks k = 0, 1, ... and stops at the first
+        moment whose side k, or either side when two-sided, holds no
+        family set whole; None if every moment is blocked."""
+        full = (1 << inst.n) - 1
+        for k in range(1 << inst.n):
+            sides = (k, full ^ k) if two_sided else (k,)
+            if not any(f & side == f for f in inst.family for side in sides):
+                return k
+        return None
 
     @classmethod
     def check(cls, inst):
@@ -782,10 +789,10 @@ class TestWordZero:
         _classes calls the full set's first_absent made."""
         with mock.patch.object(moments, "_classes", wraps=moments._classes) as classes:
             first = blocked_moments_full(inst).first_absent()
-        assert first == cls.smallest_hole(brute_full(inst), inst.n)
+        assert first == cls.smallest_hole(inst, two_sided=True)
         assert first == solve_oracle(inst).solution_moment
         literal = blocked_moments_literal(inst).first_absent()
-        assert literal == cls.smallest_hole(brute_literal(inst), inst.n)
+        assert literal == cls.smallest_hole(inst, two_sided=False)
         return first, classes.call_count
 
     def test_hole_at_63_is_the_last_moment_of_word_0(self):
@@ -793,6 +800,14 @@ class TestWordZero:
         # last moment of word 0, which alone is the lower half at n = 7
         first, calls = self.check(boundary_pairs(7, 7, range(1, 7)))
         assert first == 63
+        assert calls == 0
+
+    def test_a_full_word_0_at_n_7_is_the_whole_lower_half(self):
+        # {a1} fills word 0, and {a2, a7} fixes only word-index bit 0,
+        # which at n = 7 is the top bit: it tells no two words of the
+        # lower half apart, so word 0 answers alone
+        first, calls = self.check(SplitInstance(7, (0b1, 1 << 6 | 0b10)))
+        assert first is None
         assert calls == 0
 
     @pytest.mark.parametrize("n", [8, 24])
@@ -827,7 +842,7 @@ class TestWordZero:
         literal = blocked_moments_literal(inst)
         assert any(want for _, want in literal._patterns)
         with mock.patch.object(moments, "_classes", wraps=moments._classes) as classes:
-            assert literal.first_absent() == self.smallest_hole(brute_literal(inst), 12) == 0
+            assert literal.first_absent() == self.smallest_hole(inst, two_sided=False) == 0
         assert classes.call_count == 0
         self.check(inst)
 

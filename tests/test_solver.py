@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitbeam.oracle
 import splitbeam.solver
 from splitbeam import (
     ArrivalTimeline,
@@ -50,7 +51,7 @@ def split_masks(inst):
 
 def free_masks(inst):
     """Every mask the oracle's full scan leaves free, ascending."""
-    return list(splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP))
+    return list(splitbeam.oracle._free_masks(inst, splitbeam.oracle.DEFAULT_ORACLE_CAP))
 
 
 def masked_sum(values, mask):
@@ -268,7 +269,7 @@ class TestSolveOracle:
         assert peak < 1 << 20
 
 
-UNIT = splitbeam.solver._ORACLE_UNIT_BITS
+UNIT = splitbeam.oracle._ORACLE_UNIT_BITS
 
 
 def table_path_families(n):
@@ -379,7 +380,7 @@ class TestOracleTablePath:
         assert answer == expected
         assert peak < 1 << 20
         # the scan suspended at the answer is still in the run holding it
-        gen = splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP)
+        gen = splitbeam.oracle._free_masks(inst, splitbeam.oracle.DEFAULT_ORACLE_CAP)
         assert next(gen) == first
         assert gen.gi_frame.f_locals["start"] == start
 
@@ -396,11 +397,11 @@ class TestOracleTablePath:
             built.append(f_lo)
             return low_table(f_lo)
 
-        low_table = splitbeam.solver._low_table
-        monkeypatch.setattr(splitbeam.solver, "_low_table", counted)
+        low_table = splitbeam.oracle._low_table
+        monkeypatch.setattr(splitbeam.oracle, "_low_table", counted)
         tracemalloc.start()
         try:
-            free = sum(1 for _ in splitbeam.solver._free_masks(inst, splitbeam.solver.DEFAULT_ORACLE_CAP))
+            free = sum(1 for _ in splitbeam.oracle._free_masks(inst, splitbeam.oracle.DEFAULT_ORACLE_CAP))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -416,7 +417,7 @@ class TestOracleTablePath:
         + random.Random(29).sample(range(1, (1 << UNIT) - 1), 8),
     )
     def test_low_table_pair_is_the_split_predicate(self, f_lo):
-        meets, misses = splitbeam.solver._low_table(f_lo)
+        meets, misses = splitbeam.oracle._low_table(f_lo)
         for j in range(1 << UNIT):
             assert (meets >> j & 1) == (j & f_lo != 0)
             assert (misses >> j & 1) == (j & f_lo != f_lo)
@@ -462,7 +463,7 @@ class TestOracleTablePath:
         # sets inside unit 0's low bits meet every later unit as they meet
         # unit 0, so emptying unit 0 ends the scan: one run of the 2**16
         # units at n = 28, not one per doubling
-        code = splitbeam.solver._free_masks.__code__
+        code = splitbeam.oracle._free_masks.__code__
         starts = set()
 
         def in_scan(frame, event, arg):
@@ -811,7 +812,7 @@ class TestSubsetSumOracleBlocks:
 
 def test_oracles_never_reach_the_optical_route(monkeypatch, demo4):
     # both oracles answer with every device, simulation, blocked-set and
-    # path-enumeration entry point of the solver made to raise
+    # path-enumeration entry point of the optical route made to raise
     ladder = SplitInstance(17, tuple((1 << b) | (1 << 16) for b in range(16)))
     cycle = SplitInstance(16, (0b11, 0b110, 0b101, 0b1111 << 12))
     split_cases = [demo4, ladder, cycle]
@@ -829,7 +830,16 @@ def test_oracles_never_reach_the_optical_route(monkeypatch, demo4):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle reached the optical route")
 
-    for name in ("simulate", "build_set_splitting_device", "blocked_moments_full", "_path_delays"):
+    # patched where they are defined, which is where an oracle would reach
+    # them, and where solver binds them, so that both optical routes show
+    # the refusal is live
+    for module, name in (
+        (splitbeam.sim, "simulate"),
+        (splitbeam.sim, "_path_delays"),
+        (splitbeam.device, "build_set_splitting_device"),
+        (splitbeam.moments, "blocked_moments_full"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(splitbeam.solver, name, refuse)
     with pytest.raises(AssertionError, match="optical route"):
         solve_optical(demo4)
