@@ -27,19 +27,18 @@ kernel, ``_classes``, takes any aligned block of words as classes: a
 word depends on its index only through the index bits the patterns fix,
 so it keeps one word per class of those bits, splitting the classes
 only when a pattern fixes a new bit, and stops a block once every class
-word is full. Every read goes through it: ``len`` counts the class
-words, iteration and ``repr`` copy the block's words out of them a slice
-at a time, and ``first_absent`` reads the smallest hole from the
-classes, all in one reused buffer that grows to the largest block
-read, at most 512 KiB. ``first_absent`` first reads word 0 without the
-kernel, as the OR of the patterns keyed want == 0, one Python int. Past
-it, it scans only the moments below 2**(n-1), where every set made here
-has its smallest hole if it has one, and stops at the first block with a
-hole, so a decision whose first solution lies early allocates nothing
-for word 0 or only the first 64 words, and an odd cycle of pairs proves
-each block in a few class words. It also stops at a block without a
-hole that is larger than every pattern's f_hi: every block of its size
-has its class words.
+word is full. ``len``, iteration and ``repr`` go through it: ``len``
+counts the class words, and iteration and ``repr`` copy the block's
+words out of them a slice at a time, in one reused buffer that grows to
+the largest block read, at most 512 KiB. ``first_absent`` reads the
+moments below 2**(n-1), where every set made here has its smallest hole
+if it has one. It reads word 0 and then the first 64 words, moments
+0-4095, without the kernel, each as one Python int ORed from the
+patterns, so a decision whose first solution lies there allocates no
+word. Past them it starts the kernel at block 0 and stops at the first
+block with a hole, so an odd cycle of pairs proves each block in a few
+class words. It also stops at a full word 0, prefix or block larger
+than every pattern's f_hi: every span of its size has its words.
 """
 
 from __future__ import annotations
@@ -72,15 +71,15 @@ _WORD = np.dtype("<u8")
 _SCAN_BYTES = 1 << 14
 _DECODE_BYTES = 1 << 9
 
-# Every read takes aligned blocks of _BLOCK_WORDS words, whose classes
-# hold at most 512 KiB. first_absent reads word 0 as the OR of the
-# patterns keyed want == 0, without the kernel, and then the first
-# _PREFIX_WORDS words before the blocks, where the first solution of most
-# solvable instances lies: a prefix has at most 64 classes. Each block
+# Every kernel read takes aligned blocks of _BLOCK_WORDS words, whose
+# classes hold at most 512 KiB. first_absent reads word 0 and then the
+# first _PREFIX_WORDS words, at most the 64 that _WORDS selects, where the
+# first solution of most solvable instances lies, as one Python int
+# (_prefix), and starts the kernel at block 0 only past them. Each block
 # applies the patterns that reach it once, so smaller blocks make a full
-# scan repeat that work more often: with 2**12-word blocks the scan of
-# an unsolvable n = 22 decision took about 5x as long, and {a1} at
-# n = 28 about 20x.
+# scan repeat that work more often: with 2**12-word blocks the scan of an
+# unsolvable n = 22 decision took about 5x as long, and {a1} at n = 28
+# about 20x.
 _PREFIX_WORDS = 1 << 6
 _BLOCK_WORDS = 1 << 16
 
@@ -93,7 +92,7 @@ class MomentSet:
     ``FrozenInstanceError``; equality and hashing are by identity.
 
     Bit j of word w stands for moment 64*w + j; for n < 6 the single
-    word keeps every bit past 2**n clear. Every read takes one aligned
+    word keeps every bit past 2**n clear. A kernel read takes one aligned
     block of words at a time as the classes of its words (``_blocks``).
     """
 
@@ -138,21 +137,18 @@ class MomentSet:
         """Smallest moment of [0, 2**n) not in the set, or None if it
         covers all.
 
-        Word 0 comes first, without the class kernel: index 0 misses
-        every f_hi, so it is the OR of the patterns keyed want == 0. If
-        it is full and no f_hi fixes a word-index bit of the lower half,
-        every word there is word 0 and the set covers all. Otherwise the
-        scan (``_scan_blocks``) reads only the words of the lower half,
-        the moments below 2**(n-1), and stops at the first hole. That
-        finds the smallest hole of the whole range for both kinds of set
-        that ``_packed_union`` makes. A two-sided set holds k iff it
-        holds its reflection 2**n - 1 - k, so a hole in the upper half
-        has a mirror hole in the lower one. A one-sided set never holds
-        moment 0, because every family set is nonempty. A block's
-        smallest hole lies in its class word with a clear bit whose
-        class has the smallest word index. A block of a size above every
-        pattern's f_hi on the lower half has the class words of every
-        other block of its size there, so if it has no hole, none has.
+        It reads only the lower half, the moments below 2**(n-1), and
+        stops at the first hole: a two-sided set holds k iff it holds
+        2**n - 1 - k, and a one-sided set never holds moment 0. Word 0
+        comes first, the OR of the patterns keyed want == 0 (index 0
+        misses every f_hi), then the first 64 words as one int
+        (``_prefix``), both without the class kernel; for n <= 13 that
+        is the whole lower half. Past them the kernel scans the blocks
+        from block 0; a block's smallest hole lies in its class word with
+        a clear bit whose class has the smallest word index. A full word
+        0, prefix or block of a size above every pattern's f_hi on the
+        lower half has the words of every other span of its size there,
+        so if it has no hole, none has.
         """
         full = _full_word(self.n)
         word = 0
@@ -163,11 +159,17 @@ class MomentSet:
             # word ^ (word + 1) sets exactly the bits up to its lowest clear bit
             return (word ^ (word + 1)).bit_length() - 1
         # the top word-index bit tells no two words of the lower half apart
-        lower = _word_count(self.n - 1) - 1
-        reach = max((f_hi & lower for f_hi, _ in self._patterns), default=0)
+        lower = _word_count(self.n - 1)
+        reach = max((f_hi & lower - 1 for f_hi, _ in self._patterns), default=0)
         if not reach:
             return None
-        for lo, size, words, places in self._blocks(_scan_blocks(self.n - 1)):
+        size = min(_PREFIX_WORDS, lower)
+        prefix = _prefix(self._patterns, size)
+        if prefix != (1 << 64 * size) - 1:
+            return (prefix ^ (prefix + 1)).bit_length() - 1
+        if reach < size:
+            return None
+        for lo, size, words, places in self._blocks(_spans(self.n - 1)):
             bits = sum(places)
             ascending = _ascending(words, places, bits, 0)
             c = int(np.not_equal(ascending, full, order="C").argmax())
@@ -202,16 +204,6 @@ def _spans(n: int) -> Iterator[tuple[int, int]]:
     # (first word, word count) of the aligned blocks that tile the words, in order
     size = min(_word_count(n), _BLOCK_WORDS)
     return ((lo, size) for lo in range(0, _word_count(n), size))
-
-
-def _scan_blocks(n: int) -> Iterator[tuple[int, int]]:
-    # the first _PREFIX_WORDS words of a universe of n elements, then the
-    # blocks that tile its words (the first repeats the prefix, 64 words
-    # of 2**16); first_absent passes n - 1, the lower half of its words,
-    # once it has read word 0 without the kernel and found it full
-    if _word_count(n) > _PREFIX_WORDS:
-        yield 0, _PREFIX_WORDS
-    yield from _spans(n)
 
 
 def _bit_positions(words: np.ndarray, lo: int) -> Iterator[int]:
@@ -254,6 +246,10 @@ def _spread(bits: int, free: SubsetMask) -> int:
 # elements outside f_lo: one lookup per family set
 _MISSING = tuple(_spread(1, free) for free in range(64))
 
+# bit 64*s, the first moment of word s, for every s inside `free`: the
+# words of a prefix that a pattern leaving the word-index bits `free` covers
+_WORDS = tuple(_spread(1, free << 6) for free in range(64))
+
 
 def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> MomentSet:
     """The moments k with k & f == f for some f in ``family``, and with
@@ -286,6 +282,20 @@ def _packed_union(n: int, family: Iterable[SubsetMask], *, two_sided: bool) -> M
             # with f_hi = 0 both slices are every word, under one key
             patterns[f_hi, 0] = patterns.get((f_hi, 0), 0) | missing
     return MomentSet(n, _patterns=patterns)
+
+
+def _prefix(patterns: dict[tuple[int, int], int], size: int) -> int:
+    """Words [0, size), size a power of two up to 64, as one int whose bit
+    64*w + j is moment 64*w + j. Pattern (f_hi, want) covers the words
+    want | s for every s inside ~f_hi & (size - 1), none if want reaches
+    size: the pattern times their selector, with no carries, since its
+    bits are 64 apart."""
+    low = size - 1
+    prefix = 0
+    for (f_hi, want), pattern in patterns.items():
+        if want <= low:
+            prefix |= pattern * (_WORDS[~f_hi & low] << 64 * want)
+    return prefix
 
 
 def _lattice(words: np.ndarray, bits: int, offset: int) -> np.ndarray:

@@ -43,16 +43,17 @@ def solve_optical(inst: SplitInstance) -> SplitAnswer:
     blocked set, and reports the smallest arrival moment outside it. A
     set-splitting timeline arrives at every moment of [0, 2**n), so the
     smallest unblocked moment is the smallest solution arrival. The
-    blocked set is never built whole here: ``first_absent`` reads word 0,
-    moments 0-63, as the OR of the patterns keyed want == 0, without the
-    class kernel. Past it, it takes the set one block of words at a
-    time, as one word per class of the word-index bits the family fixes
-    there, holding at most 512 KiB, and stops at the first block with a
-    hole. A block whose class words all fill stops early, so an odd
-    cycle of pairs is proved in a few words per block. It watches only
-    the moments below 2**(n-1): a split and its complement, moments k
-    and 2**n - 1 - k, are both splits, so the smallest one lies there if
-    any exists, and an unsolvable instance is proven by half the words.
+    blocked set is never built whole here: ``first_absent`` reads word 0
+    and then the first 64 words, moments 0-4095, as Python ints without
+    the class kernel. Past them, it takes the set one block of words at
+    a time from block 0, as one word per class of the word-index bits
+    the family fixes there, holding at most 512 KiB, and stops at the
+    first block with a hole. A block whose class words all fill stops
+    early, so an odd cycle of pairs is proved in a few words per block.
+    It watches only the moments below 2**(n-1): a split and its
+    complement, moments k and 2**n - 1 - k, are both splits, so the
+    smallest one lies there if any exists, and an unsolvable instance is
+    proven by half the words.
     Universes of more than ``DEFAULT_SIM_CAP`` elements are refused, as
     ``simulate`` refuses them.
     """

@@ -511,6 +511,14 @@ class TestPackedBuildMemory:
         first, peak = self.peak_bytes(ms.first_absent)
         assert first == 9
         assert peak < 16 << 10
+        # {a1, a13}, ..., {a12, a13}: the first hole is moment 4095, the
+        # last of the 64-word prefix, which is one 512-byte int, not a block
+        ms = blocked_moments_full(boundary_pairs(24, 13, range(1, 13)))
+        with mock.patch.object(moments, "_classes", wraps=moments._classes) as classes:
+            first, peak = self.peak_bytes(ms.first_absent)
+        assert first == 4095
+        assert peak < 16 << 10
+        assert classes.call_count == 0
         ms = blocked_moments_full(SplitInstance(22, (0b011 << 19, 0b110 << 19, 0b101 << 19)))
         first, peak = self.peak_bytes(ms.first_absent)
         assert first is None
@@ -708,18 +716,20 @@ class TestClassScan:
         [
             # every pattern fixes no word-index bit: a full word 0 decides
             ((0b1,), 0),
-            ((1 << 7,), 1),
+            # a8 fixes word-index bit 1: the full 64-word prefix decides
+            ((1 << 7,), 0),
             # an odd cycle on a13, a18 and a22, word-index bits 6, 11 and 15
-            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 2),
+            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 1),
             # an odd cycle on a20, a24 and a28, word-index bits 13, 17 and 21
-            ((1 << 19 | 1 << 23, 1 << 23 | 1 << 27, 1 << 19 | 1 << 27), 33),
+            ((1 << 19 | 1 << 23, 1 << 23 | 1 << 27, 1 << 19 | 1 << 27), 32),
         ],
         ids=["a1", "a8", "high cycle", "top cycle"],
     )
     def test_unsolvable_families_at_28_take_at_most_8_class_words(self, family, spans):
-        # word 0 is read without the kernel; past it the scan takes the
-        # prefix and the 32 blocks below moment 2**27 up to the first span
-        # larger than every pattern's f_hi: those after it have its class words
+        # word 0 and the 64-word prefix are read without the kernel; past
+        # them the scan takes the 32 blocks below moment 2**27 from block 0
+        # up to the first span larger than every pattern's f_hi: those
+        # after it have its class words
         inst = SplitInstance(28, family)
         answer, sizes = self.class_words_per_block(lambda: solve_optical(inst))
         assert not answer.solvable
@@ -735,10 +745,11 @@ class TestClassScan:
             ((0b1,), 0),
             ((0b011, 0b110, 0b101), 0),
             ((0b11, 0b11 << 4), 0),
-            # an odd cycle on a7, a8 and a9, word-index bits 0-2: the prefix decides
-            ((0b011 << 6, 0b110 << 6, 0b101 << 6), 1),
+            # an odd cycle on a7, a8 and a9, word-index bits 0-2: the
+            # prefix, read without the kernel, decides
+            ((0b011 << 6, 0b110 << 6, 0b101 << 6), 0),
             # an odd cycle on word-index bits 6, 11 and 15: the first block decides
-            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 2),
+            ((1 << 12 | 1 << 17, 1 << 17 | 1 << 21, 1 << 12 | 1 << 21), 1),
         ],
         ids=["a1", "low cycle", "solvable", "a7-a9 cycle", "high cycle"],
     )
@@ -767,8 +778,10 @@ def boundary_pairs(n, top, below):
 
 class TestWordZero:
     """first_absent reads word 0, moments 0-63, as the OR of the patterns
-    keyed want == 0, without the class kernel; the scan starts only when
-    word 0 is full and some pattern fixes a word-index bit."""
+    keyed want == 0, and then the 64-word prefix, moments 0-4095, each as
+    one Python int without the class kernel; the kernel starts, at block
+    0, only when the prefix is full and some pattern fixes a word-index
+    bit at or above 6."""
 
     @staticmethod
     def smallest_hole(inst, two_sided):
@@ -813,10 +826,26 @@ class TestWordZero:
     @pytest.mark.parametrize("n", [8, 24])
     def test_hole_at_64_is_the_first_moment_of_word_1(self, n):
         # {a7, a8} blocks every moment holding both or neither: word 0 is
-        # full, and the kernel finds moment 64 in the scan after it
+        # full, and the prefix after it finds moment 64
         first, calls = self.check(boundary_pairs(n, 8, [7]))
         assert first == 64
-        assert calls >= 1
+        assert calls == 0
+
+    @pytest.mark.parametrize("n", [13, 24])
+    def test_hole_at_4095_is_the_last_moment_of_the_prefix(self, n):
+        # {a1, a13}, ..., {a12, a13}: the holes are 4095 and 4096, and
+        # 4095 is the last moment of word 63, the prefix's last word,
+        # which at n = 13 ends the lower half
+        first, calls = self.check(boundary_pairs(n, 13, range(1, 13)))
+        assert first == 4095
+        assert calls == 0
+
+    def test_hole_at_4096_is_the_first_moment_after_the_prefix(self):
+        # {a13, a14} fixes word-index bits 6 and 7: the prefix is full,
+        # and the kernel finds moment 4096 in block 0
+        first, calls = self.check(SplitInstance(24, (1 << 12 | 1 << 13,)))
+        assert first == 4096
+        assert calls == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_word_0_is_the_whole_set_below_n_7(self, n):
@@ -851,3 +880,18 @@ class TestWordZero:
         for free in range(64):
             assert moments._MISSING[free] == moments._spread(1, free)
             assert moments._MISSING[free] == sum(1 << j for j in range(64) if j & ~free == 0)
+
+    def test_words_table_selects_every_word_inside_a_free_set(self):
+        # entry free holds bit 64*s, the first moment of word s, for each s inside free
+        for free in range(64):
+            assert moments._WORDS[free] == sum(1 << 64 * s for s in range(64) if s & ~free == 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=word_kernel_instance(), two_sided=st.booleans())
+    @example(inst=boundary_pairs(13, 13, range(1, 13)), two_sided=True)
+    def test_prefix_is_the_reference_fill_of_the_first_words(self, inst, two_sided):
+        # word 0, and the first 64 words cut to the lower half's 2**(n-7)
+        ms = moments._packed_union(inst.n, inst.family, two_sided=two_sided)
+        words = words_of(ms)
+        for read in (1, min(64, 1 << max(inst.n - 7, 0))):
+            assert moments._prefix(ms._patterns, read) == int.from_bytes(words[:read].tobytes(), "little")
