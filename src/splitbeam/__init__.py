@@ -37,11 +37,13 @@ from .feasibility import (
     FeasibilityReport,
     FigureCheck,
     PhysicalParams,
+    Trace,
     max_n_for_cable,
     max_n_for_total_time,
     min_cable_length,
     published_figure_checks,
     report,
+    synthesize_trace,
 )
 from .moments import (
     MomentSet,
@@ -55,10 +57,8 @@ from .sim import (
     ArrivalTimeline,
     DEFAULT_ANALYTIC_THRESHOLD,
     DEFAULT_SIM_CAP,
-    Trace,
     detect_subset_sum,
     simulate,
-    synthesize_trace,
 )
 from .solver import solve_optical, solve_subset_sum
 

@@ -34,10 +34,11 @@ from .feasibility import (
     max_n_for_total_time,
     published_figure_checks,
     report,
+    synthesize_trace,
 )
 from .moments import blocked_moments_full, blocked_moments_literal
 from .oracle import solve_oracle
-from .sim import detect_subset_sum, simulate, synthesize_trace
+from .sim import detect_subset_sum, simulate
 from .solver import solve_optical
 
 

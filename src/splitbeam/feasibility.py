@@ -1,4 +1,9 @@
-"""Physical-envelope arithmetic for delay-line devices.
+"""The package's one float module: the physical side of a delay-line device.
+
+Decisions read integer arrival moments and never come here. This module
+holds the floats that describe a device as built: its envelope (cable
+lengths, run time, power) and the trace a detector records of its
+arrivals.
 
 The smallest resolvable delay is the oscilloscope rise time; light covers
 rise_time * light_speed meters in that window, which fixes the minimum
@@ -9,7 +14,8 @@ instance-size bounds under a time or cable budget.
 
 Threshold computations keep the power-of-two factors as exact integers
 (floats are converted to exact binary rationals first), so no bound is
-ever off by one due to rounding.
+ever off by one due to rounding. Every physical quantity, here and in
+the trace, must be finite and strictly positive.
 """
 
 from __future__ import annotations
@@ -18,7 +24,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _check_universe
+import numpy as np
+
+from .core import EnumerationLimitError, _check_universe
+from .sim import ArrivalTimeline
+
+# 32 MiB per float64 array, and a trace holds three
+TRACE_MAX_SAMPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -35,28 +47,20 @@ class PhysicalParams:
     epsilon_length: float | None = None
 
     def __post_init__(self):
-        _check_finite("rise time", self.rise_time)
-        _check_finite("light speed", self.light_speed)
-        if self.rise_time <= 0 or self.light_speed <= 0:
-            raise ValueError("rise time and light speed must be strictly positive")
+        _check_positive("rise time", self.rise_time)
+        _check_positive("light speed", self.light_speed)
         # the product can overflow to inf or underflow to 0 although both
         # factors are finite and positive; every threshold divides by it
-        min_cable = self.rise_time * self.light_speed
-        if not 0 < min_cable < math.inf:
-            raise ValueError(
-                f"minimum cable length rise time * light speed = {min_cable!r} m "
-                "must be finite and strictly positive"
-            )
+        min_cable = min_cable_length(self)
+        _check_positive("minimum cable length rise time * light speed", min_cable)
         if self.epsilon_length is None:
             object.__setattr__(self, "epsilon_length", min_cable)
-        _check_finite("epsilon length", self.epsilon_length)
-        if self.epsilon_length <= 0:
-            raise ValueError("epsilon length must be strictly positive")
+        _check_positive("epsilon length", self.epsilon_length)
 
 
-def _check_finite(label: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
+def _check_positive(label: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{label} must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,7 @@ def _floor_log2(q: Fraction) -> int:
 
 def max_n_for_total_time(total_time: float, p: PhysicalParams) -> int:
     """Largest n with 2**n * rise_time <= total_time (0 when nothing fits beyond n=0)."""
-    _check_finite("total time", total_time)
-    if total_time <= 0:
-        raise ValueError("total time must be strictly positive")
+    _check_positive("total time", total_time)
     ratio = Fraction(total_time) / Fraction(p.rise_time)
     if ratio < 2:
         return 0
@@ -94,7 +96,7 @@ def max_n_for_total_time(total_time: float, p: PhysicalParams) -> int:
 
 def max_n_for_cable(max_cable: float, p: PhysicalParams) -> int:
     """Largest n whose longest cable 2**(n-1) * min_cable fits in ``max_cable``."""
-    _check_finite("longest available cable", max_cable)
+    _check_positive("longest available cable", max_cable)
     min_cable = min_cable_length(p)
     if max_cable < min_cable:
         raise ValueError(
@@ -175,3 +177,76 @@ def published_figure_checks(p: PhysicalParams | None = None) -> tuple[FigureChec
             1e-6,
         ),
     )
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Trace:
+    """A sampled oscilloscope-style trace: times in seconds, summed
+    intensities. Equality and hashing are by identity, as for timelines."""
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def write_csv(self, path) -> None:
+        with open(path, "w", newline="") as fh:
+            fh.write("time_s,intensity\n")
+            for t, v in zip(self.times, self.values):
+                fh.write(f"{float(t)!r},{float(v)!r}\n")
+
+
+def synthesize_trace(
+    timeline: ArrivalTimeline,
+    *,
+    unit_delay: float,
+    epsilon: float,
+    rise_time: float,
+    samples_per_rise: int = 8,
+) -> Trace:
+    """Render the timeline as the photodiode signal an oscilloscope would sample.
+
+    Every arrival contributes a rectangular pulse of width ``rise_time``
+    and height equal to its intensity (as a decimal); overlapping pulses
+    add. The sample grid step is rise_time / samples_per_rise and the
+    series spans [0, t_last + 2*rise_time]. Rectangles are the simplest
+    shape that keeps a fluctuation at a given moment detectable at the
+    stated resolution; no detector physics beyond that is modeled.
+
+    A grid of more than ``TRACE_MAX_SAMPLES`` samples, or a timeline of
+    more than ``TRACE_MAX_SAMPLES`` arrival events, is refused with
+    ``EnumerationLimitError`` before anything is allocated.
+    """
+    for name, value in (("unit_delay", unit_delay), ("epsilon", epsilon), ("rise_time", rise_time)):
+        _check_positive(name, value)
+    # a trace spans two rise times or more, so no larger value fits the cap
+    if not 1 <= samples_per_rise <= TRACE_MAX_SAMPLES:
+        raise ValueError(f"samples_per_rise must be in [1, {TRACE_MAX_SAMPLES}]")
+
+    # every event gets its own arrival time, height and two grid indices,
+    # so a tiny grid does not bound the work; an analytic timeline counts
+    # its events without building its arrays
+    if timeline.event_count > TRACE_MAX_SAMPLES:
+        raise EnumerationLimitError(
+            f"trace too large to synthesize: {timeline.event_count} arrival events exceed the cap {TRACE_MAX_SAMPLES}"
+        )
+    # size the grid before allocating; an analytic timeline's arrays stay
+    # implicit, and its last arrival is at 2**n - 1
+    last = (1 << timeline.n) - 1 if timeline.is_analytic else int(timeline.cores[-1])
+    step = rise_time / samples_per_rise
+    t_end = last * unit_delay + timeline.n * epsilon + 2.0 * rise_time
+    samples = t_end / step if step > 0 else math.inf
+    if not samples < TRACE_MAX_SAMPLES:
+        raise EnumerationLimitError(
+            f"trace too large to synthesize: {samples:.3g} samples exceed the cap {TRACE_MAX_SAMPLES}"
+        )
+    count = int(np.floor(samples)) + 1
+
+    arrive = timeline.cores.astype(np.float64) * unit_delay + timeline.n * epsilon
+    heights = timeline.counts.astype(np.float64) / float(2**timeline.n)
+    times = np.arange(count) * step
+
+    delta = np.zeros(count + 1)
+    starts = np.searchsorted(times, arrive, side="left")
+    stops = np.searchsorted(times, arrive + rise_time, side="left")
+    np.add.at(delta, starts, heights)
+    np.subtract.at(delta, stops, heights)
+    return Trace(times, np.cumsum(delta[:-1]))

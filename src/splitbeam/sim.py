@@ -1,11 +1,12 @@
 """Exhaustive light-propagation simulation.
 
-Enumerates all 2**n source-to-destination paths of a device, coalesces
-simultaneous arrivals (same core delay) into one event whose exact
-intensity is the ``Fraction`` paths / 2**n, and can render the result
-as an oscilloscope-style sampled trace. Enumeration is one pass in one
-thread into one buffer and costs Theta(2**n) in time and memory, which
-is the whole point of the device being simulated; devices of more than
+Enumerates all 2**n source-to-destination paths of a device and
+coalesces simultaneous arrivals (same core delay) into one event whose
+exact intensity is the ``Fraction`` paths / 2**n; the float trace a
+detector records of a timeline is rendered in ``feasibility``.
+Enumeration is one pass in one thread into one buffer and costs
+Theta(2**n) in time and memory, which is the whole point of the device
+being simulated; devices of more than
 ``DEFAULT_SIM_CAP`` = 28 layers, which would not terminate at desk
 scale, are refused, and so is the enumeration of more than
 ``PATH_ENUM_CAP`` = 24 layers, which would need 1 GiB or more. When
@@ -23,7 +24,6 @@ so tests exercise the model rather than the formula.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +31,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    EnumerationLimitError,
     ExactMoment,
     SubsetMask,
     SubsetSumDetection,
@@ -43,8 +42,6 @@ DEFAULT_SIM_CAP = 28
 # enumeration peaks at up to 65 bytes per path: about 1 GiB at 24 layers
 PATH_ENUM_CAP = 24
 DEFAULT_ANALYTIC_THRESHOLD = 17
-# 32 MiB per float64 array, and a trace holds three
-TRACE_MAX_SAMPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -200,77 +197,3 @@ def detect_subset_sum(timeline: ArrivalTimeline, target: int) -> SubsetSumDetect
     moment = ExactMoment(target, timeline.n)
     witness = timeline.witness_for(target)
     return SubsetSumDetection(witness, moment)
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Trace:
-    """A sampled oscilloscope-style trace: times in seconds, summed
-    intensities. Equality and hashing are by identity, as for timelines."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("time_s,intensity\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
-
-
-def synthesize_trace(
-    timeline: ArrivalTimeline,
-    *,
-    unit_delay: float,
-    epsilon: float,
-    rise_time: float,
-    samples_per_rise: int = 8,
-) -> Trace:
-    """Render the timeline as the photodiode signal an oscilloscope would sample.
-
-    Every arrival contributes a rectangular pulse of width ``rise_time``
-    and height equal to its intensity (as a decimal); overlapping pulses
-    add. The sample grid step is rise_time / samples_per_rise and the
-    series spans [0, t_last + 2*rise_time]. Rectangles are the simplest
-    shape that keeps a fluctuation at a given moment detectable at the
-    stated resolution; no detector physics beyond that is modeled.
-
-    A grid of more than ``TRACE_MAX_SAMPLES`` samples, or a timeline of
-    more than ``TRACE_MAX_SAMPLES`` arrival events, is refused with
-    ``EnumerationLimitError`` before anything is allocated.
-    """
-    for name, value in (("unit_delay", unit_delay), ("epsilon", epsilon), ("rise_time", rise_time)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-    # a trace spans two rise times or more, so no larger value fits the cap
-    if not 1 <= samples_per_rise <= TRACE_MAX_SAMPLES:
-        raise ValueError(f"samples_per_rise must be in [1, {TRACE_MAX_SAMPLES}]")
-
-    # every event gets its own arrival time, height and two grid indices,
-    # so a tiny grid does not bound the work; an analytic timeline counts
-    # its events without building its arrays
-    if timeline.event_count > TRACE_MAX_SAMPLES:
-        raise EnumerationLimitError(
-            f"trace too large to synthesize: {timeline.event_count} arrival events exceed the cap {TRACE_MAX_SAMPLES}"
-        )
-    # size the grid before allocating; an analytic timeline's arrays stay
-    # implicit, and its last arrival is at 2**n - 1
-    last = (1 << timeline.n) - 1 if timeline.is_analytic else int(timeline.cores[-1])
-    step = rise_time / samples_per_rise
-    t_end = last * unit_delay + timeline.n * epsilon + 2.0 * rise_time
-    samples = t_end / step if step > 0 else math.inf
-    if not samples < TRACE_MAX_SAMPLES:
-        raise EnumerationLimitError(
-            f"trace too large to synthesize: {samples:.3g} samples exceed the cap {TRACE_MAX_SAMPLES}"
-        )
-    count = int(np.floor(samples)) + 1
-
-    arrive = timeline.cores.astype(np.float64) * unit_delay + timeline.n * epsilon
-    heights = timeline.counts.astype(np.float64) / float(2**timeline.n)
-    times = np.arange(count) * step
-
-    delta = np.zeros(count + 1)
-    starts = np.searchsorted(times, arrive, side="left")
-    stops = np.searchsorted(times, arrive + rise_time, side="left")
-    np.add.at(delta, starts, heights)
-    np.subtract.at(delta, stops, heights)
-    return Trace(times, np.cumsum(delta[:-1]))

@@ -46,6 +46,25 @@ INSTANCES = {
     "ss25": "values " + " ".join(map(str, range(1, 26))) + "\ntarget 5\n",
 }
 
+GEN_INSTANCE = b"# gen seed=7 n=12 m=4 max-set-size=5\nn 12\nf 1 2 3 7\nf 1 2 4 6 10\nf 7 12\nf 2 7 9\n"
+
+TRACE_ARGS = ("--unit-delay", "1e-12", "--epsilon", "1e-12")
+
+FEASIBILITY_N26 = (
+    b"n: 26\n"
+    b"min_cable_m: 0.0003\n"
+    b"longest_cable_m: 10066.3296\n"
+    b"total_cable_m: 20132.674499999997\n"
+    b"solve_time_s: 6.7108864e-05\n"
+    b"relative_power: 67108864\n"
+    b"build_cost_units: 1744830464\n"
+    b"check minimum cable length (m): computed=0.0003 published=0.0003 agrees\n"
+    b"check instance size solvable in one second: computed=39.0 published=39.0 agrees\n"
+    b"check longest cable for a 39-element device (m): computed=82463372.0832 published=800000000.0 DIFFERS\n"
+    b"check instance size with 300 km cables: computed=30.0 published=26.0 DIFFERS\n"
+    b"check solve time for a 26-element device (s): computed=6.7108864e-05 published=1e-06 DIFFERS\n"
+)
+
 SUBSET_SUM_TIMELINE = (
     b"events=5 total_paths=8\n"
     b"moment=0+3eps paths=1 intensity=1/8 witness={}\n"
@@ -76,15 +95,18 @@ def workdir(tmp_path_factory):
         (path / f"{name}.txt").write_text(text, encoding="utf-8")
     gen = splitbeam("gen", "--n", "12", "--m", "4", "--max-set-size", "5", "--seed", "7", cwd=path)
     assert gen.returncode == 0
+    assert gen.stdout == GEN_INSTANCE
     (path / "inst.txt").write_bytes(gen.stdout)
     return path
 
 
-def expect_refusal(result):
+def expect_refusal(result, stderr=None):
     # a refusal is exit 2, one error line, and nothing on stdout
     assert result.returncode == 2
     assert result.stdout == b""
     assert result.stderr.startswith(b"error: ")
+    if stderr is not None:
+        assert result.stderr == stderr
 
 
 @pytest.mark.parametrize(
@@ -184,3 +206,31 @@ def test_simulate_into_a_closed_pipe(workdir):
         stderr = proc.stderr.read()
         assert proc.wait(timeout=300) == 141
     assert stderr == b""
+
+
+def test_trace(workdir):
+    result = splitbeam("trace", "inst.txt", "--rise-time", "1e-12", *TRACE_ARGS, "--out", "trace.csv", cwd=workdir)
+    assert result.returncode == 0
+    assert result.stdout == b"wrote trace.csv samples=32873\n"
+    assert result.stderr == b""
+    csv = (workdir / "trace.csv").read_bytes()
+    assert csv.startswith(b"time_s,intensity\n")
+    assert hashlib.sha256(csv).hexdigest() == "334fd8237349f90a312e84a255bf84a5ebf3031adb88cd015e8ae7350ae31c48"
+
+
+def test_trace_with_a_negative_rise_time_is_refused(workdir):
+    result = splitbeam("trace", "inst.txt", "--rise-time", "-1", *TRACE_ARGS, "--out", "refused.csv", cwd=workdir)
+    expect_refusal(result, b"error: rise_time must be finite and strictly positive, got -1.0\n")
+    assert not (workdir / "refused.csv").exists()
+
+
+def test_feasibility(workdir):
+    result = splitbeam("feasibility", "--n", "26", cwd=workdir)
+    assert result.returncode == 0
+    assert result.stdout == FEASIBILITY_N26
+    assert result.stderr == b""
+
+
+def test_feasibility_with_a_negative_rise_time_is_refused(workdir):
+    result = splitbeam("feasibility", "--n", "5", "--rise-time", "-1", cwd=workdir)
+    expect_refusal(result, b"error: rise time must be finite and strictly positive, got -1.0\n")

@@ -1,12 +1,13 @@
 """The exactness contract: no float in any decision.
 
-The modules a decision runs through (instances, devices, the simulator,
-moment sets, the optical pipelines and the oracles) hold integer moments
-and dyadic intensities only. This reads their source and refuses every
-way a float gets in: a float literal, true division, ``float``, the
-``math`` module and float dtypes. The simulator's trace rendering (``Trace`` and
-``synthesize_trace``) and the physical envelope use floats on purpose
-and are not checked.
+The modules checked are the ones the routes reach: ``solver`` and
+``oracle`` and every package module either imports, directly or not,
+read from the import graph. They hold integer moments and dyadic
+intensities only. This reads each whole file and refuses every way a
+float gets in: a float literal, true division, ``float``, the ``math``
+module and float dtypes. A module a decision comes to import is checked
+without editing a list. The physical envelope and the trace use floats
+on purpose; they live in ``feasibility``, which neither route reaches.
 """
 
 import ast
@@ -16,10 +17,9 @@ from pathlib import Path
 import pytest
 
 import splitbeam
+from test_imports import MODULES, reachable
 
-DECISION_MODULES = ("core.py", "device.py", "sim.py", "moments.py", "solver.py", "oracle.py")
-# the float rendering of a timeline, skipped by name
-RENDERING = {"sim.py": {"Trace", "synthesize_trace"}}
+DECISION_MODULES = sorted(f"{module}.py" for module in reachable("solver") | reachable("oracle"))
 
 _FLOAT_NAME = re.compile(r"float\d*")
 _FLOAT_DTYPE = re.compile(r"[<>=|]?(float\d*|f\d+)")
@@ -27,16 +27,6 @@ _FLOAT_DTYPE = re.compile(r"[<>=|]?(float\d*|f\d+)")
 
 def module_tree(module):
     return ast.parse((Path(splitbeam.__file__).parent / module).read_text(encoding="utf-8"))
-
-
-def decision_code(module):
-    """The parsed source of ``module`` without its top-level rendering definitions."""
-    tree = module_tree(module)
-    skipped = RENDERING.get(module, set())
-    kept = [node for node in tree.body if getattr(node, "name", None) not in skipped]
-    assert len(tree.body) - len(kept) == len(skipped)
-    tree.body = kept
-    return tree
 
 
 def float_uses(tree):
@@ -58,16 +48,16 @@ def float_uses(tree):
     return found
 
 
+def test_the_routes_reach_every_decision_module():
+    # so the derived list cannot shrink unnoticed
+    assert DECISION_MODULES == ["core.py", "device.py", "moments.py", "oracle.py", "sim.py", "solver.py"]
+    # every float is in the float module or the command line
+    assert [f"{m}.py" for m in MODULES if float_uses(module_tree(f"{m}.py"))] == ["cli.py", "feasibility.py"]
+
+
 @pytest.mark.parametrize("module", DECISION_MODULES)
 def test_decision_modules_hold_no_float(module):
-    assert float_uses(decision_code(module)) == []
-
-
-def test_only_the_rendering_is_skipped():
-    # the trace rendering is exactly where sim.py's floats are
-    whole = module_tree("sim.py")
-    rendering = ast.Module([node for node in whole.body if getattr(node, "name", None) in RENDERING["sim.py"]], [])
-    assert float_uses(whole) == float_uses(rendering) != []
+    assert float_uses(module_tree(module)) == []
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,21 @@
-"""Physical-envelope arithmetic: cable lengths, instance-size bounds, reports."""
+"""The float module: cable lengths, instance-size bounds, reports, and
+the one finite-and-positive rule every physical quantity obeys."""
 
 import math
 
 import pytest
 
+import splitbeam.feasibility
+import splitbeam.sim
 from splitbeam import (
     PhysicalParams,
+    build_set_splitting_device,
     max_n_for_cable,
     max_n_for_total_time,
     min_cable_length,
     published_figure_checks,
     report,
+    simulate,
 )
 
 DEFAULTS = PhysicalParams()
@@ -184,3 +189,34 @@ class TestPublishedFigures:
         checks = {c.label: c for c in published_figure_checks(params)}
         assert checks["instance size with 300 km cables"].computed == 0.0
         assert checks["instance size solvable in one second"].computed == 0.0
+
+
+class TestOneFloatModule:
+    def test_the_trace_lives_here(self):
+        assert splitbeam.synthesize_trace is splitbeam.feasibility.synthesize_trace
+        assert splitbeam.Trace is splitbeam.feasibility.Trace
+        for name in ("Trace", "synthesize_trace", "TRACE_MAX_SAMPLES"):
+            assert not hasattr(splitbeam.sim, name)
+
+    @pytest.mark.parametrize(
+        "call, label, value",
+        [
+            (lambda: PhysicalParams(rise_time=-1.0), "rise time", "-1.0"),
+            (lambda: PhysicalParams(light_speed=0.0), "light speed", "0.0"),
+            (lambda: PhysicalParams(epsilon_length=math.nan), "epsilon length", "nan"),
+            (lambda: max_n_for_total_time(0.0, DEFAULTS), "total time", "0.0"),
+            (lambda: max_n_for_cable(0.0, DEFAULTS), "longest available cable", "0.0"),
+            (
+                lambda: splitbeam.feasibility.synthesize_trace(
+                    simulate(build_set_splitting_device(1)), unit_delay=0.0, epsilon=1e-12, rise_time=1e-12
+                ),
+                "unit_delay",
+                "0.0",
+            ),
+        ],
+        ids=["rise time", "light speed", "epsilon length", "total time", "longest cable", "trace unit delay"],
+    )
+    def test_every_quantity_states_one_rule(self, call, label, value):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == f"{label} must be finite and strictly positive, got {value}"

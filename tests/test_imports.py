@@ -1,7 +1,10 @@
-"""The import graph: the oracles stay independent of the optical route.
+"""The import graph: the oracles stay independent of the optical route,
+and neither route reaches the float module.
 
 Equality of the two routes is the correctness argument only while they
-share no code but ``core``. This parses every module of the package and
+share no code but ``core``. The exactness check reads every module the
+routes reach, so ``feasibility``, the one module that holds floats, must
+stay out of reach. This parses every module of the package and
 reads every ``import`` and ``from`` statement, those inside functions
 too, so the graph holds what any call could import.
 """
@@ -68,6 +71,12 @@ def test_no_module_reachable_from_solver_imports_oracle():
     optical = reachable("solver")
     assert {"core", "device", "moments", "sim"} < optical
     assert sorted(module for module in optical if "oracle" in GRAPH[module]) == []
+
+
+def test_no_route_reaches_the_float_module():
+    assert "feasibility" not in reachable("solver") | reachable("oracle")
+    # the name is one the graph holds: the command line reaches it
+    assert "feasibility" in reachable("cli")
 
 
 def test_the_package_reaches_both_routes():
